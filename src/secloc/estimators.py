@@ -11,7 +11,7 @@ level.  ML, LMdS and Grad-Desc are the nonlinear baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +38,15 @@ class LinearSystem:
     """The (A, b) pair shared by every least-squares style estimator.
 
     Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2.
+
+    A and b must not be mutated after construction: ``planefit`` memoizes its
+    l1 fits on the system (``admm_fits``, created on the first fit and keyed
+    by ``AdmmParams``), so LN-1E reuses the all-anchor fit LN-1 already made.
     """
 
     A: np.ndarray
     b: np.ndarray
+    admm_fits: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)

@@ -7,6 +7,13 @@ by attackers, since those rows sit on a different plane.  The fit runs as an
 alternating-direction scheme whose only nontrivial step is the elementwise
 soft threshold.  A two-cluster split of the residuals then separates on-plane
 points from outliers so the plane can be refit on the clean set.
+
+The least-squares step of every iteration solves with the same A, so a fit
+factors it once: m = R^-1 Q^T from A's QR decomposition, after which each
+u-update is the single product m @ v.  LN-1E's first step is LN-1's
+all-anchor fit, so ``admm_l1_plane`` memoizes its result on the
+``LinearSystem`` per ``AdmmParams``: when a trial runs both estimators on one
+system, the fit runs once and LN-1E reads LN-1's result.
 """
 
 from __future__ import annotations
@@ -17,14 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import Estimate, LinearSystem
+from .estimators import COND_LIMIT, Estimate, LinearSystem
 from .exceptions import (
     DegenerateGeometryError,
     DomainError,
     InsufficientSurvivorsError,
 )
-
-COND_LIMIT = 1e12
 
 # Residuals below this fraction of the data scale mean every point already
 # lies on the fitted plane, so there is nothing to cluster.
@@ -81,12 +86,15 @@ class KmeansResult(NamedTuple):
     degenerate: bool
 
 
+def _shrink(x: np.ndarray, threshold: float) -> np.ndarray:
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+
+
 def soft_threshold(x, threshold: float):
     """Shrink magnitudes by ``threshold`` toward zero, elementwise."""
     if threshold < 0:
         raise DomainError("threshold must be non-negative")
-    xv = np.asarray(x, dtype=float)
-    out = np.sign(xv) * np.maximum(np.abs(xv) - threshold, 0.0)
+    out = _shrink(np.asarray(x, dtype=float), threshold)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -96,14 +104,22 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
     Splitting the residual into z, the iteration solves a least-squares
     subproblem for u, soft-thresholds z, and takes a dual ascent step, from
     zero initial state.  Stops once the l1 norm of z changes by at most
-    ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False, best
-    iterate returned).
+    ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False, last
+    iterate returned).  The result is memoized on ``system`` per ``params``,
+    so a repeated call returns the first call's result.
     """
+    fits = system.admm_fits
+    if fits is None:
+        fits = {}
+        object.__setattr__(system, "admm_fits", fits)
+    elif params in fits:
+        return fits[params]
     A, b = system.A, system.b
     q, r = np.linalg.qr(A)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= svals[0] / COND_LIMIT:
         raise DegenerateGeometryError("plane fit needs full-rank geometry")
+    m = np.linalg.solve(r, q.T)  # u = m @ v solves min ||A u - v||_2
     rho = params.rho
     shrink = 1.0 / rho
     z = np.zeros(system.n_rows)
@@ -114,9 +130,10 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
     iterations = 0
     primal = np.zeros(system.n_rows)
     for iterations in range(1, params.max_iters + 1):
-        u = np.linalg.solve(r, q.T @ (b + z - y / rho))
+        y_rho = y / rho
+        u = m @ (b + z - y_rho)
         au = A @ u
-        z = soft_threshold(au - b + y / rho, shrink)
+        z = _shrink(au - b + y_rho, shrink)
         primal = au - z - b
         y += rho * primal
         z_norm = float(np.abs(z).sum())
@@ -124,9 +141,10 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
             converged = True
             break
         prev_norm = z_norm
-    return AdmmResult(
+    fits[params] = result = AdmmResult(
         PlaneCoeffs(*u), iterations, converged, float(np.linalg.norm(primal))
     )
+    return result
 
 
 def point_plane_residual(system: LinearSystem, plane: PlaneCoeffs) -> np.ndarray:
@@ -138,12 +156,11 @@ def point_plane_residual(system: LinearSystem, plane: PlaneCoeffs) -> np.ndarray
     return np.abs(system.b - system.A @ plane.as_array())
 
 
-def kmeans_1d(values, seed=None) -> KmeansResult:
+def kmeans_1d(values) -> KmeansResult:
     """Two-cluster K-means on scalars, initialized at (min, max).
 
-    Deterministic; ``seed`` is accepted for interface stability but unused.
-    Identical values collapse to a single cluster: everything is labeled
-    near-plane and the result is flagged degenerate.
+    Deterministic.  Identical values collapse to a single cluster: everything
+    is labeled near-plane and the result is flagged degenerate.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
@@ -181,9 +198,7 @@ def ln1_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Est
     )
 
 
-def ln1e_estimate(
-    system: LinearSystem, params: AdmmParams = AdmmParams(), seed=None
-) -> Estimate:
+def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
     """l1 plane fit with outlier elimination and a refit.
 
     Fits all rows, splits the residuals into two clusters, drops the far
@@ -202,7 +217,7 @@ def ln1e_estimate(
     )
     if float(residuals.max()) <= ON_PLANE_RTOL * scale:
         return keep_all
-    clusters = kmeans_1d(residuals, seed=seed)
+    clusters = kmeans_1d(residuals)
     if clusters.degenerate:
         return keep_all
     near = np.flatnonzero(clusters.labels == 0)

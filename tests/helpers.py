@@ -2,22 +2,30 @@
 
 Everything here deliberately avoids the library's own solution paths: the l1
 oracle is a linear program, the information-matrix oracle simulates score
-vectors, and the clustering oracle scans all sorted splits.
+vectors, and the clustering oracle scans all sorted splits.  The one
+exception is ``admm_l1_plane_reference``: the plain ADMM loop, kept to pin the
+iteration-for-iteration behaviour of the library's faster, memoized fit.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from secloc import (
+    AdmmParams,
+    AdmmResult,
     AttackSpec,
+    DegenerateGeometryError,
     PathLossParams,
+    PlaneCoeffs,
     Topology,
     build_linear_system,
     distance_from_rssi,
     random_topology,
     select_malicious,
     simulate_measurements,
+    soft_threshold,
 )
+from secloc.estimators import COND_LIMIT
 
 LN10 = np.log(10.0)
 
@@ -31,6 +39,39 @@ def l1_oracle(A, b):
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (k + n), method="highs")
     assert res.status == 0, res.message
     return res.x[:k], res.fun
+
+
+def admm_l1_plane_reference(system, params=AdmmParams()):
+    """The ADMM l1 plane fit as a plain loop: a fresh least-squares solve
+    with R every sweep and no memo."""
+    A, b = system.A, system.b
+    q, r = np.linalg.qr(A)
+    svals = np.linalg.svd(r, compute_uv=False)
+    if svals[-1] <= svals[0] / COND_LIMIT:
+        raise DegenerateGeometryError("plane fit needs full-rank geometry")
+    rho = params.rho
+    shrink = 1.0 / rho
+    z = np.zeros(system.n_rows)
+    y = np.zeros(system.n_rows)
+    u = np.zeros(3)
+    prev_norm = 0.0
+    converged = False
+    iterations = 0
+    primal = np.zeros(system.n_rows)
+    for iterations in range(1, params.max_iters + 1):
+        u = np.linalg.solve(r, q.T @ (b + z - y / rho))
+        au = A @ u
+        z = soft_threshold(au - b + y / rho, shrink)
+        primal = au - z - b
+        y += rho * primal
+        z_norm = float(np.abs(z).sum())
+        if abs(z_norm - prev_norm) <= params.conv_tol:
+            converged = True
+            break
+        prev_norm = z_norm
+    return AdmmResult(
+        PlaneCoeffs(*u), iterations, converged, float(np.linalg.norm(primal))
+    )
 
 
 def empirical_fim(topology, params, attack_kind, sigma_att=0.0, t_att=None,

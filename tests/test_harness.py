@@ -158,6 +158,25 @@ class TestSweepAndCsv:
             crlb_row = by_key[(repr(float(value)), "crlb")]
             assert float(crlb_row["crlb_m"]) == summary.crlb
 
+    def test_ln1e_row_independent_of_ln1(self):
+        # LN-1E reuses the all-anchor fit LN-1 memoized on the trial's system;
+        # run alone it fits that plane itself, to the same result
+        def ln1e_row(estimators):
+            cfg = ExperimentConfig(
+                attack_kind="coordinated",
+                t_att=(75.0, 75.0),
+                malicious_fraction=0.28,
+                estimators=estimators,
+                trials=4,
+                master_seed=20260810,
+            )
+            rows = summary_rows("", cfg, run_monte_carlo(cfg, workers=1))
+            return [row for row in rows if row[1] == "ln1e"]
+
+        alone = ln1e_row(("ln1e",))
+        assert len(alone) == 1
+        assert alone == ln1e_row(("ln1", "ln1e"))
+
     def test_axis_gating(self):
         cfg = attack_config()
         with pytest.raises(ConfigError):

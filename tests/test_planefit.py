@@ -17,7 +17,14 @@ from secloc import (
     soft_threshold,
 )
 
-from helpers import best_split_1d, coordinated_system, gross_outlier_system, l1_oracle, two_strip_plant
+from helpers import (
+    admm_l1_plane_reference,
+    best_split_1d,
+    coordinated_system,
+    gross_outlier_system,
+    l1_oracle,
+    two_strip_plant,
+)
 
 TIGHT = AdmmParams(rho=0.2, conv_tol=1e-8, max_iters=200_000)
 
@@ -104,6 +111,85 @@ class TestAdmmPlane:
         system = LinearSystem(A=np.eye(3), b=np.array([0.0, 0.0, 7.0]))
         plane = PlaneCoeffs(0.0, 0.0, 0.0)
         np.testing.assert_allclose(point_plane_residual(system, plane), [0.0, 0.0, 7.0])
+
+
+def _refit_subset(system):
+    """The rows LN-1E refits on: the near cluster of the all-anchor fit."""
+    fit = admm_l1_plane_reference(system)
+    labels = kmeans_1d(point_plane_residual(system, fit.plane)).labels
+    return system.subset(np.flatnonzero(labels == 0))
+
+
+def _copy(system):
+    return LinearSystem(A=system.A.copy(), b=system.b.copy())
+
+
+@pytest.fixture(scope="module")
+def admm_population():
+    """Coordinated and gross-outlier systems plus LN-1E's refit subsets."""
+    rng = np.random.default_rng(16)
+    coordinated = [coordinated_system(rng, sigma=2.0)[0] for _ in range(8)]
+    outliers = [gross_outlier_system(rng)[0] for _ in range(8)]
+    refits = [_refit_subset(system) for system in coordinated]
+    return coordinated + outliers + refits
+
+
+class TestAdmmParity:
+    """The factored, memoized fit takes the plain loop's path sweep for sweep."""
+
+    @pytest.mark.parametrize("params", [AdmmParams(), AdmmParams(max_iters=50)])
+    def test_same_iterations_and_plane(self, admm_population, params):
+        converged = []
+        for system in admm_population:
+            expected = admm_l1_plane_reference(system, params)
+            fit = admm_l1_plane(_copy(system), params)
+            assert fit.iterations == expected.iterations
+            assert fit.converged == expected.converged
+            np.testing.assert_allclose(
+                fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
+            )
+            converged.append(fit.converged)
+        if params.max_iters == 50:  # the capped branch is the one compared
+            assert not any(converged)
+
+
+class TestAdmmMemo:
+    def test_ln1e_same_with_or_without_ln1_first(self):
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            system, _, _ = coordinated_system(rng, sigma=2.0)
+            fresh = ln1e_estimate(_copy(system))
+            warmed = _copy(system)
+            ln1_estimate(warmed)
+            after_ln1 = ln1e_estimate(warmed)
+            first = admm_l1_plane_reference(system)
+            refit = admm_l1_plane_reference(_refit_subset(system))
+            assert fresh.iterations == first.iterations + refit.iterations
+            np.testing.assert_allclose(
+                fresh.position, refit.plane.as_array()[:2], rtol=1e-9, atol=0
+            )
+            np.testing.assert_array_equal(after_ln1.position, fresh.position)
+            assert after_ln1.auxiliary == fresh.auxiliary
+            assert after_ln1.eliminated == fresh.eliminated
+            assert after_ln1.iterations == fresh.iterations
+            assert after_ln1.converged == fresh.converged
+
+    def test_repeat_call_returns_memoized_fit(self):
+        system, _, _ = coordinated_system(np.random.default_rng(18))
+        first = admm_l1_plane(system)
+        assert admm_l1_plane(system, AdmmParams()) is first
+
+    def test_other_params_get_their_own_fit(self):
+        system, _, _ = gross_outlier_system(np.random.default_rng(19))
+        shipped = admm_l1_plane(system)
+        capped = admm_l1_plane(system, AdmmParams(max_iters=50))
+        assert shipped.converged and shipped.iterations > 50
+        assert not capped.converged and capped.iterations == 50
+        expected = admm_l1_plane_reference(system, AdmmParams(max_iters=50))
+        np.testing.assert_allclose(
+            capped.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
+        )
+        assert admm_l1_plane(system) is shipped
 
 
 class TestKmeans1d:
