@@ -16,13 +16,11 @@ from .exceptions import (
     SecLocError,
 )
 from .channel import (
-    DistanceStats,
     PathLossParams,
     distance_from_rssi,
     distance_pdf,
     distance_perturbation,
     distance_sq_variance,
-    distance_stats,
     distance_variance,
     estimate_noise_sigma,
     mean_rssi,
@@ -65,8 +63,6 @@ from .planefit import (
 )
 from .crlb import Fim, crlb_bound, fim_coordinated, fim_uncoordinated
 from .config import (
-    APPLICABILITY,
-    ESTIMATOR_NAMES,
     ExperimentConfig,
     GradDescParams,
     LmdsParams,
@@ -75,6 +71,7 @@ from .config import (
     parse_config,
 )
 from .harness import (
+    ESTIMATORS,
     EstimatorOutcome,
     EstimatorSummary,
     MonteCarloSummary,
@@ -86,7 +83,6 @@ from .harness import (
     summarize,
     summary_rows,
     sweep,
-    sweep_to_csv,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import PathLossParams
+from .channel import PathLossParams, mean_rssi
 from .exceptions import ConfigError, DomainError
 
 ATTACK_KINDS = ("none", "uncoordinated", "coordinated")
@@ -158,14 +158,13 @@ def simulate_measurements(
         raise ConfigError("packets must be >= 1")
     rng = np.random.default_rng(seed)
     d = topology.distances()
-    mean = params.p0 - 10.0 * params.n * np.log10(d)
+    mean = mean_rssi(params, d)
     mal = sorted(topology.malicious)
     if attack.kind == "coordinated" and mal:
         gaps = np.linalg.norm(topology.anchors - attack.t_att, axis=1)
         if np.any(gaps == 0.0):
             raise ConfigError("t_att coincides with an anchor position")
         chi = gaps[mal] / d[mal]
-        mean = mean.copy()
         mean[mal] -= 10.0 * params.n * np.log10(chi)
     rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
     if attack.kind == "uncoordinated" and mal:

@@ -53,19 +53,6 @@ class PathLossParams:
             raise DomainError(f"noise sigma must be >= 0, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class DistanceStats:
-    """Variance of a distance estimate and of its square at a given range."""
-
-    mean_distance: float
-    var_d: float
-    var_d2: float
-
-    def __post_init__(self) -> None:
-        if self.var_d < 0 or self.var_d2 < 0:
-            raise DomainError("variances must be non-negative")
-
-
 def _ret(x: np.ndarray):
     """Return a Python float for scalar input, an ndarray otherwise."""
     return float(x) if np.ndim(x) == 0 else x
@@ -165,15 +152,6 @@ def distance_sq_variance(params: PathLossParams, mean_distance):
         raise DomainError("mean_distance must be positive and finite")
     s = params.sigma**2 / (VAR_D2_DENOM * params.n**2)
     return _ret(d**4 * math.exp(s) * (math.exp(s) - 1.0))
-
-
-def distance_stats(params: PathLossParams, mean_distance: float) -> DistanceStats:
-    """Bundle the two variance laws for one range into a DistanceStats."""
-    return DistanceStats(
-        mean_distance=float(mean_distance),
-        var_d=distance_variance(params, mean_distance),
-        var_d2=distance_sq_variance(params, mean_distance),
-    )
 
 
 def estimate_noise_sigma(params: PathLossParams, sample_variance, mean_distance):

@@ -13,7 +13,16 @@ from dataclasses import replace
 
 from .config import SWEEP_AXES, load_config
 from .exceptions import ConfigError, SecLocError
-from .harness import run_monte_carlo, summary_rows, emit_csv, sweep, resolve_workers
+from .harness import (
+    ESTIMATORS,
+    base_topology,
+    emit_csv,
+    run_monte_carlo,
+    summary_rows,
+    sweep,
+    trial_crlb,
+    trial_topology,
+)
 from .svgplot import render_sweep_svg
 
 
@@ -88,15 +97,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    from .harness import base_topology, _trial_malicious, _trial_crlb, _trial_topology
-
     config = _load(args)
     base = base_topology(config)
     bounds = []
     for trial in range(config.trials):
-        topo = _trial_topology(config, trial, base)
-        topo = topo.with_malicious(_trial_malicious(config, trial, topo))
-        bound = _trial_crlb(config, topo)
+        bound = trial_crlb(config, trial_topology(config, trial, base))
         if bound is not None:
             bounds.append(bound)
     if not bounds:
@@ -111,9 +116,10 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load(args)
-    detectors = [name for name in config.estimators if name in ("swls", "ln1e")]
+    detectors = [name for name in config.estimators if ESTIMATORS[name].detector]
     if not detectors:
-        raise ConfigError("detect needs swls or ln1e among the enabled estimators")
+        known = " or ".join(name for name, spec in ESTIMATORS.items() if spec.detector)
+        raise ConfigError(f"detect needs {known} among the enabled estimators")
     summary = run_monte_carlo(config)
     for name in detectors:
         est = summary.per_estimator[name]
@@ -160,7 +166,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_workers()  # validate SECLOC_THREADS early
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

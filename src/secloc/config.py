@@ -19,19 +19,6 @@ from .channel import PathLossParams
 from .exceptions import ConfigError
 from .planefit import AdmmParams
 
-ESTIMATOR_NAMES = ("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1", "ln1e")
-
-# Which estimators are meaningful under each attack kind.  SWLS keys on
-# per-packet power variance, absent in a coordinated attack; LN-1E's
-# elimination assumes the attacked rows sit on a second plane, which an
-# uncoordinated attack does not produce; ML (initialized at the truth) and
-# plain LS are only compared under the uncoordinated attack.
-APPLICABILITY = {
-    "none": frozenset(ESTIMATOR_NAMES),
-    "uncoordinated": frozenset(("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1")),
-    "coordinated": frozenset(("wls", "lmds", "grad_desc", "ln1", "ln1e")),
-}
-
 SWEEP_AXES = ("sigma_att", "packets", "malicious_fraction", "attack_distance")
 
 
@@ -109,11 +96,13 @@ class ExperimentConfig:
                 )
         if not self.estimators:
             raise ConfigError("no estimators enabled")
-        allowed = APPLICABILITY[self.attack_kind]
+        # harness imports this module, so its estimator table is read here.
+        from .harness import ESTIMATORS
+
         for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
+            if name not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {name!r}")
-            if name not in allowed:
+            if self.attack_kind not in ESTIMATORS[name].attacks:
                 raise ConfigError(
                     f"estimator {name!r} is not applicable under a "
                     f"{self.attack_kind} attack"

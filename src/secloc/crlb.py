@@ -47,34 +47,44 @@ def _geometry_sums(points: np.ndarray, ref: np.ndarray) -> tuple[float, float, f
     return sxx, sxy, syy
 
 
+def _check_common(params: PathLossParams, packets: int) -> None:
+    if packets < 1:
+        raise DomainError("packets must be >= 1")
+    if params.sigma <= 0:
+        raise DomainError("the bound needs sigma > 0")
+
+
+def _assemble(topology: Topology, prefactor: float, groups) -> Fim:
+    """prefactor * sum of weight * geometry terms over ``groups``, one
+    (row mask, reference point, weight) each, summed in the given order."""
+    sxx = sxy = syy = 0.0
+    for rows, ref, weight in groups:
+        if np.any(rows):
+            gxx, gxy, gyy = _geometry_sums(topology.anchors[rows], ref)
+            sxx += weight * gxx
+            sxy += weight * gxy
+            syy += weight * gyy
+    return Fim(prefactor * sxx, prefactor * sxy, prefactor * syy)
+
+
 def fim_uncoordinated(
     topology: Topology, params: PathLossParams, sigma_att: float, packets: int
 ) -> Fim:
     """Information matrix when malicious anchors add independent power jitter
     of standard deviation ``sigma_att``; sigma_att = 0 recovers the no-attack
     matrix."""
-    if packets < 1:
-        raise DomainError("packets must be >= 1")
-    if params.sigma <= 0:
-        raise DomainError("the bound needs sigma > 0")
+    _check_common(params, packets)
     if not math.isfinite(sigma_att) or sigma_att < 0:
         raise DomainError("sigma_att must be >= 0 and finite")
-    prefactor = 100.0 * packets * params.n**2 / LN10**2
     mask = topology.malicious_mask()
-    sxx = sxy = syy = 0.0
-    if np.any(~mask):
-        gxx, gxy, gyy = _geometry_sums(topology.anchors[~mask], topology.target)
-        w = 1.0 / params.sigma**2
-        sxx += w * gxx
-        sxy += w * gxy
-        syy += w * gyy
-    if np.any(mask):
-        gxx, gxy, gyy = _geometry_sums(topology.anchors[mask], topology.target)
-        w = 1.0 / (params.sigma**2 + sigma_att**2)
-        sxx += w * gxx
-        sxy += w * gxy
-        syy += w * gyy
-    return Fim(prefactor * sxx, prefactor * sxy, prefactor * syy)
+    return _assemble(
+        topology,
+        100.0 * packets * params.n**2 / LN10**2,
+        (
+            (~mask, topology.target, 1.0 / params.sigma**2),
+            (mask, topology.target, 1.0 / (params.sigma**2 + sigma_att**2)),
+        ),
+    )
 
 
 def fim_coordinated(
@@ -82,27 +92,17 @@ def fim_coordinated(
 ) -> Fim:
     """Information matrix under a coordinated attack: malicious geometry terms
     are taken about the decoy position ``t_att``."""
-    if packets < 1:
-        raise DomainError("packets must be >= 1")
-    if params.sigma <= 0:
-        raise DomainError("the bound needs sigma > 0")
+    _check_common(params, packets)
     t_att = np.asarray(t_att, dtype=float).reshape(2)
     if not np.all(np.isfinite(t_att)):
         raise DomainError("t_att must be finite")
-    prefactor = 100.0 * packets * params.n**2 / (params.sigma**2 * LN10**2)
     mask = topology.malicious_mask()
-    sxx = sxy = syy = 0.0
-    if np.any(~mask):
-        gxx, gxy, gyy = _geometry_sums(topology.anchors[~mask], topology.target)
-        sxx += gxx
-        sxy += gxy
-        syy += gyy
-    if np.any(mask):
-        gxx, gxy, gyy = _geometry_sums(topology.anchors[mask], t_att)
-        sxx += gxx
-        sxy += gxy
-        syy += gyy
-    return Fim(prefactor * sxx, prefactor * sxy, prefactor * syy)
+    # One noise level: it sits in the prefactor and every group has weight 1.
+    return _assemble(
+        topology,
+        100.0 * packets * params.n**2 / (params.sigma**2 * LN10**2),
+        ((~mask, topology.target, 1.0), (mask, t_att, 1.0)),
+    )
 
 
 def crlb_bound(fim: Fim) -> float:

@@ -1,24 +1,24 @@
 """Monte-Carlo engine: trials, aggregation, sweeps, and CSV output.
 
 Every trial derives its own random streams from (master_seed, trial index),
-so results are bit-identical regardless of execution order or worker count.
-Within a trial all enabled estimators see the same measurement matrix, making
-the comparison paired.  Estimator failures (eliminations leaving too few
-anchors, non-convergence) are counted per estimator and never abort a trial.
+so results are bit-identical regardless of execution order.  Within a trial
+all enabled estimators see the same measurement matrix, making the comparison
+paired.  Estimator failures (eliminations leaving too few anchors,
+non-convergence) are counted per estimator and never abort a trial.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import crlb as crlb_mod
 from .attacks import (
+    ATTACK_KINDS,
     MeasurementMatrix,
     Topology,
     load_topology,
@@ -26,9 +26,11 @@ from .attacks import (
     select_malicious,
     simulate_measurements,
 )
-from .channel import distance_from_rssi
+from .channel import PathLossParams, distance_from_rssi
 from .config import ExperimentConfig, apply_axis
 from .estimators import (
+    Estimate,
+    LinearSystem,
     build_linear_system,
     grad_desc_estimate,
     lmds_estimate,
@@ -37,7 +39,7 @@ from .estimators import (
     swls_estimate,
     wls_estimate,
 )
-from .exceptions import ConfigError, SecLocError
+from .exceptions import SecLocError
 from .planefit import ln1_estimate, ln1e_estimate
 
 CSV_HEADER = (
@@ -116,30 +118,33 @@ def base_topology(config: ExperimentConfig) -> Topology:
     return random_topology(config.n_anchors, config.area, target=config.target, seed=seed)
 
 
-def _trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
+def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
+    """The labelled topology of one trial: ``base`` (or a fresh layout when
+    topologies are drawn per trial) with this trial's malicious anchors."""
+    topology = base
     if config.topology_per_trial:
-        return random_topology(
+        topology = random_topology(
             config.n_anchors,
             config.area,
             target=config.target,
             seed=_trial_rng(config.master_seed, trial_index, _STREAM_TOPOLOGY),
         )
-    return base
-
-
-def _trial_malicious(config: ExperimentConfig, trial_index: int, topology: Topology) -> frozenset:
     if config.topology_file is not None and config.malicious_fraction == 0.0:
-        return topology.malicious  # labels fixed by the file
+        return topology  # labels fixed by the file
     eligible = config.placement.eligible(topology.anchors, topology.target)
-    return select_malicious(
-        topology.n_anchors,
-        config.malicious_fraction,
-        seed=_trial_rng(config.master_seed, trial_index, _STREAM_MALICIOUS),
-        eligible=eligible,
+    return topology.with_malicious(
+        select_malicious(
+            topology.n_anchors,
+            config.malicious_fraction,
+            seed=_trial_rng(config.master_seed, trial_index, _STREAM_MALICIOUS),
+            eligible=eligible,
+        )
     )
 
 
-def _trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
+def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
+    """The error bound for one labelled topology; None when the information
+    matrix is singular or undefined."""
     try:
         if config.attack_kind == "coordinated":
             fim = crlb_mod.fim_coordinated(
@@ -158,39 +163,110 @@ def _trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
         return None
 
 
-def _run_estimator(name, config, topology, measurements, system, lmds_seed):
-    params = config.params()
-    if name == "ls":
-        return ls_estimate(system)
-    if name == "wls":
-        return wls_estimate(measurements, topology.anchors, params)
-    if name == "swls":
-        return swls_estimate(measurements, topology.anchors, params, zeta=config.zeta)
-    if name == "ml":
-        return ml_estimate(measurements, topology.anchors, params, init=topology.target)
-    if name == "lmds":
-        return lmds_estimate(
-            measurements,
-            topology.anchors,
-            params,
-            n_subsets=config.lmds.n_subsets,
-            subset_size=config.lmds.subset_size,
-            seed=lmds_seed,
+@dataclass(frozen=True)
+class Trial:
+    """Everything the estimators of one trial share."""
+
+    config: ExperimentConfig
+    topology: Topology  # labelled
+    measurements: MeasurementMatrix
+    system: LinearSystem
+    lmds_rng: np.random.Generator
+    params: PathLossParams
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Where an estimator applies and how it runs on a trial.
+
+    ``run`` must look its estimator function up in this module's globals when
+    it is called, as a lambda body does, so that replacing the module-level
+    name (as secbench/tracing.py does) reaches the call.
+    """
+
+    attacks: frozenset
+    run: Callable[[Trial], Estimate]
+    detector: bool = False  # eliminates anchors; reported by `detect`
+
+
+_ALL_ATTACKS = frozenset(ATTACK_KINDS)
+_NOT_COORDINATED = frozenset(("none", "uncoordinated"))
+_NOT_UNCOORDINATED = frozenset(("none", "coordinated"))
+
+# Estimators in report order, each offered only under the attack kinds where
+# the paper compares it.
+ESTIMATORS = {
+    # Plain LS is only compared under the uncoordinated attack.
+    "ls": EstimatorSpec(_NOT_COORDINATED, lambda t: ls_estimate(t.system)),
+    "wls": EstimatorSpec(
+        _ALL_ATTACKS, lambda t: wls_estimate(t.measurements, t.topology.anchors, t.params)
+    ),
+    # SWLS keys on per-packet power variance, absent in a coordinated attack.
+    "swls": EstimatorSpec(
+        _NOT_COORDINATED,
+        lambda t: swls_estimate(t.measurements, t.topology.anchors, t.params, zeta=t.config.zeta),
+        detector=True,
+    ),
+    # ML is initialized at the truth; only compared under the uncoordinated attack.
+    "ml": EstimatorSpec(
+        _NOT_COORDINATED,
+        lambda t: ml_estimate(
+            t.measurements, t.topology.anchors, t.params, init=t.topology.target
+        ),
+    ),
+    "lmds": EstimatorSpec(
+        _ALL_ATTACKS,
+        lambda t: lmds_estimate(
+            t.measurements,
+            t.topology.anchors,
+            t.params,
+            n_subsets=t.config.lmds.n_subsets,
+            subset_size=t.config.lmds.subset_size,
+            seed=t.lmds_rng,
+        ),
+    ),
+    "grad_desc": EstimatorSpec(
+        _ALL_ATTACKS,
+        lambda t: grad_desc_estimate(
+            t.measurements,
+            t.topology.anchors,
+            t.params,
+            step=t.config.grad_desc.step,
+            max_iters=t.config.grad_desc.max_iters,  # keyword: secbench/tracing.py reads it
+            keep_fraction=t.config.grad_desc.keep_fraction,
+        ),
+    ),
+    "ln1": EstimatorSpec(_ALL_ATTACKS, lambda t: ln1_estimate(t.system, t.config.admm)),
+    # LN-1E's elimination assumes the attacked rows sit on a second plane,
+    # which an uncoordinated attack does not produce.
+    "ln1e": EstimatorSpec(
+        _NOT_UNCOORDINATED, lambda t: ln1e_estimate(t.system, t.config.admm), detector=True
+    ),
+}
+
+
+def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
+    try:
+        est = spec.run(trial)
+    except SecLocError as exc:
+        return EstimatorOutcome(
+            error=None,
+            converged=False,
+            n_eliminated=0,
+            tp=0,
+            fp=0,
+            failure=type(exc).__name__,
         )
-    if name == "grad_desc":
-        return grad_desc_estimate(
-            measurements,
-            topology.anchors,
-            params,
-            step=config.grad_desc.step,
-            max_iters=config.grad_desc.max_iters,
-            keep_fraction=config.grad_desc.keep_fraction,
-        )
-    if name == "ln1":
-        return ln1_estimate(system, config.admm)
-    if name == "ln1e":
-        return ln1e_estimate(system, config.admm)
-    raise ConfigError(f"unknown estimator {name!r}")
+    malicious = trial.topology.malicious
+    eliminated = est.eliminated
+    return EstimatorOutcome(
+        error=float(np.linalg.norm(est.position - trial.topology.target)),
+        converged=est.converged,
+        n_eliminated=len(eliminated),
+        tp=len(eliminated & malicious),
+        fp=len(eliminated - malicious),
+        failure=None if est.converged else "non-convergence",
+    )
 
 
 def run_trial(
@@ -203,80 +279,38 @@ def run_trial(
     deterministic in (config, trial_index).
     """
     base = topology if topology is not None else base_topology(config)
-    topo = _trial_topology(config, trial_index, base)
-    topo = topo.with_malicious(_trial_malicious(config, trial_index, topo))
-    attack = config.attack_spec(topo.target)
+    topo = trial_topology(config, trial_index, base)
+    params = config.params()
     measurements = simulate_measurements(
         topo,
-        config.params(),
-        attack,
+        params,
+        config.attack_spec(topo.target),
         config.packets,
         seed=_trial_rng(config.master_seed, trial_index, _STREAM_NOISE),
     )
-    mean_d = distance_from_rssi(config.params(), measurements.rssi.mean(axis=1))
-    system = build_linear_system(topo.anchors, mean_d)
-    lmds_seed = _trial_rng(config.master_seed, trial_index, _STREAM_LMDS)
-    malicious = topo.malicious
-    outcomes = {}
-    for name in config.estimators:
-        try:
-            est = _run_estimator(name, config, topo, measurements, system, lmds_seed)
-        except SecLocError as exc:
-            outcomes[name] = EstimatorOutcome(
-                error=None,
-                converged=False,
-                n_eliminated=0,
-                tp=0,
-                fp=0,
-                failure=type(exc).__name__,
-            )
-            continue
-        error = float(np.linalg.norm(est.position - topo.target))
-        eliminated = est.eliminated
-        outcomes[name] = EstimatorOutcome(
-            error=error,
-            converged=est.converged,
-            n_eliminated=len(eliminated),
-            tp=len(eliminated & malicious),
-            fp=len(eliminated - malicious),
-            failure=None if est.converged else "non-convergence",
-        )
+    mean_d = distance_from_rssi(params, measurements.rssi.mean(axis=1))
+    trial = Trial(
+        config=config,
+        topology=topo,
+        measurements=measurements,
+        system=build_linear_system(topo.anchors, mean_d),
+        lmds_rng=_trial_rng(config.master_seed, trial_index, _STREAM_LMDS),
+        params=params,
+    )
+    outcomes = {name: _outcome(ESTIMATORS[name], trial) for name in config.estimators}
     return TrialResult(
         index=trial_index,
-        n_malicious=len(malicious),
+        n_malicious=len(topo.malicious),
         n_anchors=topo.n_anchors,
-        crlb=_trial_crlb(config, topo),
+        crlb=trial_crlb(config, topo),
         outcomes=outcomes,
     )
 
 
-def resolve_workers(env: dict | None = None) -> int:
-    """Worker count from SECLOC_THREADS (0 or unset = auto)."""
-    env = os.environ if env is None else env
-    raw = env.get("SECLOC_THREADS", "0").strip()
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SECLOC_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError("SECLOC_THREADS must be >= 0")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
-def run_monte_carlo(config: ExperimentConfig, workers: int | None = None) -> MonteCarloSummary:
+def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     """Run config.trials independent trials and aggregate by trial index."""
-    if workers is None:
-        workers = resolve_workers()
     topology = base_topology(config)
-    indices = range(config.trials)
-    if workers <= 1:
-        results = [run_trial(config, i, topology) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: run_trial(config, i, topology), indices))
-    return summarize(config, results)
+    return summarize(config, [run_trial(config, i, topology) for i in range(config.trials)])
 
 
 def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:
@@ -316,18 +350,12 @@ def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:
     )
 
 
-def sweep(config: ExperimentConfig, axis: str, values, workers: int | None = None) -> list:
+def sweep(config: ExperimentConfig, axis: str, values) -> list:
     """Run one Monte-Carlo summary per axis value.
 
     Returns [(value, MonteCarloSummary), ...] in the given order.
     """
-    if workers is None:
-        workers = resolve_workers()
-    out = []
-    for value in values:
-        point = apply_axis(config, axis, value)
-        out.append((value, run_monte_carlo(point, workers=workers)))
-    return out
+    return [(value, run_monte_carlo(apply_axis(config, axis, value))) for value in values]
 
 
 def _fmt(value) -> str:
@@ -366,14 +394,3 @@ def emit_csv(rows: list, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
-
-
-def sweep_to_csv(
-    config: ExperimentConfig, axis: str, values, path, workers: int | None = None
-) -> list:
-    results = sweep(config, axis, values, workers=workers)
-    rows = []
-    for value, summary in results:
-        rows.extend(summary_rows(value, config, summary))
-    emit_csv(rows, path)
-    return results

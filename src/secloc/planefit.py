@@ -204,17 +204,21 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     Fits all rows, splits the residuals into two clusters, drops the far
     cluster (the attacked rows) and refits on the remainder.  When every
     residual is negligible relative to the data scale, all rows are kept and
-    the first fit is returned unchanged.
+    the first fit is returned unchanged.  So is a first fit that stopped at
+    the iteration cap: its residuals are no basis for elimination, and the
+    estimate is non-converged whatever a refit would give.
     """
     fit = admm_l1_plane(system, params)
-    residuals = point_plane_residual(system, fit.plane)
-    scale = 1.0 + float(np.abs(system.b).max())
     keep_all = Estimate(
         position=(fit.plane.alpha, fit.plane.beta),
         auxiliary=fit.plane.gamma,
         iterations=fit.iterations,
         converged=fit.converged,
     )
+    if not fit.converged:
+        return keep_all
+    residuals = point_plane_residual(system, fit.plane)
+    scale = 1.0 + float(np.abs(system.b).max())
     if float(residuals.max()) <= ON_PLANE_RTOL * scale:
         return keep_all
     clusters = kmeans_1d(residuals)
@@ -232,5 +236,5 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
         auxiliary=refit.plane.gamma,
         eliminated=far,
         iterations=fit.iterations + refit.iterations,
-        converged=fit.converged and refit.converged,
+        converged=refit.converged,
     )

@@ -11,7 +11,6 @@ from secloc import (
     distance_pdf,
     distance_perturbation,
     distance_sq_variance,
-    distance_stats,
     distance_variance,
     estimate_noise_sigma,
     mean_rssi,
@@ -184,11 +183,6 @@ class TestVarianceLaws:
         assert distance_sq_variance(P44, 20.0) == pytest.approx(
             16 * distance_sq_variance(P44, 10.0)
         )
-
-    def test_stats_bundle(self):
-        st = distance_stats(P44, 10.0)
-        assert st.var_d == distance_variance(P44, 10.0)
-        assert st.var_d2 == distance_sq_variance(P44, 10.0)
 
     def test_rejects_bad_distance(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import pytest
 
 from secloc import (
+    ESTIMATORS,
     ConfigError,
     ExperimentConfig,
     apply_axis,
@@ -108,6 +109,28 @@ class TestValidation:
             )
         # every estimator is allowed when there is no attack
         ExperimentConfig(attack_kind="none", estimators=("ls", "swls", "ml", "ln1e"))
+
+    @pytest.mark.parametrize("attack_kind", ["none", "uncoordinated", "coordinated"])
+    @pytest.mark.parametrize(
+        "name", ["ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1", "ln1e"]
+    )
+    def test_applicability_table(self, name, attack_kind):
+        accepted = {
+            "none": {"ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1", "ln1e"},
+            "uncoordinated": {"ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"},
+            "coordinated": {"wls", "lmds", "grad_desc", "ln1", "ln1e"},
+        }
+        attack = {
+            "none": {},
+            "uncoordinated": {"sigma_att": 4.0},
+            "coordinated": {"attack_distance": 10.0},
+        }[attack_kind]
+        if name in accepted[attack_kind]:
+            ExperimentConfig(attack_kind=attack_kind, estimators=(name,), **attack)
+        else:
+            with pytest.raises(ConfigError, match="not applicable"):
+                ExperimentConfig(attack_kind=attack_kind, estimators=(name,), **attack)
+        assert ESTIMATORS[name].detector == (name in ("swls", "ln1e"))
 
     def test_unknown_estimator(self):
         with pytest.raises(ConfigError):

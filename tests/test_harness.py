@@ -10,11 +10,11 @@ from secloc import (
     load_config,
     run_monte_carlo,
     run_trial,
+    summarize,
     summary_rows,
     sweep,
-    sweep_to_csv,
 )
-from secloc.harness import CSV_HEADER, resolve_workers
+from secloc.harness import CSV_HEADER
 
 
 def quiet_config(**kw):
@@ -86,24 +86,25 @@ class TestRunTrial:
 class TestMonteCarlo:
     def test_single_trial_rmse_is_that_error(self):
         cfg = attack_config(trials=1)
-        summary = run_monte_carlo(cfg, workers=1)
+        summary = run_monte_carlo(cfg)
         trial = run_trial(cfg, 0)
         for name in cfg.estimators:
             assert summary.per_estimator[name].rmse == pytest.approx(
                 trial.outcomes[name].error
             )
 
-    def test_worker_count_does_not_change_results(self):
+    def test_trial_order_does_not_change_results(self):
+        # each trial draws only from its own streams, and summarize orders
+        # by trial index, so running the trials backwards changes nothing
         cfg = attack_config(trials=24)
-        serial = run_monte_carlo(cfg, workers=1)
-        threaded = run_monte_carlo(cfg, workers=7)
-        assert serial == threaded
+        backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
+        assert summarize(cfg, backwards) == run_monte_carlo(cfg)
 
     def test_all_failures_reported_absent(self):
         cfg = attack_config(
             estimators=("swls",), malicious_fraction=0.93, sigma_att=40.0, trials=5
         )
-        summary = run_monte_carlo(cfg, workers=1)
+        summary = run_monte_carlo(cfg)
         est = summary.per_estimator["swls"]
         assert est.rmse is None
         assert est.trials_failed == 5 and est.trials_ok == 0
@@ -112,7 +113,7 @@ class TestMonteCarlo:
         # paired comparison on the shared measurement matrices: elimination
         # beats down-weighting beats uniform weighting under this attack
         for seed in (1, 2, 3):
-            summary = run_monte_carlo(attack_config(trials=150, master_seed=seed), workers=4)
+            summary = run_monte_carlo(attack_config(trials=150, master_seed=seed))
             ls = summary.per_estimator["ls"].rmse
             wls = summary.per_estimator["wls"].rmse
             swls = summary.per_estimator["swls"].rmse
@@ -123,7 +124,7 @@ class TestMonteCarlo:
 class TestSweepAndCsv:
     def test_rows_per_value(self):
         cfg = attack_config(trials=4)
-        results = sweep(cfg, "sigma_att", [2.0, 6.0], workers=1)
+        results = sweep(cfg, "sigma_att", [2.0, 6.0])
         rows = []
         for value, summary in results:
             rows.extend(summary_rows(value, cfg, summary))
@@ -141,7 +142,8 @@ class TestSweepAndCsv:
     def test_csv_round_trip(self, tmp_path):
         cfg = attack_config(trials=6)
         path = tmp_path / "sweep.csv"
-        results = sweep_to_csv(cfg, "sigma_att", [4.0, 8.0], path, workers=1)
+        results = sweep(cfg, "sigma_att", [4.0, 8.0])
+        emit_csv([row for v, s in results for row in summary_rows(v, cfg, s)], path)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
@@ -170,7 +172,7 @@ class TestSweepAndCsv:
                 trials=4,
                 master_seed=20260810,
             )
-            rows = summary_rows("", cfg, run_monte_carlo(cfg, workers=1))
+            rows = summary_rows("", cfg, run_monte_carlo(cfg))
             return [row for row in rows if row[1] == "ln1e"]
 
         alone = ln1e_row(("ln1e",))
@@ -180,25 +182,7 @@ class TestSweepAndCsv:
     def test_axis_gating(self):
         cfg = attack_config()
         with pytest.raises(ConfigError):
-            sweep(cfg, "attack_distance", [5.0], workers=1)
-
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        cfg = attack_config(trials=30)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        sweep_to_csv(cfg, "sigma_att", [6.0, 12.0], a, workers=1)
-        sweep_to_csv(cfg, "sigma_att", [6.0, 12.0], b, workers=6)
-        assert a.read_bytes() == b.read_bytes()
-
-
-class TestWorkers:
-    def test_env_parsing(self):
-        assert resolve_workers({"SECLOC_THREADS": "3"}) == 3
-        assert resolve_workers({"SECLOC_THREADS": "0"}) >= 1
-        assert resolve_workers({}) >= 1
-        with pytest.raises(ConfigError):
-            resolve_workers({"SECLOC_THREADS": "many"})
-        with pytest.raises(ConfigError):
-            resolve_workers({"SECLOC_THREADS": "-2"})
+            sweep(cfg, "attack_distance", [5.0])
 
 
 class TestTopologyModes:

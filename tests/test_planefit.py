@@ -298,6 +298,24 @@ class TestLn1e:
             assert est.eliminated == topo.malicious
             assert np.linalg.norm(est.position - topo.target) < 1e-6
 
+    def test_capped_first_fit_returned_without_refit(self, monkeypatch):
+        import secloc.planefit as planefit
+
+        fits = []
+        fit = planefit.admm_l1_plane
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(planefit, "admm_l1_plane", counted)
+        system, _, _ = coordinated_system(np.random.default_rng(20))
+        est = ln1e_estimate(system, AdmmParams(max_iters=50))
+        assert len(fits) == 1
+        assert est.eliminated == frozenset()
+        assert est.converged is False
+        assert est.iterations == 50
+
     def test_elimination_invariant_under_row_order(self):
         rng = np.random.default_rng(15)
         system, topo = two_strip_plant(rng)
