@@ -127,16 +127,16 @@ class MeasurementMatrix:
         return self.rssi.shape[1]
 
 
-def chi_factor(anchor, target, t_att) -> float:
+def chi_factor(anchors, target, t_att):
     """Range-scaling factor ||t_att - a|| / ||t - a|| applied by a coordinated
-    attacker at anchor position ``a``."""
-    a = np.asarray(anchor, dtype=float).reshape(2)
-    t = np.asarray(target, dtype=float).reshape(2)
-    ta = np.asarray(t_att, dtype=float).reshape(2)
-    denom = float(np.linalg.norm(t - a))
-    if denom == 0.0:
+    attacker at each anchor position ``a``: a float for one (2,) position, an
+    array for an (N, 2) array of them."""
+    a = np.asarray(anchors, dtype=float)
+    denom = np.linalg.norm(a - target, axis=-1)
+    if np.any(denom == 0.0):
         raise DomainError("anchor coincides with the target")
-    return float(np.linalg.norm(ta - a)) / denom
+    chi = np.linalg.norm(a - t_att, axis=-1) / denom
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def simulate_measurements(
@@ -157,14 +157,12 @@ def simulate_measurements(
     if packets < 1:
         raise ConfigError("packets must be >= 1")
     rng = np.random.default_rng(seed)
-    d = topology.distances()
-    mean = mean_rssi(params, d)
+    mean = mean_rssi(params, topology.distances())
     mal = sorted(topology.malicious)
     if attack.kind == "coordinated" and mal:
-        gaps = np.linalg.norm(topology.anchors - attack.t_att, axis=1)
-        if np.any(gaps == 0.0):
+        if np.any(np.linalg.norm(topology.anchors - attack.t_att, axis=1) == 0.0):
             raise ConfigError("t_att coincides with an anchor position")
-        chi = gaps[mal] / d[mal]
+        chi = chi_factor(topology.anchors[mal], topology.target, attack.t_att)
         mean[mal] -= 10.0 * params.n * np.log10(chi)
     rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
     if attack.kind == "uncoordinated" and mal:
@@ -226,13 +224,15 @@ def random_topology(
 ) -> Topology:
     """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
     ``min_separation`` to the target (defaults to the area center)."""
-    if area <= 0:
-        raise ConfigError("area must be positive")
+    if not (math.isfinite(area) and area > 0):
+        raise ConfigError("area must be positive and finite")
     t = (
         np.asarray(target, dtype=float).reshape(2)
         if target is not None
         else np.array([area / 2.0, area / 2.0])
     )
+    if not np.all(np.isfinite(t)):
+        raise ConfigError("target must be finite")  # never clears the separation test
     rng = np.random.default_rng(seed)
     anchors = np.empty((n_anchors, 2))
     filled = 0

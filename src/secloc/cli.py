@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SWEEP_AXES, load_config
+from .config import SWEEP_AXES, load_config, parse_number
 from .exceptions import ConfigError, SecLocError
 from .harness import (
     ESTIMATORS,
@@ -65,16 +65,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_values(text: str) -> list:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(float(token))
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value {token!r}") from exc
+def _parse_values(axis: str, text: str) -> list:
+    values = [parse_number(axis, tok.strip()) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ConfigError("no sweep values given")
     return values
@@ -82,7 +74,7 @@ def _parse_values(text: str) -> list:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = _parse_values(args.values)
+    values = _parse_values(args.axis, args.values)
     results = sweep(config, args.axis, values)
     rows = []
     for value, summary in results:

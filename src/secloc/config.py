@@ -1,7 +1,9 @@
 """Experiment configuration: flat key-value files with dotted section keys.
 
 The format is a plain text file of ``key = value`` lines; ``#`` starts a
-comment.  Vectors are written as two whitespace- or comma-separated numbers.
+comment.  The ``_KEYS`` table is the list of accepted keys; any other key is
+an error.  Numbers must be finite, and vectors are written as two whitespace-
+or comma-separated numbers.
 Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 (5000 trials); ``load_config`` resolves those names as well as paths.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from .attacks import ATTACK_KINDS, AttackSpec, Placement
 from .channel import PathLossParams
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DomainError
 from .planefit import AdmmParams
 
 SWEEP_AXES = ("sigma_att", "packets", "malicious_fraction", "attack_distance")
@@ -107,8 +109,10 @@ class ExperimentConfig:
                     f"estimator {name!r} is not applicable under a "
                     f"{self.attack_kind} attack"
                 )
-        # The channel/params constructors re-validate p0, n, sigma.
-        PathLossParams(self.p0, self.n, self.sigma)
+        try:
+            self.params()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def params(self) -> PathLossParams:
         return PathLossParams(p0=self.p0, n=self.n, sigma=self.sigma)
@@ -129,15 +133,19 @@ class ExperimentConfig:
         return AttackSpec(kind="coordinated", t_att=self.resolve_t_att(target))
 
 
-def _parse_scalar(key: str, text: str) -> float:
+def parse_number(key: str, text: str) -> float:
+    """A finite float, or a ConfigError naming ``key``."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(key: str, text: str) -> int:
-    value = _parse_scalar(key, text)
+    value = parse_number(key, text)
     if value != int(value):
         raise ConfigError(f"{key}: expected an integer, got {text!r}")
     return int(value)
@@ -156,7 +164,57 @@ def _parse_vector(key: str, text: str) -> tuple:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected two coordinates, got {text!r}")
-    return (_parse_scalar(key, parts[0]), _parse_scalar(key, parts[1]))
+    return (parse_number(key, parts[0]), parse_number(key, parts[1]))
+
+
+def _parse_names(key: str, text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
+
+
+def _parse_text(key: str, text: str) -> str:
+    return text
+
+
+# Every accepted key: (section, field, parser).  A row without a section sets
+# that ExperimentConfig field; the rows of a section are passed together to
+# its constructor in _SECTIONS, whose result becomes the field of that name.
+_KEYS = {
+    "area": (None, "area", parse_number),
+    "p0": (None, "p0", parse_number),
+    "n": (None, "n", parse_number),
+    "sigma": (None, "sigma", parse_number),
+    "zeta": (None, "zeta", parse_number),
+    "malicious.fraction": (None, "malicious_fraction", parse_number),
+    "n_anchors": (None, "n_anchors", _parse_int),
+    "packets": (None, "packets", _parse_int),
+    "trials": (None, "trials", _parse_int),
+    "master_seed": (None, "master_seed", _parse_int),
+    "target": (None, "target", _parse_vector),
+    "attack.kind": (None, "attack_kind", _parse_text),
+    "attack.sigma_att": (None, "sigma_att", parse_number),
+    "attack.t_att": (None, "t_att", _parse_vector),
+    "attack.distance": (None, "attack_distance", parse_number),
+    "malicious.placement": ("placement", "kind", _parse_text),
+    "malicious.radius": ("placement", "radius", parse_number),
+    "malicious.center": ("placement", "center", _parse_vector),
+    "estimators": (None, "estimators", _parse_names),
+    "admm.rho": ("admm", "rho", parse_number),
+    "admm.conv_tol": ("admm", "conv_tol", parse_number),
+    "admm.max_iters": ("admm", "max_iters", _parse_int),
+    "lmds.n_subsets": ("lmds", "n_subsets", _parse_int),
+    "lmds.subset_size": ("lmds", "subset_size", _parse_int),
+    "grad_desc.step": ("grad_desc", "step", parse_number),
+    "grad_desc.max_iters": ("grad_desc", "max_iters", _parse_int),
+    "grad_desc.keep_fraction": ("grad_desc", "keep_fraction", parse_number),
+    "topology.file": (None, "topology_file", _parse_text),
+    "topology.per_trial": (None, "topology_per_trial", _parse_bool),
+}
+_SECTIONS = {
+    "placement": Placement,
+    "admm": AdmmParams,
+    "lmds": LmdsParams,
+    "grad_desc": GradDescParams,
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -175,113 +233,21 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    def take(key):
-        return entries.pop(key, None)
-
-    kwargs: dict = {}
-    for key, parser in (
-        ("area", _parse_scalar),
-        ("p0", _parse_scalar),
-        ("n", _parse_scalar),
-        ("sigma", _parse_scalar),
-        ("zeta", _parse_scalar),
-        ("malicious.fraction", _parse_scalar),
-    ):
-        value = take(key)
-        if value is not None:
-            kwargs[key.replace("malicious.fraction", "malicious_fraction")] = parser(key, value)
-    for key, attr in (
-        ("n_anchors", "n_anchors"),
-        ("packets", "packets"),
-        ("trials", "trials"),
-        ("master_seed", "master_seed"),
-    ):
-        value = take(key)
-        if value is not None:
-            kwargs[attr] = _parse_int(key, value)
-    value = take("target")
-    if value is not None:
-        kwargs["target"] = _parse_vector("target", value)
-
-    value = take("attack.kind")
-    if value is not None:
-        kwargs["attack_kind"] = value
-    value = take("attack.sigma_att")
-    if value is not None:
-        kwargs["sigma_att"] = _parse_scalar("attack.sigma_att", value)
-    value = take("attack.t_att")
-    if value is not None:
-        kwargs["t_att"] = _parse_vector("attack.t_att", value)
-    value = take("attack.distance")
-    if value is not None:
-        kwargs["attack_distance"] = _parse_scalar("attack.distance", value)
-
-    placement_kind = take("malicious.placement")
-    placement_radius = take("malicious.radius")
-    placement_center = take("malicious.center")
-    if placement_kind is not None or placement_radius is not None or placement_center is not None:
-        kwargs["placement"] = Placement(
-            kind=placement_kind or "anywhere",
-            radius=(
-                _parse_scalar("malicious.radius", placement_radius)
-                if placement_radius is not None
-                else 0.0
-            ),
-            center=(
-                _parse_vector("malicious.center", placement_center)
-                if placement_center is not None
-                else None
-            ),
-        )
-
-    value = take("estimators")
-    if value is not None:
-        names = tuple(tok.strip() for tok in value.replace(",", " ").split() if tok.strip())
-        kwargs["estimators"] = names
-
-    admm_kwargs = {}
-    for key, attr, parser in (
-        ("admm.rho", "rho", _parse_scalar),
-        ("admm.conv_tol", "conv_tol", _parse_scalar),
-        ("admm.max_iters", "max_iters", _parse_int),
-    ):
-        value = take(key)
-        if value is not None:
-            admm_kwargs[attr] = parser(key, value)
-    if admm_kwargs:
-        kwargs["admm"] = AdmmParams(**admm_kwargs)
-
-    lmds_kwargs = {}
-    for key, attr in (("lmds.n_subsets", "n_subsets"), ("lmds.subset_size", "subset_size")):
-        value = take(key)
-        if value is not None:
-            lmds_kwargs[attr] = _parse_int(key, value)
-    if lmds_kwargs:
-        kwargs["lmds"] = LmdsParams(**lmds_kwargs)
-
-    gd_kwargs = {}
-    for key, attr, parser in (
-        ("grad_desc.step", "step", _parse_scalar),
-        ("grad_desc.max_iters", "max_iters", _parse_int),
-        ("grad_desc.keep_fraction", "keep_fraction", _parse_scalar),
-    ):
-        value = take(key)
-        if value is not None:
-            gd_kwargs[attr] = parser(key, value)
-    if gd_kwargs:
-        kwargs["grad_desc"] = GradDescParams(**gd_kwargs)
-
-    value = take("topology.file")
-    if value is not None:
-        kwargs["topology_file"] = value
-    value = take("topology.per_trial")
-    if value is not None:
-        kwargs["topology_per_trial"] = _parse_bool("topology.per_trial", value)
-
-    if entries:
-        unknown = ", ".join(sorted(entries))
-        raise ConfigError(f"unknown config keys: {unknown}")
-    return ExperimentConfig(**kwargs)
+    fields: dict = {}
+    sections: dict = {}
+    for key, (section, name, parse) in _KEYS.items():
+        if key in entries:
+            into = fields if section is None else sections.setdefault(section, {})
+            into[name] = parse(key, entries[key])
+    for section, kwargs in sections.items():
+        try:
+            fields[section] = _SECTIONS[section](**kwargs)
+        except DomainError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    unknown = sorted(entries.keys() - _KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return ExperimentConfig(**fields)
 
 
 def load_config(source) -> ExperimentConfig:
@@ -307,7 +273,7 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             raise ConfigError("sigma_att sweeps need an uncoordinated attack")
         return replace(config, sigma_att=float(value))
     if axis == "packets":
-        packets = int(value)
+        packets = int(value) if math.isfinite(value) else 0
         if packets != value or packets < 1:
             raise ConfigError(f"packets must be a positive integer, got {value!r}")
         return replace(config, packets=packets)

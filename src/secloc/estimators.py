@@ -2,16 +2,18 @@
 
 Averaging each anchor's RSSI row gives a range estimate d_i; squaring the
 range equations and subtracting the common quadratic term yields a linear
-system A u = b in u = (t_x, t_y, t_x^2 + t_y^2).  LS solves it unweighted,
-WLS weights rows by the inverse variance of the squared range, and SWLS first
-eliminates anchors whose per-packet range variance implies an inflated noise
-level.  ML, LMdS and Grad-Desc are the nonlinear baselines.
+system A u = b in u = (t_x, t_y, t_x^2 + t_y^2).  The ranges are inverted
+once per trial, when the system is built, and travel with it: LS solves the
+system unweighted, WLS weights its rows by the inverse variance of the
+squared range, SWLS first eliminates anchors whose per-packet range variance
+implies an inflated noise level, and LMdS scores its candidates against the
+same ranges.  ML and Grad-Desc fit the RSSI matrix directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,14 +40,19 @@ class LinearSystem:
     """The (A, b) pair shared by every least-squares style estimator.
 
     Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2.
+    ``ranges`` holds the d_i when the system was built from ranges (see
+    ``build_linear_system``); WLS, SWLS and LMdS read them from here, so a
+    trial inverts its mean RSSI once.  ``subset`` keeps them row for row.
 
-    A and b must not be mutated after construction: ``planefit`` memoizes its
-    l1 fits on the system (``admm_fits``, created on the first fit and keyed
-    by ``AdmmParams``), so LN-1E reuses the all-anchor fit LN-1 already made.
+    A, b and ranges must not be mutated after construction: ``planefit``
+    memoizes its l1 fits on the system (``admm_fits``, created on the first
+    fit and keyed by ``AdmmParams``), so LN-1E reuses the all-anchor fit LN-1
+    already made.
     """
 
     A: np.ndarray
     b: np.ndarray
+    ranges: np.ndarray | None = None
     admm_fits: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -59,6 +66,8 @@ class LinearSystem:
             raise DomainError("A and b row counts differ")
         if A.shape[0] < 3:
             raise InsufficientAnchorsError(f"need at least 3 rows, got {A.shape[0]}")
+        if self.ranges is not None and np.shape(self.ranges) != b.shape:
+            raise DomainError("ranges and b row counts differ")
 
     @property
     def n_rows(self) -> int:
@@ -66,7 +75,14 @@ class LinearSystem:
 
     def subset(self, indices) -> "LinearSystem":
         idx = np.asarray(sorted(indices), dtype=int)
-        return LinearSystem(A=self.A[idx], b=self.b[idx])
+        ranges = None if self.ranges is None else self.ranges[idx]
+        return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges)
+
+    def range_estimates(self) -> np.ndarray:
+        """The ranges the system was built from."""
+        if self.ranges is None:
+            raise DomainError("the system carries no ranges; use build_linear_system")
+        return self.ranges
 
 
 @dataclass(frozen=True)
@@ -101,7 +117,7 @@ def build_linear_system(anchors, mean_distances) -> LinearSystem:
         raise InsufficientAnchorsError(f"need at least 3 anchors, got {a.shape[0]}")
     A = np.column_stack([-2.0 * a[:, 0], -2.0 * a[:, 1], np.ones(a.shape[0])])
     b = d**2 - a[:, 0] ** 2 - a[:, 1] ** 2
-    return LinearSystem(A=A, b=b)
+    return LinearSystem(A=A, b=b, ranges=d)
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
@@ -115,10 +131,6 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
     if rank < 3 or svals[-1] <= svals[0] / COND_LIMIT:
         raise DegenerateGeometryError("anchor geometry is rank deficient")
     return sol
-
-
-def _mean_distances(measurements: MeasurementMatrix, params: PathLossParams) -> np.ndarray:
-    return distance_from_rssi(params, measurements.rssi.mean(axis=1))
 
 
 def ls_estimate(system: LinearSystem) -> Estimate:
@@ -135,37 +147,36 @@ def _squared_range_weights(params: PathLossParams, mean_d: np.ndarray) -> np.nda
     return 1.0 / distance_sq_variance(params, mean_d)
 
 
-def wls_estimate(
-    measurements: MeasurementMatrix, anchors, params: PathLossParams
-) -> Estimate:
+def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     """Weighted least squares with rows weighted by 1/Var(d^2), which favors
     anchors close to the target."""
-    mean_d = _mean_distances(measurements, params)
-    system = build_linear_system(anchors, mean_d)
-    sol = _solve_rows(system.A, system.b, _squared_range_weights(params, mean_d))
+    weights = _squared_range_weights(params, system.range_estimates())
+    sol = _solve_rows(system.A, system.b, weights)
     return Estimate(position=sol[:2], auxiliary=float(sol[2]))
 
 
 def swls_estimate(
+    system: LinearSystem,
     measurements: MeasurementMatrix,
-    anchors,
     params: PathLossParams,
     zeta: float = 1.5,
 ) -> Estimate:
     """WLS preceded by malicious-anchor elimination.
 
     Each anchor's per-packet range samples give a sample variance; inverting
-    the range-variance law turns it into a noise-level estimate, and anchors
-    whose estimate reaches zeta * sigma are dropped before the WLS solve.
+    the range-variance law at the system's (mean-RSSI) range turns it into a
+    noise-level estimate, and anchors whose estimate reaches zeta * sigma are
+    dropped before the WLS solve on the remaining rows.
     """
     if zeta <= 0:
         raise DomainError("zeta must be positive")
     if measurements.packets < 2:
         raise DomainError("sample variance needs at least 2 packets")
+    if measurements.n_anchors != system.n_rows:
+        raise DomainError("measurement and system row counts differ")
     per_packet_d = distance_from_rssi(params, measurements.rssi)
     sample_var = np.var(per_packet_d, axis=1, ddof=1)
-    mean_d = _mean_distances(measurements, params)
-    sigma_est = estimate_noise_sigma(params, sample_var, mean_d)
+    sigma_est = estimate_noise_sigma(params, sample_var, system.range_estimates())
     threshold = zeta * params.sigma
     kept = sigma_est < threshold
     if threshold == 0.0:
@@ -176,20 +187,22 @@ def swls_estimate(
         raise InsufficientSurvivorsError(
             f"elimination left {kept_idx.size} anchors, need at least 3"
         )
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    system = build_linear_system(anchors[kept_idx], mean_d[kept_idx])
-    weights = _squared_range_weights(params, mean_d[kept_idx])
-    sol = _solve_rows(system.A, system.b, weights)
-    eliminated = frozenset(int(i) for i in np.flatnonzero(~kept))
-    return Estimate(position=sol[:2], auxiliary=float(sol[2]), eliminated=eliminated)
+    eliminated = np.flatnonzero(~kept)
+    return replace(wls_estimate(system.subset(kept_idx), params), eliminated=eliminated)
+
+
+def _rssi_residuals(t, anchors, rssi, params):
+    """Offsets t - a_i, squared ranges (floored above zero), and each
+    packet's residual rssi - (p0 - 5 n log10 d^2) at position t."""
+    diff = t - anchors
+    d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
+    err = rssi - (params.p0 - 5.0 * params.n * np.log10(d2))[:, None]
+    return diff, d2, err
 
 
 def _rssi_cost_grad(t, anchors, rssi, params):
     """Sum of squared RSSI residuals over all packets, and its gradient."""
-    diff = t - anchors
-    d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
-    mu = params.p0 - 5.0 * params.n * np.log10(d2)
-    err = rssi - mu[:, None]
+    diff, d2, err = _rssi_residuals(t, anchors, rssi, params)
     cost = float(np.sum(err * err))
     coef = 10.0 * params.n / LN10
     grad = 2.0 * coef * ((err.sum(axis=1) / d2) @ diff)
@@ -266,17 +279,17 @@ def ml_estimate(
 
 
 def lmds_estimate(
-    measurements: MeasurementMatrix,
+    system: LinearSystem,
     anchors,
-    params: PathLossParams,
     n_subsets: int = 20,
     subset_size: int = 4,
     seed=None,
 ) -> Estimate:
     """Least-median-of-squares baseline.
 
-    LS-solves random anchor subsets and keeps the candidate position whose
-    squared range residuals over all anchors have the smallest median.
+    LS-solves random row subsets of the system and keeps the candidate
+    position whose squared residuals against the system's ranges, over all
+    anchors, have the smallest median.
     """
     if subset_size < 3:
         raise DomainError("subset_size must be at least 3")
@@ -284,10 +297,11 @@ def lmds_estimate(
         raise DomainError("n_subsets must be at least 1")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
+    if n != system.n_rows:
+        raise DomainError("anchor and system row counts differ")
     if subset_size > n:
         raise DomainError("subset_size exceeds the anchor count")
-    mean_d = _mean_distances(measurements, params)
-    system = build_linear_system(anchors, mean_d)
+    ranges = system.range_estimates()
     rng = np.random.default_rng(seed)
     best_median = math.inf
     best: np.ndarray | None = None
@@ -302,7 +316,7 @@ def lmds_estimate(
             retries -= 1
             continue
         produced += 1
-        residuals = (mean_d - np.linalg.norm(sol[:2] - anchors, axis=1)) ** 2
+        residuals = (ranges - np.linalg.norm(sol[:2] - anchors, axis=1)) ** 2
         med = float(np.median(residuals))
         if med < best_median:
             best_median = med
@@ -344,10 +358,7 @@ def grad_desc_estimate(
     converged = True
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        diff = t - anchors
-        d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
-        mu = params.p0 - 5.0 * params.n * np.log10(d2)
-        err = rssi - mu[:, None]
+        diff, d2, err = _rssi_residuals(t, anchors, rssi, params)
         row_mean = err.mean(axis=1)
         order = np.argsort(np.abs(row_mean), kind="stable")
         kept = np.sort(order[:n_keep])

@@ -198,13 +198,11 @@ _NOT_UNCOORDINATED = frozenset(("none", "coordinated"))
 ESTIMATORS = {
     # Plain LS is only compared under the uncoordinated attack.
     "ls": EstimatorSpec(_NOT_COORDINATED, lambda t: ls_estimate(t.system)),
-    "wls": EstimatorSpec(
-        _ALL_ATTACKS, lambda t: wls_estimate(t.measurements, t.topology.anchors, t.params)
-    ),
+    "wls": EstimatorSpec(_ALL_ATTACKS, lambda t: wls_estimate(t.system, t.params)),
     # SWLS keys on per-packet power variance, absent in a coordinated attack.
     "swls": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: swls_estimate(t.measurements, t.topology.anchors, t.params, zeta=t.config.zeta),
+        lambda t: swls_estimate(t.system, t.measurements, t.params, zeta=t.config.zeta),
         detector=True,
     ),
     # ML is initialized at the truth; only compared under the uncoordinated attack.
@@ -217,9 +215,8 @@ ESTIMATORS = {
     "lmds": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: lmds_estimate(
-            t.measurements,
+            t.system,
             t.topology.anchors,
-            t.params,
             n_subsets=t.config.lmds.n_subsets,
             subset_size=t.config.lmds.subset_size,
             seed=t.lmds_rng,
@@ -288,6 +285,8 @@ def run_trial(
         config.packets,
         seed=_trial_rng(config.master_seed, trial_index, _STREAM_NOISE),
     )
+    # The trial's one mean-RSSI inversion: WLS, SWLS and LMdS read these
+    # ranges off the system.
     mean_d = distance_from_rssi(params, measurements.rssi.mean(axis=1))
     trial = Trial(
         config=config,

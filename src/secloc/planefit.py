@@ -208,16 +208,11 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     the iteration cap: its residuals are no basis for elimination, and the
     estimate is non-converged whatever a refit would give.
     """
-    fit = admm_l1_plane(system, params)
-    keep_all = Estimate(
-        position=(fit.plane.alpha, fit.plane.beta),
-        auxiliary=fit.plane.gamma,
-        iterations=fit.iterations,
-        converged=fit.converged,
-    )
-    if not fit.converged:
+    keep_all = ln1_estimate(system, params)
+    if not keep_all.converged:
         return keep_all
-    residuals = point_plane_residual(system, fit.plane)
+    plane = PlaneCoeffs(*keep_all.position, keep_all.auxiliary)
+    residuals = point_plane_residual(system, plane)
     scale = 1.0 + float(np.abs(system.b).max())
     if float(residuals.max()) <= ON_PLANE_RTOL * scale:
         return keep_all
@@ -235,6 +230,6 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
         position=(refit.plane.alpha, refit.plane.beta),
         auxiliary=refit.plane.gamma,
         eliminated=far,
-        iterations=fit.iterations + refit.iterations,
+        iterations=keep_all.iterations + refit.iterations,
         converged=refit.converged,
     )

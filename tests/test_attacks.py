@@ -86,6 +86,15 @@ class TestChiFactor:
     def test_anchor_on_target_rejected(self):
         with pytest.raises(DomainError):
             chi_factor((3, 4), (3, 4), (6, 8))
+        with pytest.raises(DomainError):
+            chi_factor([(0, 0), (3, 4)], (3, 4), (6, 8))
+
+    def test_vectorized_matches_rows(self):
+        anchors = SQUARE + 0.5
+        target, t_att = np.array([40.0, 60.0]), np.array([70.0, 20.0])
+        chi = chi_factor(anchors, target, t_att)
+        assert chi.shape == (4,)
+        assert list(chi) == [chi_factor(a, target, t_att) for a in anchors]
 
 
 class TestSimulateMeasurements:
@@ -204,6 +213,21 @@ class TestRandomTopology:
         a = random_topology(20, 100.0, seed=12)
         b = random_topology(20, 100.0, seed=12)
         assert np.array_equal(a.anchors, b.anchors)
+
+    @pytest.mark.parametrize(
+        "area, target",
+        [
+            (math.nan, None),
+            (math.inf, None),
+            (-1.0, None),
+            (100.0, (math.nan, 50.0)),
+            (100.0, (50.0, math.inf)),
+        ],
+    )
+    def test_non_finite_or_non_positive_rejected(self, area, target):
+        # a nan target would otherwise never pass the separation test
+        with pytest.raises(ConfigError):
+            random_topology(5, area, target=target, seed=1)
 
 
 class TestTopologyFile:

@@ -132,6 +132,48 @@ class TestCrlbAndDetect:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "target = nan 50",
+            "area = nan",
+            "area = inf",
+            "zeta = nan",
+            "p0 = nan",
+            "sigma = -inf",
+            "packets = nan",
+            "admm.rho = inf",
+            "malicious.center = 1 nan",
+        ],
+    )
+    def test_non_finite_config_number(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(DESK_SMALL + line + "\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        key = line.split("=")[0].strip()
+        assert f"configuration error: {key}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1,-inf", "2,nan"])
+    def test_non_finite_sweep_value(self, cfg_file, tmp_path, capsys, value):
+        code = main(
+            [
+                "sweep", "--config", cfg_file, "--axis", "packets",
+                "--values", value, "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["admm.rho = -1", "admm.conv_tol = 0", "admm.max_iters = 0", "n = 0", "sigma = -1"],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(DESK_SMALL + line + "\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,13 +1,21 @@
 import pytest
 
+from pathlib import Path
+
 from secloc import (
     ESTIMATORS,
+    AdmmParams,
     ConfigError,
     ExperimentConfig,
+    GradDescParams,
+    LmdsParams,
+    Placement,
     apply_axis,
     load_config,
     parse_config,
 )
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
 
 MINIMAL = """
 attack.kind = uncoordinated
@@ -32,26 +40,76 @@ class TestParse:
         assert cfg.estimators == ("ls", "wls", "swls")
 
     def test_full_file_round_trip(self):
-        text = MINIMAL + """
+        # every accepted key set to a non-default value; the three attack
+        # variants between them cover the four attack.* keys
+        for attack_lines, attack_fields in (
+            (
+                "attack.kind = coordinated\nattack.t_att = 70 65\n",
+                dict(attack_kind="coordinated", t_att=(70.0, 65.0)),
+            ),
+            (
+                "attack.kind = coordinated\nattack.distance = 12.5\n",
+                dict(attack_kind="coordinated", attack_distance=12.5),
+            ),
+            (
+                "attack.kind = uncoordinated\nattack.sigma_att = 6\n",
+                dict(attack_kind="uncoordinated", sigma_att=6.0),
+            ),
+        ):
+            self.check_full_file(attack_lines, attack_fields)
+
+    @staticmethod
+    def check_full_file(attack_lines, attack_fields):
+        text = attack_lines + """
         area = 80
+        n_anchors = 17
         target = 10, 60
+        p0 = -12.5
+        n = 3.5
         sigma = 1.5
         packets = 4
+        trials = 33
         master_seed = 77
+        malicious.fraction = 0.4
         malicious.placement = within_radius
         malicious.radius = 32
+        malicious.center = 20 30
+        estimators = wls, lmds, ln1
+        zeta = 2.5
         admm.rho = 0.3
+        admm.conv_tol = 1e-7
+        admm.max_iters = 900
+        lmds.n_subsets = 12
+        lmds.subset_size = 5
         grad_desc.step = 0.2
+        grad_desc.max_iters = 150
+        grad_desc.keep_fraction = 0.75
+        topology.file = anchors.txt
         topology.per_trial = true
         """
-        cfg = parse_config(text)
-        assert cfg.area == 80.0
-        assert cfg.target == (10.0, 60.0)
-        assert cfg.master_seed == 77
-        assert cfg.placement.kind == "within_radius" and cfg.placement.radius == 32.0
-        assert cfg.admm.rho == 0.3
-        assert cfg.grad_desc.step == 0.2
-        assert cfg.topology_per_trial is True
+        expected = ExperimentConfig(
+            area=80.0,
+            n_anchors=17,
+            target=(10.0, 60.0),
+            p0=-12.5,
+            n=3.5,
+            sigma=1.5,
+            packets=4,
+            trials=33,
+            master_seed=77,
+            malicious_fraction=0.4,
+            placement=Placement(kind="within_radius", radius=32.0, center=(20.0, 30.0)),
+            estimators=("wls", "lmds", "ln1"),
+            zeta=2.5,
+            admm=AdmmParams(rho=0.3, conv_tol=1e-7, max_iters=900),
+            lmds=LmdsParams(n_subsets=12, subset_size=5),
+            grad_desc=GradDescParams(step=0.2, max_iters=150, keep_fraction=0.75),
+            topology_file="anchors.txt",
+            topology_per_trial=True,
+            **attack_fields,
+        )
+        assert parse_config(text) == expected
+        assert repr(parse_config(text)) == repr(expected)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# c\n\n" + MINIMAL + "\nzeta = 2.0  # inline\n")
@@ -74,6 +132,72 @@ class TestParse:
             parse_config("packets = 2.5\n")
         with pytest.raises(ConfigError):
             parse_config("target = 1 2 3\n")
+
+    def test_unknown_keys_listed_sorted(self):
+        with pytest.raises(ConfigError, match=r"^unknown config keys: a\.b, zz$"):
+            parse_config(MINIMAL + "\nzz = 1\na.b = 2\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("packets = ten", "packets: expected a number, got 'ten'"),
+            ("packets = 2.5", "packets: expected an integer, got '2.5'"),
+            ("target = 1 2 3", "target: expected two coordinates, got '1 2 3'"),
+            ("topology.per_trial = maybe", "topology.per_trial: expected a boolean, got 'maybe'"),
+            ("admm.max_iters = x", "admm.max_iters: expected a number, got 'x'"),
+            ("area 100", "line 1: expected 'key = value'"),
+            ("area =", "line 1: empty key or value"),
+        ],
+    )
+    def test_error_messages(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(line + "\n")
+        assert str(info.value) == message
+
+
+GOLDEN = {
+    "desk": ExperimentConfig(
+        trials=500,
+        master_seed=20260810,
+        attack_kind="uncoordinated",
+        sigma_att=8.0,
+        malicious_fraction=0.28,
+        estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
+    ),
+    "paper": ExperimentConfig(
+        trials=5000,
+        master_seed=20260810,
+        attack_kind="uncoordinated",
+        sigma_att=8.0,
+        malicious_fraction=0.28,
+        estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
+    ),
+    "coord-fixed.cfg": ExperimentConfig(
+        trials=100,
+        master_seed=20260810,
+        attack_kind="coordinated",
+        t_att=(75.0, 75.0),
+        malicious_fraction=0.28,
+        estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
+    ),
+    "sweep-closed-form.cfg": ExperimentConfig(
+        trials=100,
+        master_seed=20260810,
+        topology_per_trial=True,
+        attack_kind="uncoordinated",
+        sigma_att=8.0,
+        malicious_fraction=0.28,
+        estimators=("ls", "wls", "swls"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_configs_parse_to_golden_values(name):
+    source = WORKLOADS / name if name.endswith(".cfg") else name
+    cfg = load_config(source)
+    assert cfg == GOLDEN[name]
+    assert repr(cfg) == repr(GOLDEN[name])
 
 
 class TestValidation:
@@ -175,6 +299,9 @@ class TestProfilesAndAxis:
         assert apply_axis(coord, "attack_distance", 16.97).attack_distance == 16.97
         with pytest.raises(ConfigError):
             apply_axis(cfg, "packets", 2.5)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                apply_axis(cfg, "packets", value)
         with pytest.raises(ConfigError):
             apply_axis(cfg, "voltage", 1.0)
 

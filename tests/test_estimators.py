@@ -9,6 +9,7 @@ from secloc import (
     DomainError,
     InsufficientAnchorsError,
     InsufficientSurvivorsError,
+    LinearSystem,
     MeasurementMatrix,
     PathLossParams,
     Topology,
@@ -37,6 +38,11 @@ def exact_measurements(topo, params, packets=1):
     return simulate_measurements(topo, params, AttackSpec("none"), packets, seed=0)
 
 
+def mean_system(anchors, meas, params):
+    """The trial's system: ranges inverted once from the row-mean RSSI."""
+    return build_linear_system(anchors, distance_from_rssi(params, meas.rssi.mean(axis=1)))
+
+
 def noisy_setup(seed, n_anchors=12, packets=10, sigma=2.0):
     params = PathLossParams(-10.0, 4.0, sigma)
     topo = random_topology(n_anchors, 100.0, seed=seed)
@@ -63,6 +69,14 @@ class TestBuildLinearSystem:
     def test_too_few_anchors(self):
         with pytest.raises(InsufficientAnchorsError):
             build_linear_system([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+
+    def test_ranges_travel_with_subsets(self):
+        anchors = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
+        system = build_linear_system(anchors, [5.0, 6.0, 7.0, 8.0])
+        np.testing.assert_array_equal(system.ranges, [5.0, 6.0, 7.0, 8.0])
+        sub = system.subset([3, 0, 2])
+        np.testing.assert_array_equal(sub.ranges, [5.0, 7.0, 8.0])
+        np.testing.assert_array_equal(sub.b, system.b[[0, 2, 3]])
 
 
 class TestLs:
@@ -93,7 +107,7 @@ class TestWls:
     def test_exact_recovery(self):
         topo = random_topology(8, 100.0, seed=2)
         meas = exact_measurements(topo, P0, packets=4)
-        est = wls_estimate(meas, topo.anchors, P0)
+        est = wls_estimate(mean_system(topo.anchors, meas, P0), P0)
         assert np.linalg.norm(est.position - topo.target) < 1e-9
 
     def test_equal_ranges_reduce_to_ls(self):
@@ -102,9 +116,9 @@ class TestWls:
         # system is inconsistent
         anchors = random_topology(7, 100.0, seed=3).anchors
         meas = MeasurementMatrix(np.full((7, 4), -45.0))
-        mean_d = distance_from_rssi(P, meas.rssi.mean(axis=1))
-        est_wls = wls_estimate(meas, anchors, P)
-        est_ls = ls_estimate(build_linear_system(anchors, mean_d))
+        system = mean_system(anchors, meas, P)
+        est_wls = wls_estimate(system, P)
+        est_ls = ls_estimate(system)
         np.testing.assert_allclose(est_wls.position, est_ls.position, atol=1e-9)
 
     def test_closer_anchors_weigh_more(self):
@@ -118,10 +132,16 @@ class TestWls:
     def test_sigma_zero_fallback_equals_ls(self):
         topo = random_topology(9, 100.0, seed=5)
         meas = exact_measurements(topo, P0, packets=2)
-        mean_d = distance_from_rssi(P0, meas.rssi.mean(axis=1))
-        est_wls = wls_estimate(meas, topo.anchors, P0)
-        est_ls = ls_estimate(build_linear_system(topo.anchors, mean_d))
+        system = mean_system(topo.anchors, meas, P0)
+        est_wls = wls_estimate(system, P0)
+        est_ls = ls_estimate(system)
         np.testing.assert_allclose(est_wls.position, est_ls.position, atol=1e-12)
+
+    def test_needs_the_ranges(self):
+        topo, meas, params = noisy_setup(seed=5)
+        system = mean_system(topo.anchors, meas, params)
+        with pytest.raises(DomainError):
+            wls_estimate(LinearSystem(A=system.A, b=system.b), params)
 
 
 def mean_rssi_of(distance):
@@ -132,7 +152,7 @@ class TestSwls:
     def test_clean_network_keeps_everything(self):
         topo = random_topology(29, 100.0, seed=6)
         meas = simulate_measurements(topo, P, AttackSpec("none"), 10_000, seed=7)
-        est = swls_estimate(meas, topo.anchors, P)
+        est = swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
         assert est.eliminated == frozenset()
 
     def test_attacked_anchors_eliminated_exactly(self):
@@ -142,14 +162,14 @@ class TestSwls:
         meas = simulate_measurements(
             topo, P, AttackSpec("uncoordinated", sigma_att=8.0), 10_000, seed=10
         )
-        est = swls_estimate(meas, topo.anchors, P)
+        est = swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
         assert est.eliminated == mal
 
     def test_no_elimination_equals_wls(self):
         topo, meas, params = noisy_setup(seed=11)
-        est_swls = swls_estimate(meas, topo.anchors, params)
+        est_swls = swls_estimate(mean_system(topo.anchors, meas, params), meas, params)
         assert est_swls.eliminated == frozenset()
-        est_wls = wls_estimate(meas, topo.anchors, params)
+        est_wls = wls_estimate(mean_system(topo.anchors, meas, params), params)
         np.testing.assert_allclose(est_swls.position, est_wls.position, atol=1e-12)
 
     def test_insufficient_survivors(self):
@@ -159,13 +179,19 @@ class TestSwls:
             topo, P, AttackSpec("uncoordinated", sigma_att=40.0), 5_000, seed=13
         )
         with pytest.raises(InsufficientSurvivorsError):
-            swls_estimate(meas, topo.anchors, P)
+            swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
 
     def test_needs_two_packets(self):
         topo = random_topology(5, 100.0, seed=14)
         meas = exact_measurements(topo, P, packets=1)
         with pytest.raises(DomainError):
-            swls_estimate(meas, topo.anchors, P)
+            swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
+
+    def test_measurements_must_match_the_system(self):
+        topo, meas, params = noisy_setup(seed=14)
+        system = mean_system(topo.anchors[:-1], MeasurementMatrix(meas.rssi[:-1]), params)
+        with pytest.raises(DomainError):
+            swls_estimate(system, meas, params)
 
     def test_elimination_monotone_in_attack_strength(self):
         # mean count of eliminated truly-malicious anchors never drops as the
@@ -181,7 +207,7 @@ class TestSwls:
                 meas = simulate_measurements(
                     topo, P, AttackSpec("uncoordinated", sigma_att=s_att), 10_000, seed=3000 + k
                 )
-                est = swls_estimate(meas, topo.anchors, P)
+                est = swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
                 total += len(est.eliminated & mal)
             counts.append(total / trials)
         assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -227,7 +253,8 @@ class TestLmds:
     def test_zero_noise_returns_truth(self):
         topo = random_topology(9, 100.0, seed=18)
         meas = exact_measurements(topo, P0, packets=3)
-        est = lmds_estimate(meas, topo.anchors, P0, n_subsets=20, subset_size=4, seed=19)
+        system = mean_system(topo.anchors, meas, P0)
+        est = lmds_estimate(system, topo.anchors, n_subsets=20, subset_size=4, seed=19)
         assert np.linalg.norm(est.position - topo.target) < 1e-9
 
     def test_clean_subset_wins_planted_instance(self):
@@ -255,17 +282,21 @@ class TestLmds:
 
         rssi = P0.p0 - 10 * P0.n * np.log10(d)
         meas = MeasurementMatrix(np.tile(rssi[:, None], (1, 2)))
-        est = lmds_estimate(meas, anchors, P0, n_subsets=60, subset_size=4, seed=20)
+        system = mean_system(anchors, meas, P0)
+        est = lmds_estimate(system, anchors, n_subsets=60, subset_size=4, seed=20)
         assert np.linalg.norm(est.position - target) < 1e-6
 
     def test_validation(self):
         topo, meas, params = noisy_setup(seed=21, n_anchors=5)
+        system = mean_system(topo.anchors, meas, params)
         with pytest.raises(DomainError):
-            lmds_estimate(meas, topo.anchors, params, subset_size=2)
+            lmds_estimate(system, topo.anchors, subset_size=2)
         with pytest.raises(DomainError):
-            lmds_estimate(meas, topo.anchors, params, n_subsets=0)
+            lmds_estimate(system, topo.anchors, n_subsets=0)
         with pytest.raises(DomainError):
-            lmds_estimate(meas, topo.anchors, params, subset_size=9)
+            lmds_estimate(system, topo.anchors, subset_size=9)
+        with pytest.raises(DomainError):  # anchors of another system
+            lmds_estimate(system, topo.anchors[:4], subset_size=3)
 
 
 class TestGradDesc:
@@ -324,15 +355,13 @@ class TestGradDesc:
 
 class TestSharedProperties:
     def estimators_on(self, topo, meas, params, seed=99):
-        system = build_linear_system(
-            topo.anchors, distance_from_rssi(params, meas.rssi.mean(axis=1))
-        )
+        system = mean_system(topo.anchors, meas, params)
         return {
             "ls": ls_estimate(system),
-            "wls": wls_estimate(meas, topo.anchors, params),
-            "swls": swls_estimate(meas, topo.anchors, params),
+            "wls": wls_estimate(system, params),
+            "swls": swls_estimate(system, meas, params),
             "ml": ml_estimate(meas, topo.anchors, params, init=topo.target),
-            "lmds": lmds_estimate(meas, topo.anchors, params, seed=seed),
+            "lmds": lmds_estimate(system, topo.anchors, seed=seed),
             "grad_desc": grad_desc_estimate(meas, topo.anchors, params),
         }
 

@@ -83,6 +83,27 @@ class TestRunTrial:
         assert res.outcomes["ls"].ok
 
 
+    def test_ranges_inverted_once_per_trial(self, monkeypatch):
+        # the harness inverts the mean RSSI once and the estimators read the
+        # ranges off the trial's system; only SWLS inverts again, for its
+        # per-packet ranges
+        import secloc.estimators
+
+        calls = []
+        original = secloc.estimators.distance_from_rssi
+
+        def counting(params, rssi):
+            calls.append(np.shape(rssi))
+            return original(params, rssi)
+
+        monkeypatch.setattr(secloc.estimators, "distance_from_rssi", counting)
+        cfg = load_config("desk")
+        assert len(cfg.estimators) == 7
+        res = run_trial(cfg, 0)
+        assert all(outcome.ok for outcome in res.outcomes.values())
+        assert calls == [(cfg.n_anchors, cfg.packets)]
+
+
 class TestMonteCarlo:
     def test_single_trial_rmse_is_that_error(self):
         cfg = attack_config(trials=1)
