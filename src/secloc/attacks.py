@@ -20,6 +20,9 @@ from .exceptions import ConfigError, DomainError
 
 ATTACK_KINDS = ("none", "uncoordinated", "coordinated")
 PLACEMENT_KINDS = ("anywhere", "within_radius", "beyond_radius")
+# Closest a random anchor may lie to the target (m): keeps the path loss away
+# from d = 0, and rejects ~0.03% of draws on a 100 m area, so no result moves.
+MIN_SEPARATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,11 @@ class Topology:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """What the malicious anchors do: nothing, per-packet power jitter with
-    standard deviation ``sigma_att`` (dB), or a coordinated rescaling that
-    makes their ranges intersect at ``t_att``."""
+    """What the malicious anchors do: nothing (kind ``none``, no fields),
+    per-packet power jitter of standard deviation ``sigma_att`` >= 0 dB and no
+    ``t_att`` (``uncoordinated``), or a rescaling that makes their ranges meet
+    at a finite ``t_att``, with no ``sigma_att`` (``coordinated``).  Every
+    config builds one at load, so its attack keys obey this rule."""
 
     kind: str = "none"
     sigma_att: float | None = None
@@ -215,15 +220,9 @@ def select_malicious(n_anchors: int, fraction: float, seed, eligible=None) -> fr
     return frozenset(int(i) for i in picked)
 
 
-def random_topology(
-    n_anchors: int,
-    area: float,
-    target=None,
-    seed=None,
-    min_separation: float = 1.0,
-) -> Topology:
+def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
     """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
-    ``min_separation`` to the target (defaults to the area center)."""
+    ``MIN_SEPARATION`` to the target (defaults to the area center)."""
     if not (math.isfinite(area) and area > 0):
         raise ConfigError("area must be positive and finite")
     t = (
@@ -238,7 +237,7 @@ def random_topology(
     filled = 0
     while filled < n_anchors:
         cand = rng.uniform(0.0, area, size=(n_anchors - filled, 2))
-        ok = np.linalg.norm(cand - t, axis=1) >= min_separation
+        ok = np.linalg.norm(cand - t, axis=1) >= MIN_SEPARATION
         kept = cand[ok]
         anchors[filled : filled + kept.shape[0]] = kept
         filled += kept.shape[0]

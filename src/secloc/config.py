@@ -6,6 +6,10 @@ an error.  Numbers must be finite, and vectors are written as two whitespace-
 or comma-separated numbers.
 Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 (5000 trials); ``load_config`` resolves those names as well as paths.
+Attack keys follow ``attack.kind``: ``uncoordinated`` takes
+``attack.sigma_att`` (>= 0) alone, ``coordinated`` exactly one of
+``attack.t_att`` and ``attack.distance`` (the decoy then lies that far from
+the target, diagonally), and ``none`` none of them.  A mix fails at load.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, AttackSpec, Placement
+from .attacks import AttackSpec, Placement
 from .channel import PathLossParams
 from .exceptions import ConfigError, DomainError
 from .planefit import AdmmParams
@@ -86,16 +90,15 @@ class ExperimentConfig:
             raise ConfigError("zeta must be positive")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ConfigError("malicious fraction must be in [0, 1]")
-        if self.attack_kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {self.attack_kind!r}")
-        if self.attack_kind == "uncoordinated" and self.sigma_att is None:
-            raise ConfigError("uncoordinated attack needs attack.sigma_att")
-        if self.attack_kind == "coordinated":
-            if (self.t_att is None) == (self.attack_distance is None):
-                raise ConfigError(
-                    "coordinated attack needs exactly one of attack.t_att "
-                    "or attack.distance"
-                )
+        # The one attack rule AttackSpec cannot see: how the decoy is given.
+        coordinated = self.attack_kind == "coordinated"
+        if (self.t_att is not None) + (self.attack_distance is not None) != coordinated:
+            count = "exactly one" if coordinated else "neither"
+            raise ConfigError(
+                f"attack kind {self.attack_kind!r} takes {count} of attack.t_att and "
+                "attack.distance"
+            )
+        self.attack_spec(self.target)  # AttackSpec checks everything else
         if not self.estimators:
             raise ConfigError("no estimators enabled")
         # harness imports this module, so its estimator table is read here.
@@ -117,20 +120,13 @@ class ExperimentConfig:
     def params(self) -> PathLossParams:
         return PathLossParams(p0=self.p0, n=self.n, sigma=self.sigma)
 
-    def resolve_t_att(self, target: np.ndarray) -> np.ndarray:
-        """Decoy position: explicit t_att, or the target shifted diagonally
-        by attack_distance."""
-        if self.t_att is not None:
-            return np.asarray(self.t_att, dtype=float)
-        offset = self.attack_distance / math.sqrt(2.0)
-        return np.asarray(target, dtype=float) + offset
-
     def attack_spec(self, target) -> AttackSpec:
-        if self.attack_kind == "none":
-            return AttackSpec(kind="none")
-        if self.attack_kind == "uncoordinated":
-            return AttackSpec(kind="uncoordinated", sigma_att=self.sigma_att)
-        return AttackSpec(kind="coordinated", t_att=self.resolve_t_att(target))
+        """The attack on a trial whose true position is ``target``.  The decoy
+        is t_att, or the target shifted diagonally by attack_distance."""
+        t_att = self.t_att
+        if self.attack_distance is not None:
+            t_att = np.asarray(target, dtype=float) + self.attack_distance / math.sqrt(2.0)
+        return AttackSpec(kind=self.attack_kind, sigma_att=self.sigma_att, t_att=t_att)
 
 
 def parse_number(key: str, text: str) -> float:
@@ -265,20 +261,15 @@ def load_config(source) -> ExperimentConfig:
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Return a copy of the config with one sweep axis overridden."""
+    """Return a copy of the config with one sweep axis overridden; the copy is
+    checked again, so an axis the config's attack does not take is rejected."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if axis == "sigma_att":
-        if config.attack_kind != "uncoordinated":
-            raise ConfigError("sigma_att sweeps need an uncoordinated attack")
-        return replace(config, sigma_att=float(value))
     if axis == "packets":
         packets = int(value) if math.isfinite(value) else 0
         if packets != value or packets < 1:
             raise ConfigError(f"packets must be a positive integer, got {value!r}")
         return replace(config, packets=packets)
-    if axis == "malicious_fraction":
-        return replace(config, malicious_fraction=float(value))
-    if config.attack_kind != "coordinated":
-        raise ConfigError("attack_distance sweeps need a coordinated attack")
-    return replace(config, attack_distance=float(value), t_att=None)
+    if axis == "attack_distance":
+        return replace(config, attack_distance=float(value), t_att=None)
+    return replace(config, **{axis: float(value)})

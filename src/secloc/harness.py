@@ -145,18 +145,14 @@ def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
     """The error bound for one labelled topology; None when the information
     matrix is singular or undefined."""
+    attack = config.attack_spec(topology.target)
+    params = config.params()
     try:
-        if config.attack_kind == "coordinated":
-            fim = crlb_mod.fim_coordinated(
-                topology,
-                config.params(),
-                config.resolve_t_att(topology.target),
-                config.packets,
-            )
-        else:
-            sigma_att = config.sigma_att if config.attack_kind == "uncoordinated" else 0.0
+        if attack.kind == "coordinated":
+            fim = crlb_mod.fim_coordinated(topology, params, attack.t_att, config.packets)
+        else:  # with no attack, the uncoordinated bound at sigma_att = 0
             fim = crlb_mod.fim_uncoordinated(
-                topology, config.params(), sigma_att, config.packets
+                topology, params, attack.sigma_att or 0.0, config.packets
             )
         return crlb_mod.crlb_bound(fim)
     except SecLocError:

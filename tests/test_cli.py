@@ -174,6 +174,40 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "attack, detector",
+        [
+            ("uncoordinated\nattack.sigma_att = 8\nattack.t_att = 60 60", "swls"),
+            ("uncoordinated\nattack.sigma_att = 8\nattack.distance = 10", "swls"),
+            ("coordinated\nattack.distance = 10\nattack.sigma_att = 8", "ln1e"),
+            ("none\nattack.sigma_att = 8", "swls"),
+            ("uncoordinated\nattack.sigma_att = -1", "swls"),
+        ],
+        ids=["uncoord+t_att", "uncoord+distance", "coord+sigma_att", "none+sigma_att",
+             "negative_sigma_att"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["crlb"],
+            ["detect"],
+            ["sweep", "--axis", "malicious_fraction", "--values", "0.1", "--out", "x.csv"],
+        ],
+        ids=["simulate", "crlb", "detect", "sweep"],
+    )
+    def test_mixed_attack_is_config_error(
+        self, tmp_path, capsys, monkeypatch, attack, detector, command
+    ):
+        monkeypatch.chdir(tmp_path)  # a sweep that ran would write x.csv here
+        path = tmp_path / "mixed.cfg"
+        path.write_text(
+            f"attack.kind = {attack}\nmalicious.fraction = 0.28\n"
+            f"estimators = wls, {detector}\ntrials = 3\n"
+        )
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

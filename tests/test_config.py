@@ -2,6 +2,8 @@ import pytest
 
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from secloc import (
     ESTIMATORS,
     AdmmParams,
@@ -14,6 +16,7 @@ from secloc import (
     load_config,
     parse_config,
 )
+from secloc.attacks import ATTACK_KINDS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
 
@@ -311,6 +314,36 @@ class TestProfilesAndAxis:
         coord = ExperimentConfig(
             attack_kind="coordinated", attack_distance=16.97, estimators=("wls",)
         )
-        t_att = coord.resolve_t_att(np.array([50.0, 50.0]))
+        t_att = coord.attack_spec(np.array([50.0, 50.0])).t_att
         assert np.linalg.norm(t_att - [50.0, 50.0]) == pytest.approx(16.97, rel=1e-12)
         np.testing.assert_allclose(t_att, [62.0, 62.0], atol=0.01)
+
+
+_OPTIONAL_NUMBER = (
+    st.none() | st.floats(-1e6, 1e6) | st.sampled_from([float("nan"), float("inf")])
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    attack_kind=st.sampled_from(ATTACK_KINDS),
+    sigma_att=_OPTIONAL_NUMBER,
+    t_att=st.none() | st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    attack_distance=_OPTIONAL_NUMBER,
+)
+def test_attack_fields_rejected_or_kept(attack_kind, sigma_att, t_att, attack_distance):
+    """A config either fails to load or its attack keeps every field it set."""
+    try:
+        cfg = ExperimentConfig(
+            attack_kind=attack_kind,
+            sigma_att=sigma_att,
+            t_att=t_att,
+            attack_distance=attack_distance,
+            estimators=("wls",),
+        )
+    except ConfigError:
+        return
+    spec = cfg.attack_spec(cfg.target)
+    assert spec.kind == attack_kind
+    assert spec.sigma_att == cfg.sigma_att
+    assert (spec.t_att is None) == (t_att is None and attack_distance is None)
