@@ -72,12 +72,21 @@ def mean_rssi(params: PathLossParams, distance):
 def distance_from_rssi(params: PathLossParams, rssi):
     """Distance (m) whose noise-free received power equals ``rssi`` (dBm).
 
-    Exact inverse of :func:`mean_rssi`; strictly decreasing in rssi.
+    Exact inverse of :func:`mean_rssi`; strictly decreasing in rssi.  An
+    rssi so far below p0 that its distance overflows is a DomainError.
     """
     p = np.asarray(rssi, dtype=float)
     if not np.all(np.isfinite(p)):
         raise DomainError("rssi must be finite")
-    return _ret(10.0 ** ((params.p0 - p) / (10.0 * params.n)))
+    with np.errstate(over="ignore"):
+        d = 10.0 ** ((params.p0 - p) / (10.0 * params.n))
+    if not np.all(np.isfinite(d)):
+        low = float(p[~np.isfinite(d)].flat[0])
+        raise DomainError(
+            f"rssi {low:g} dBm is out of range: its distance overflows "
+            f"(p0 = {params.p0:g} dBm, n = {params.n:g})"
+        )
+    return _ret(d)
 
 
 def perturbation_g(params: PathLossParams, x):

@@ -288,7 +288,12 @@ def lmds_estimate(
 
     LS-solves random row subsets of the system and keeps the candidate
     position whose squared residuals against the system's ranges, over all
-    anchors, have the smallest median.
+    anchors, have the smallest median (the first such candidate on a tie).
+    Subsets are drawn one ``rng.choice`` at a time, as many as candidates are
+    still missing, and solved together by one batched SVD; a rank-deficient
+    subset is skipped and costs one of the 20 * n_subsets retries.  Walking
+    each batch in draw order, the candidates kept and the retries spent are
+    those of drawing and solving one subset at a time.
     """
     if subset_size < 3:
         raise DomainError("subset_size must be at least 3")
@@ -302,28 +307,33 @@ def lmds_estimate(
         raise DomainError("subset_size exceeds the anchor count")
     ranges = system.range_estimates()
     rng = np.random.default_rng(seed)
-    best_median = math.inf
-    best: np.ndarray | None = None
-    best_aux = 0.0
+    solutions = []
     produced = 0
     retries = 20 * n_subsets
     while produced < n_subsets and retries >= 0:
-        idx = rng.choice(n, size=subset_size, replace=False)
-        try:
-            sol = _solve_rows(system.A[idx], system.b[idx])
-        except DegenerateGeometryError:
-            retries -= 1
-            continue
-        produced += 1
-        residuals = (ranges - np.linalg.norm(sol[:2] - anchors, axis=1)) ** 2
-        med = float(np.median(residuals))
-        if med < best_median:
-            best_median = med
-            best = sol[:2]
-            best_aux = float(sol[2])
-    if best is None:
+        idx = np.array(
+            [rng.choice(n, size=subset_size, replace=False) for _ in range(n_subsets - produced)]
+        )
+        u, svals, vt = np.linalg.svd(system.A[idx], full_matrices=False)
+        usable = []
+        for k, rank_deficient in enumerate(svals[:, -1] <= svals[:, 0] / COND_LIMIT):
+            if retries < 0:
+                break
+            if rank_deficient:
+                retries -= 1
+            else:
+                usable.append(k)
+        keep = np.array(usable, dtype=int)
+        coords = np.einsum("kji,kj->ki", u[keep], system.b[idx[keep]]) / svals[keep]
+        solutions.append(np.einsum("kji,kj->ki", vt[keep], coords))
+        produced += keep.size
+    if produced == 0:
         raise DegenerateGeometryError("every candidate subset was rank deficient")
-    return Estimate(position=best, auxiliary=best_aux, iterations=produced)
+    sols = np.concatenate(solutions)
+    offsets = sols[:, None, :2] - anchors
+    residuals = (ranges - np.linalg.norm(offsets, axis=2)) ** 2
+    best = sols[int(np.argmin(np.median(residuals, axis=1)))]
+    return Estimate(position=best[:2], auxiliary=float(best[2]), iterations=produced)
 
 
 def grad_desc_estimate(
@@ -340,8 +350,13 @@ def grad_desc_estimate(
 
     Each iteration keeps the ceil(keep_fraction * N) anchors with the
     smallest absolute mean RSSI residual at the current iterate and descends
-    the mean squared residual over that subset.  ``callback(iteration,
-    position, kept_indices, cost)`` is invoked once per iteration.
+    the mean squared residual over that subset.  The model is one value per
+    anchor, so every step works on per-anchor means: anchor i's mean residual
+    is its mean RSSI minus the model, and the gradient of its packets' summed
+    squared residuals is P times that of the mean.  ``callback(iteration,
+    position, kept_indices, cost)`` is invoked once per iteration; its cost
+    adds each kept anchor's packet variance, computed once, to its squared
+    mean residual.
     """
     if step <= 0:
         raise DomainError("step must be positive")
@@ -349,28 +364,32 @@ def grad_desc_estimate(
         raise DomainError("keep_fraction must be in (0, 1]")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     rssi = measurements.rssi
-    n, packets = rssi.shape
+    n = rssi.shape[0]
     n_keep = max(3, math.ceil(keep_fraction * n))
     t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
-    coef = 10.0 * params.n / LN10
+    offset = rssi.mean(axis=1) - params.p0
+    slope = 5.0 * params.n
+    gain = 2.0 * (10.0 * params.n / LN10) / n_keep
+    packet_var = None if callback is None else rssi.var(axis=1)
     kept = np.arange(n)
     converged = True
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        diff, d2, err = _rssi_residuals(t, anchors, rssi, params)
-        row_mean = err.mean(axis=1)
+        diff = t - anchors
+        d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
+        row_mean = offset + slope * np.log10(d2)
         order = np.argsort(np.abs(row_mean), kind="stable")
         kept = np.sort(order[:n_keep])
-        scale = 1.0 / (n_keep * packets)
+        kept_mean = row_mean[kept]
         if callback is not None:
-            cost = float(np.sum(err[kept] ** 2)) * scale
+            cost = float(np.sum(packet_var[kept] + kept_mean**2)) / n_keep
             callback(iterations, t.copy(), kept.copy(), cost)
-        grad = 2.0 * coef * scale * ((err[kept].sum(axis=1) / d2[kept]) @ diff[kept])
+        grad = gain * ((kept_mean / d2[kept]) @ diff[kept])
         t_new = t - step * grad
-        if not np.all(np.isfinite(t_new)) or np.linalg.norm(t_new) > 1e6:
+        if not math.hypot(*t_new) <= 1e6:  # also true for an inf or nan iterate
             converged = False
             break
-        moved = float(np.linalg.norm(t_new - t))
+        moved = math.hypot(*(t_new - t))
         t = t_new
         if moved < 1e-12:
             break

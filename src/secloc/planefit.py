@@ -9,11 +9,19 @@ soft threshold.  A two-cluster split of the residuals then separates on-plane
 points from outliers so the plane can be refit on the clean set.
 
 The least-squares step of every iteration solves with the same A, so a fit
-factors it once: m = R^-1 Q^T from A's QR decomposition, after which each
-u-update is the single product m @ v.  LN-1E's first step is LN-1's
-all-anchor fit, so ``admm_l1_plane`` memoizes its result on the
-``LinearSystem`` per ``AdmmParams``: when a trial runs both estimators on one
-system, the fit runs once and LN-1E reads LN-1's result.
+factors it once: m = R^-1 Q^T from A's QR decomposition.  With the scaled
+dual w = y/rho (Boyd et al., "Distributed Optimization and Statistical
+Learning via ADMM", 2011, section 3.1.1) and v = z - w, each sweep's
+u-update is u_ls + m @ v, where u_ls = m @ b is the least-squares plane.  A
+sweep therefore needs only the N x N projector proj = A @ m and the
+least-squares residual r_ls = A @ u_ls - b, both formed once per fit:
+x = proj @ v + r_ls + w is the shrink argument, the new dual is x clipped to
+[-1/rho, 1/rho], and z = x - w is its soft threshold.  The plane itself is
+formed once, after the last sweep.  ``primal_residual`` is the norm of the
+last dual change, which equals the last sweep's ||A u - z - b||.  LN-1E's
+first step is LN-1's all-anchor fit, so ``admm_l1_plane`` memoizes its
+result on the ``LinearSystem`` per ``AdmmParams``: when a trial runs both
+estimators on one system, the fit runs once and LN-1E reads LN-1's result.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ class AdmmResult(NamedTuple):
     plane: PlaneCoeffs
     iterations: int
     converged: bool
-    primal_residual: float = float("nan")  # ||Au - z - b||_2 at the last sweep
+    primal_residual: float = float("nan")  # ||w - w_prev||_2 = ||Au - z - b||_2, last sweep
 
 
 class KmeansResult(NamedTuple):
@@ -86,15 +94,12 @@ class KmeansResult(NamedTuple):
     degenerate: bool
 
 
-def _shrink(x: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
-
-
 def soft_threshold(x, threshold: float):
     """Shrink magnitudes by ``threshold`` toward zero, elementwise."""
     if threshold < 0:
         raise DomainError("threshold must be non-negative")
-    out = _shrink(np.asarray(x, dtype=float), threshold)
+    v = np.asarray(x, dtype=float)
+    out = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -120,29 +125,30 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
     if svals[-1] <= svals[0] / COND_LIMIT:
         raise DegenerateGeometryError("plane fit needs full-rank geometry")
     m = np.linalg.solve(r, q.T)  # u = m @ v solves min ||A u - v||_2
-    rho = params.rho
-    shrink = 1.0 / rho
-    z = np.zeros(system.n_rows)
-    y = np.zeros(system.n_rows)
-    u = np.zeros(3)
+    u_ls = m @ b
+    proj = A @ m
+    r_ls = A @ u_ls - b
+    bound = 1.0 / params.rho
+    v = w = np.zeros(system.n_rows)
     prev_norm = 0.0
     converged = False
     iterations = 0
-    primal = np.zeros(system.n_rows)
     for iterations in range(1, params.max_iters + 1):
-        y_rho = y / rho
-        u = m @ (b + z - y_rho)
-        au = A @ u
-        z = _shrink(au - b + y_rho, shrink)
-        primal = au - z - b
-        y += rho * primal
+        v_in, w_prev = v, w
+        x = proj @ v_in + r_ls + w_prev
+        w = np.minimum(np.maximum(x, -bound), bound)
+        z = x - w
         z_norm = float(np.abs(z).sum())
         if abs(z_norm - prev_norm) <= params.conv_tol:
             converged = True
             break
         prev_norm = z_norm
+        v = z - w
     fits[params] = result = AdmmResult(
-        PlaneCoeffs(*u), iterations, converged, float(np.linalg.norm(primal))
+        PlaneCoeffs(*(u_ls + m @ v_in)),
+        iterations,
+        converged,
+        float(np.linalg.norm(w - w_prev)),
     )
     return result
 

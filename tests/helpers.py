@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's own solution paths: the l1
 oracle is a linear program, the information-matrix oracle simulates score
-vectors, and the clustering oracle scans all sorted splits.  The one
-exception is ``admm_l1_plane_reference``: the plain ADMM loop, kept to pin the
-iteration-for-iteration behaviour of the library's faster, memoized fit.
+vectors, and the clustering oracle scans all sorted splits.  The exceptions
+are the reference loops ``admm_l1_plane_reference``, ``grad_desc_reference``
+and ``lmds_reference``: the plain, one-step-at-a-time forms of the library's
+iterative estimators, kept to pin the iteration-for-iteration behaviour of
+their faster versions.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -15,6 +19,8 @@ from secloc import (
     AdmmResult,
     AttackSpec,
     DegenerateGeometryError,
+    DomainError,
+    Estimate,
     PathLossParams,
     PlaneCoeffs,
     Topology,
@@ -72,6 +78,101 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
     return AdmmResult(
         PlaneCoeffs(*u), iterations, converged, float(np.linalg.norm(primal))
     )
+
+
+def _rssi_residuals(t, anchors, rssi, params):
+    diff = t - anchors
+    d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
+    err = rssi - (params.p0 - 5.0 * params.n * np.log10(d2))[:, None]
+    return diff, d2, err
+
+
+def grad_desc_reference(measurements, anchors, params, step=0.4, max_iters=200,
+                        keep_fraction=0.5, init=None, callback=None):
+    """Grad-Desc as a plain loop: every step forms the full N x P residual
+    matrix and ranks anchors by its row means."""
+    if step <= 0:
+        raise DomainError("step must be positive")
+    if not 0.0 < keep_fraction <= 1.0:
+        raise DomainError("keep_fraction must be in (0, 1]")
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    rssi = measurements.rssi
+    n, packets = rssi.shape
+    n_keep = max(3, math.ceil(keep_fraction * n))
+    t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
+    coef = 10.0 * params.n / LN10
+    kept = np.arange(n)
+    converged = True
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        diff, d2, err = _rssi_residuals(t, anchors, rssi, params)
+        row_mean = err.mean(axis=1)
+        order = np.argsort(np.abs(row_mean), kind="stable")
+        kept = np.sort(order[:n_keep])
+        scale = 1.0 / (n_keep * packets)
+        if callback is not None:
+            cost = float(np.sum(err[kept] ** 2)) * scale
+            callback(iterations, t.copy(), kept.copy(), cost)
+        grad = 2.0 * coef * scale * ((err[kept].sum(axis=1) / d2[kept]) @ diff[kept])
+        t_new = t - step * grad
+        if not np.all(np.isfinite(t_new)) or np.linalg.norm(t_new) > 1e6:
+            converged = False
+            break
+        moved = float(np.linalg.norm(t_new - t))
+        t = t_new
+        if moved < 1e-12:
+            break
+    eliminated = frozenset(int(i) for i in np.setdiff1d(np.arange(n), kept))
+    return Estimate(
+        position=t, eliminated=eliminated, iterations=iterations, converged=converged
+    )
+
+
+def _solve_rows(A, b):
+    sol, _, rank, svals = np.linalg.lstsq(A, b, rcond=None)
+    if rank < 3 or svals[-1] <= svals[0] / COND_LIMIT:
+        raise DegenerateGeometryError("anchor geometry is rank deficient")
+    return sol
+
+
+def lmds_reference(system, anchors, n_subsets=20, subset_size=4, seed=None):
+    """LMdS as a plain loop: one draw, one least-squares solve and one
+    median per candidate, keeping the first candidate with the smallest
+    median."""
+    if subset_size < 3:
+        raise DomainError("subset_size must be at least 3")
+    if n_subsets < 1:
+        raise DomainError("n_subsets must be at least 1")
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    n = anchors.shape[0]
+    if n != system.n_rows:
+        raise DomainError("anchor and system row counts differ")
+    if subset_size > n:
+        raise DomainError("subset_size exceeds the anchor count")
+    ranges = system.range_estimates()
+    rng = np.random.default_rng(seed)
+    best_median = math.inf
+    best = None
+    best_aux = 0.0
+    produced = 0
+    retries = 20 * n_subsets
+    while produced < n_subsets and retries >= 0:
+        idx = rng.choice(n, size=subset_size, replace=False)
+        try:
+            sol = _solve_rows(system.A[idx], system.b[idx])
+        except DegenerateGeometryError:
+            retries -= 1
+            continue
+        produced += 1
+        residuals = (ranges - np.linalg.norm(sol[:2] - anchors, axis=1)) ** 2
+        med = float(np.median(residuals))
+        if med < best_median:
+            best_median = med
+            best = sol[:2]
+            best_aux = float(sol[2])
+    if best is None:
+        raise DegenerateGeometryError("every candidate subset was rank deficient")
+    return Estimate(position=best, auxiliary=best_aux, iterations=produced)
 
 
 def empirical_fim(topology, params, attack_kind, sigma_att=0.0, t_att=None,

@@ -67,6 +67,23 @@ class TestRssiDistance:
         with pytest.raises(DomainError):
             distance_from_rssi(P44, math.inf)
 
+    def test_overflowing_range_is_domain_error(self):
+        # On the desk channel 10^((p0 - rssi) / 40) overflows below about
+        # -12340 dBm; the error names the first offending rssi.
+        with pytest.raises(DomainError, match="rssi -13000 dBm"):
+            distance_from_rssi(P44, -13000.0)
+        with pytest.raises(DomainError, match="rssi -13000 dBm"):
+            distance_from_rssi(P44, np.array([-50.0, -13000.0, -20000.0]))
+        with pytest.raises(DomainError, match="rssi -16 dBm"):
+            distance_from_rssi(PathLossParams(-10.0, 0.001, 2.0), [-5.0, -16.0])
+
+    def test_finite_ranges_are_the_plain_power(self):
+        rssi = np.concatenate([np.linspace(-12000.0, 100.0, 997), [-12330.0]])
+        expected = 10.0 ** ((P44.p0 - rssi) / (10.0 * P44.n))
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(distance_from_rssi(P44, rssi), expected)
+        assert distance_from_rssi(P44, -47.5) == 10.0 ** ((P44.p0 + 47.5) / (10.0 * P44.n))
+
 
 class TestPerturbation:
     def test_zero_shift(self):

@@ -208,6 +208,18 @@ class TestErrorPaths:
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_overflowing_range_exits_3(self, tmp_path, capsys):
+        # The desk profile with n = 0.001: a mean RSSI a few dB below p0
+        # inverts to a range that overflows.
+        from importlib.resources import files
+
+        desk = files("secloc").joinpath("profiles/desk.cfg").read_text(encoding="utf-8")
+        lines = [ln for ln in desk.splitlines() if ln.split("=")[0].strip() not in ("n", "trials")]
+        path = tmp_path / "tiny_n.cfg"
+        path.write_text("\n".join(lines + ["n = 0.001", "trials = 3"]) + "\n")
+        assert main(["simulate", "--config", str(path)]) == 3
+        assert "error: rssi" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

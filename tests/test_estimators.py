@@ -28,7 +28,7 @@ from secloc import (
 )
 from secloc.estimators import _rssi_cost_grad
 
-from helpers import l1_oracle  # noqa: F401  (shared import side effect free)
+from helpers import grad_desc_reference, lmds_reference
 
 P = PathLossParams(-10.0, 4.0, 2.0)
 P0 = PathLossParams(-10.0, 4.0, 0.0)
@@ -387,3 +387,144 @@ class TestSharedProperties:
         b = self.estimators_on(topo, meas, params, seed=5)
         for name in a:
             assert np.array_equal(a[name].position, b[name].position), name
+
+
+def _attacked_trials(kind, seed, count=6, n_anchors=29, packets=10):
+    """Seeded desk-like trials: (measurements, anchors, system) under one
+    attack kind, each with its own topology and malicious labels."""
+    params = PathLossParams(-10.0, 4.0, 2.0)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        topo = random_topology(n_anchors, 100.0, seed=rng)
+        attack = AttackSpec("none")
+        if kind != "none":
+            topo = topo.with_malicious(select_malicious(n_anchors, 0.28, seed=rng))
+            attack = (
+                AttackSpec("uncoordinated", sigma_att=8.0)
+                if kind == "uncoordinated"
+                else AttackSpec("coordinated", t_att=topo.target + 12.0)
+            )
+        meas = simulate_measurements(topo, params, attack, packets, seed=rng)
+        out.append((meas, topo.anchors, mean_system(topo.anchors, meas, params)))
+    return params, out
+
+
+ATTACK_KINDS = ("uncoordinated", "coordinated", "none")
+
+
+class TestGradDescParity:
+    """The per-anchor-mean loop takes the full-residual loop's path step for step."""
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_same_path_as_reference(self, kind):
+        params, trials = _attacked_trials(kind, seed=40)
+        for meas, anchors, _ in trials:
+            expected = grad_desc_reference(meas, anchors, params)
+            est = grad_desc_estimate(meas, anchors, params)
+            assert est.iterations == expected.iterations
+            assert est.converged == expected.converged
+            assert est.eliminated == expected.eliminated
+            np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
+
+    def test_divergence_same_as_reference(self):
+        params, trials = _attacked_trials("uncoordinated", seed=41, count=3)
+        for meas, anchors, _ in trials:
+            expected = grad_desc_reference(meas, anchors, params, step=1e12)
+            est = grad_desc_estimate(meas, anchors, params, step=1e12)
+            assert not expected.converged and not est.converged
+            assert est.iterations == expected.iterations
+            assert est.eliminated == expected.eliminated
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_callback_same_kept_sets_and_costs(self, kind):
+        params, trials = _attacked_trials(kind, seed=42, count=3, n_anchors=16)
+        for meas, anchors, _ in trials:
+            seen = {"reference": [], "estimate": []}
+            for name, fn in (("reference", grad_desc_reference), ("estimate", grad_desc_estimate)):
+                fn(
+                    meas, anchors, params, step=0.05, max_iters=80,
+                    callback=lambda it, pos, kept, cost, log=seen[name]: log.append(
+                        (it, tuple(kept), cost)
+                    ),
+                )
+            ref, new = seen["reference"], seen["estimate"]
+            assert [(it, kept) for it, kept, _ in new] == [(it, kept) for it, kept, _ in ref]
+            np.testing.assert_allclose(
+                [c for *_, c in new], [c for *_, c in ref], rtol=1e-9, atol=0
+            )
+
+
+def _collinear_anchors(on_line, off_line, seed):
+    """``on_line`` anchors on the line y = 0.3 x + 10 (rank deficient up to
+    rounding) plus ``off_line`` anchors scattered over the area."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 100.0, on_line)
+    line = np.column_stack([x, 0.3 * x + 10.0])
+    return np.vstack([line, rng.uniform(0.0, 100.0, (off_line, 2))])
+
+
+def _lmds_pair(system, anchors, **kwargs):
+    return lmds_reference(system, anchors, **kwargs), lmds_estimate(system, anchors, **kwargs)
+
+
+def _assert_same_lmds(expected, est):
+    assert est.iterations == expected.iterations
+    np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(est.auxiliary, expected.auxiliary, rtol=1e-9, atol=0)
+
+
+class TestLmdsParity:
+    """One batched solve per round of draws keeps the plain loop's candidate."""
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_same_candidate_as_reference(self, kind):
+        _, trials = _attacked_trials(kind, seed=43)
+        for i, (_, anchors, system) in enumerate(trials):
+            for seed in (i, 100 + i):
+                _assert_same_lmds(*_lmds_pair(system, anchors, seed=seed))
+
+    def test_degenerate_subsets_retried_in_draw_order(self):
+        # 6 of 9 anchors collinear: about a quarter of the 3-subsets are rank
+        # deficient, so the first 20 draws include some, and a further batch
+        # of draws replaces them.
+        anchors = _collinear_anchors(6, 3, seed=44)
+        target = np.array([47.0, 52.0])
+        system = build_linear_system(anchors, np.linalg.norm(anchors - target, axis=1) * 1.02)
+        retried = 0
+        for seed in range(8):
+            expected, est = _lmds_pair(system, anchors, subset_size=3, seed=seed)
+            _assert_same_lmds(expected, est)
+            assert est.iterations == 20
+            draws = np.random.default_rng(seed)
+            first = [draws.choice(9, size=3, replace=False) for _ in range(20)]
+            retried += sum(np.linalg.matrix_rank(system.A[idx], tol=1e-9) < 3 for idx in first)
+        assert retried > 0
+
+    def test_retries_exhausted_same_as_reference(self):
+        # 120 collinear anchors and one off the line: a 3-subset has full
+        # rank with probability 3/121, so the 20 * n_subsets retries run out,
+        # often in the middle of a batch of draws.
+        anchors = _collinear_anchors(120, 1, seed=45)
+        system = build_linear_system(anchors, np.linalg.norm(anchors - 50.0, axis=1))
+        short = 0
+        for n_subsets in (5, 20):
+            for seed in range(12):
+                kwargs = dict(n_subsets=n_subsets, subset_size=3, seed=seed)
+                try:
+                    expected = lmds_reference(system, anchors, **kwargs)
+                except DegenerateGeometryError:  # no candidate before the retries ran out
+                    with pytest.raises(DegenerateGeometryError):
+                        lmds_estimate(system, anchors, **kwargs)
+                    continue
+                est = lmds_estimate(system, anchors, **kwargs)
+                _assert_same_lmds(expected, est)
+                short += est.iterations < n_subsets
+        assert short > 0
+
+    def test_all_subsets_degenerate(self):
+        anchors = _collinear_anchors(8, 0, seed=46)
+        system = build_linear_system(anchors, np.linalg.norm(anchors - 50.0, axis=1))
+        for fn in (lmds_reference, lmds_estimate):
+            with pytest.raises(DegenerateGeometryError):
+                fn(system, anchors, n_subsets=3, subset_size=3, seed=0)

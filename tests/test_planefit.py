@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secloc import (
     AdmmParams,
@@ -151,6 +152,33 @@ class TestAdmmParity:
             converged.append(fit.converged)
         if params.max_iters == 50:  # the capped branch is the one compared
             assert not any(converged)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n_anchors=st.integers(3, 40),
+    coordinated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.05, 2.0),
+    log_tol=st.floats(-8.0, -4.0),
+    max_iters=st.integers(1, 2000),
+)
+def test_admm_matches_reference_loop(n_anchors, coordinated, seed, rho, log_tol, max_iters):
+    """Over system sizes, penalties, tolerances and caps, the scaled-form fit
+    stops at the plain loop's sweep with the plain loop's plane."""
+    rng = np.random.default_rng(seed)
+    if coordinated:
+        system = coordinated_system(rng, n_anchors=n_anchors, sigma=2.0)[0]
+    else:
+        system = gross_outlier_system(rng, n_anchors=n_anchors)[0]
+    params = AdmmParams(rho=rho, conv_tol=10.0**log_tol, max_iters=max_iters)
+    expected = admm_l1_plane_reference(system, params)
+    fit = admm_l1_plane(_copy(system), params)
+    assert fit.iterations == expected.iterations
+    assert fit.converged == expected.converged
+    np.testing.assert_allclose(
+        fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
+    )
 
 
 class TestAdmmMemo:
