@@ -40,7 +40,9 @@ from .attacks import (
 )
 from .estimators import (
     Estimate,
+    GradDescParams,
     LinearSystem,
+    LmdsParams,
     build_linear_system,
     grad_desc_estimate,
     lmds_estimate,
@@ -64,8 +66,6 @@ from .planefit import (
 from .crlb import Fim, crlb_bound, fim_coordinated, fim_uncoordinated
 from .config import (
     ExperimentConfig,
-    GradDescParams,
-    LmdsParams,
     apply_axis,
     load_config,
     parse_config,

@@ -4,8 +4,9 @@ Received power decays linearly in log-distance, so inverting the model turns
 RSSI samples into distance estimates whose multiplicative noise is lognormal.
 This module provides the forward/inverse conversions, the asymmetry of the
 inverse map under power perturbations, the distance-estimate density and its
-variance laws, and the closed-form estimator that recovers the channel noise
-level from an observed distance-sample variance.
+variance laws (one lognormal law for the range and its square), and the
+closed-form estimator that recovers the channel noise level from an observed
+distance-sample variance.
 
 All powers are dBm, all distances meters; there is no unit-conversion layer.
 """
@@ -58,14 +59,20 @@ def _ret(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _positive_finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a DomainError naming ``name``."""
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        raise DomainError(f"{name} must be positive and finite")
+    return v
+
+
 def mean_rssi(params: PathLossParams, distance):
     """Noise-free received power (dBm) at the given distance (m).
 
     Accepts scalars or arrays; distance must be positive and finite.
     """
-    d = np.asarray(distance, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise DomainError("distance must be positive and finite")
+    d = _positive_finite("distance", distance)
     return _ret(params.p0 - 10.0 * params.n * np.log10(d))
 
 
@@ -136,31 +143,34 @@ def distance_pdf(params: PathLossParams, true_distance: float, gamma):
         raise DomainError("distance pdf is degenerate at sigma = 0")
     if not (math.isfinite(true_distance) and true_distance > 0):
         raise DomainError("true_distance must be positive and finite")
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise DomainError("gamma must be positive and finite")
+    g = _positive_finite("gamma", gamma)
     n, sigma = params.n, params.sigma
     coeff = 5.0 * n / (g * sigma * LN10) * math.sqrt(2.0 / math.pi)
     expo = -50.0 * n**2 * np.log(g / true_distance) ** 2 / (sigma**2 * LN10**2)
     return _ret(coeff * np.exp(expo))
 
 
+def _lognormal_variance(params: PathLossParams, mean_distance, denom: float, power: int):
+    """Variance d^power * e^s (e^s - 1) of a lognormal range power, with
+    s = sigma^2 / (denom * n^2): the one law behind the two below."""
+    d = _positive_finite("mean_distance", mean_distance)
+    try:
+        es = math.exp(params.sigma**2 / (denom * params.n**2))
+        with np.errstate(over="raise", invalid="raise"):
+            return _ret(d**power * es * (es - 1.0))
+    except (OverflowError, FloatingPointError):
+        msg = f"variance overflows at sigma = {params.sigma:g} dB, n = {params.n:g}"
+        raise DomainError(msg) from None
+
+
 def distance_variance(params: PathLossParams, mean_distance):
     """Variance (m^2) of a per-packet distance estimate at the given range."""
-    d = np.asarray(mean_distance, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise DomainError("mean_distance must be positive and finite")
-    s = params.sigma**2 / (VAR_D_DENOM * params.n**2)
-    return _ret(d**2 * math.exp(s) * (math.exp(s) - 1.0))
+    return _lognormal_variance(params, mean_distance, VAR_D_DENOM, 2)
 
 
 def distance_sq_variance(params: PathLossParams, mean_distance):
     """Variance (m^4) of the squared per-packet distance estimate."""
-    d = np.asarray(mean_distance, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise DomainError("mean_distance must be positive and finite")
-    s = params.sigma**2 / (VAR_D2_DENOM * params.n**2)
-    return _ret(d**4 * math.exp(s) * (math.exp(s) - 1.0))
+    return _lognormal_variance(params, mean_distance, VAR_D2_DENOM, 4)
 
 
 def estimate_noise_sigma(params: PathLossParams, sample_variance, mean_distance):
@@ -175,8 +185,6 @@ def estimate_noise_sigma(params: PathLossParams, sample_variance, mean_distance)
     v = np.asarray(sample_variance, dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise DomainError("sample_variance must be non-negative and finite")
-    d = np.asarray(mean_distance, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise DomainError("mean_distance must be positive and finite")
+    d = _positive_finite("mean_distance", mean_distance)
     x = 0.5 + 0.5 * np.sqrt(1.0 + 4.0 * v / d**2)
     return _ret(np.sqrt(VAR_D_DENOM * params.n**2 * np.log(x)))

@@ -22,31 +22,11 @@ import numpy as np
 
 from .attacks import AttackSpec, Placement
 from .channel import PathLossParams
+from .estimators import GradDescParams, LmdsParams
 from .exceptions import ConfigError, DomainError
 from .planefit import AdmmParams
 
 SWEEP_AXES = ("sigma_att", "packets", "malicious_fraction", "attack_distance")
-
-
-@dataclass(frozen=True)
-class LmdsParams:
-    n_subsets: int = 20
-    subset_size: int = 4
-
-    def __post_init__(self) -> None:
-        if self.n_subsets < 1 or self.subset_size < 3:
-            raise ConfigError("lmds needs n_subsets >= 1 and subset_size >= 3")
-
-
-@dataclass(frozen=True)
-class GradDescParams:
-    step: float = 0.4
-    max_iters: int = 200
-    keep_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.step <= 0 or self.max_iters < 1 or not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigError("invalid grad_desc parameters")
 
 
 @dataclass(frozen=True)
@@ -172,8 +152,8 @@ def _parse_text(key: str, text: str) -> str:
 
 
 # Every accepted key: (section, field, parser).  A row without a section sets
-# that ExperimentConfig field; the rows of a section are passed together to
-# its constructor in _SECTIONS, whose result becomes the field of that name.
+# that ExperimentConfig field; the rows of a section replace fields of that
+# section's default (placement, admm, lmds, grad_desc), which checks them.
 _KEYS = {
     "area": (None, "area", parse_number),
     "p0": (None, "p0", parse_number),
@@ -205,12 +185,6 @@ _KEYS = {
     "topology.file": (None, "topology_file", _parse_text),
     "topology.per_trial": (None, "topology_per_trial", _parse_bool),
 }
-_SECTIONS = {
-    "placement": Placement,
-    "admm": AdmmParams,
-    "lmds": LmdsParams,
-    "grad_desc": GradDescParams,
-}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -237,7 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
             into[name] = parse(key, entries[key])
     for section, kwargs in sections.items():
         try:
-            fields[section] = _SECTIONS[section](**kwargs)
+            fields[section] = replace(getattr(ExperimentConfig, section), **kwargs)
         except DomainError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
     unknown = sorted(entries.keys() - _KEYS.keys())

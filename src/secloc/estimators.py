@@ -7,7 +7,11 @@ once per trial, when the system is built, and travel with it: LS solves the
 system unweighted, WLS weights its rows by the inverse variance of the
 squared range, SWLS first eliminates anchors whose per-packet range variance
 implies an inflated noise level, and LMdS scores its candidates against the
-same ranges.  ML and Grad-Desc fit the RSSI matrix directly.
+same ranges.  ML and Grad-Desc fit the RSSI matrix directly, through one
+squared-range model of the mean RSSI (``_rssi_model``).  The LMdS and
+Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the config's ``lmds``
+and ``grad_desc`` sections) give the estimators their keyword defaults and
+checks.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ COND_LIMIT = 1e12
 # in a median 8 iterations on desk (at most 14 in 200 trials); the cap is a guard.
 ML_GTOL = 1e-8
 ML_MAX_ITERS = 500
+
+
+def rank_deficient(svals: np.ndarray) -> np.ndarray:
+    """Whether descending singular values (last axis) reach the condition limit."""
+    return svals[..., -1] <= svals[..., 0] / COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,9 @@ def build_linear_system(anchors, mean_distances) -> LinearSystem:
         raise DomainError("anchor and distance counts differ")
     if a.shape[0] < 3:
         raise InsufficientAnchorsError(f"need at least 3 anchors, got {a.shape[0]}")
+    top = float(np.abs(d).max())
+    if not math.isfinite(top * top):
+        raise DomainError(f"range {top:g} m is out of range: its square is not finite")
     A = np.column_stack([-2.0 * a[:, 0], -2.0 * a[:, 1], np.ones(a.shape[0])])
     b = d**2 - a[:, 0] ** 2 - a[:, 1] ** 2
     return LinearSystem(A=A, b=b, ranges=d)
@@ -132,7 +144,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
         A = A * sw[:, None]
         b = b * sw
     sol, _, rank, svals = np.linalg.lstsq(A, b, rcond=None)
-    if rank < 3 or svals[-1] <= svals[0] / COND_LIMIT:
+    if rank < 3 or rank_deficient(svals):
         raise DegenerateGeometryError("anchor geometry is rank deficient")
     return sol
 
@@ -143,18 +155,12 @@ def ls_estimate(system: LinearSystem) -> Estimate:
     return Estimate(position=sol[:2], auxiliary=float(sol[2]))
 
 
-def _squared_range_weights(params: PathLossParams, mean_d: np.ndarray) -> np.ndarray:
-    """Row weights 1/Var(d^2); uniform when sigma = 0 (the system is then
-    exactly consistent and any weighting gives the same solution)."""
-    if params.sigma == 0:
-        return np.ones_like(mean_d)
-    return 1.0 / distance_sq_variance(params, mean_d)
-
-
 def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     """Weighted least squares with rows weighted by 1/Var(d^2), which favors
-    anchors close to the target."""
-    weights = _squared_range_weights(params, system.range_estimates())
+    anchors close to the target.  Unweighted when sigma = 0: the system is
+    then exactly consistent and any weighting gives the same solution."""
+    ranges = system.range_estimates()
+    weights = None if params.sigma == 0 else 1.0 / distance_sq_variance(params, ranges)
     sol = _solve_rows(system.A, system.b, weights)
     return Estimate(position=sol[:2], auxiliary=float(sol[2]))
 
@@ -195,21 +201,25 @@ def swls_estimate(
     return replace(wls_estimate(system.subset(kept_idx), params), eliminated=eliminated)
 
 
-def _rssi_residuals(t, anchors, rssi, params):
-    """Offsets t - a_i, squared ranges (floored above zero), and each
-    packet's residual rssi - (p0 - 5 n log10 d^2) at position t."""
+def _rssi_model(t, anchors, params):
+    """Offsets t - a_i, squared ranges (floored above zero), and the mean
+    RSSI p0 - 5 n log10 d^2 each anchor's packets have at position t."""
     diff = t - anchors
     d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
-    err = rssi - (params.p0 - 5.0 * params.n * np.log10(d2))[:, None]
-    return diff, d2, err
+    return diff, d2, params.p0 - 5.0 * params.n * np.log10(d2)
+
+
+def _rssi_slope(params: PathLossParams) -> float:
+    """dB the model falls per neper of range: its gradient is -slope * diff / d2."""
+    return 10.0 * params.n / LN10
 
 
 def _rssi_cost_grad(t, anchors, rssi, params):
     """Sum of squared RSSI residuals over all packets, and its gradient."""
-    diff, d2, err = _rssi_residuals(t, anchors, rssi, params)
+    diff, d2, model = _rssi_model(t, anchors, params)
+    err = rssi - model[:, None]
     cost = float(np.sum(err * err))
-    coef = 10.0 * params.n / LN10
-    grad = 2.0 * coef * ((err.sum(axis=1) / d2) @ diff)
+    grad = 2.0 * _rssi_slope(params) * ((err.sum(axis=1) / d2) @ diff)
     return cost, grad
 
 
@@ -277,11 +287,23 @@ def ml_estimate(
     return Estimate(position=t, iterations=iterations, converged=converged)
 
 
+@dataclass(frozen=True)
+class LmdsParams:
+    """Candidate count and rows per candidate subset of LMdS."""
+
+    n_subsets: int = 20
+    subset_size: int = 4
+
+    def __post_init__(self) -> None:
+        if self.n_subsets < 1 or self.subset_size < 3:
+            raise DomainError(f"need n_subsets >= 1 and subset_size >= 3: {self}")
+
+
 def lmds_estimate(
     system: LinearSystem,
     anchors,
-    n_subsets: int = 20,
-    subset_size: int = 4,
+    n_subsets: int = LmdsParams.n_subsets,
+    subset_size: int = LmdsParams.subset_size,
     seed=None,
 ) -> Estimate:
     """Least-median-of-squares baseline.
@@ -295,10 +317,7 @@ def lmds_estimate(
     each batch in draw order, the candidates kept and the retries spent are
     those of drawing and solving one subset at a time.
     """
-    if subset_size < 3:
-        raise DomainError("subset_size must be at least 3")
-    if n_subsets < 1:
-        raise DomainError("n_subsets must be at least 1")
+    LmdsParams(n_subsets, subset_size)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
     if n != system.n_rows:
@@ -316,10 +335,10 @@ def lmds_estimate(
         )
         u, svals, vt = np.linalg.svd(system.A[idx], full_matrices=False)
         usable = []
-        for k, rank_deficient in enumerate(svals[:, -1] <= svals[:, 0] / COND_LIMIT):
+        for k, deficient in enumerate(rank_deficient(svals)):
             if retries < 0:
                 break
-            if rank_deficient:
+            if deficient:
                 retries -= 1
             else:
                 usable.append(k)
@@ -336,13 +355,26 @@ def lmds_estimate(
     return Estimate(position=best[:2], auxiliary=float(best[2]), iterations=produced)
 
 
+@dataclass(frozen=True)
+class GradDescParams:
+    """Step size, iteration budget and kept share of anchors of Grad-Desc."""
+
+    step: float = 0.4
+    max_iters: int = 200
+    keep_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.step <= 0 or self.max_iters < 1 or not 0.0 < self.keep_fraction <= 1.0:
+            raise DomainError(f"need step > 0, max_iters >= 1, keep_fraction in (0, 1]: {self}")
+
+
 def grad_desc_estimate(
     measurements: MeasurementMatrix,
     anchors,
     params: PathLossParams,
-    step: float = 0.4,
-    max_iters: int = 200,
-    keep_fraction: float = 0.5,
+    step: float = GradDescParams.step,
+    max_iters: int = GradDescParams.max_iters,
+    keep_fraction: float = GradDescParams.keep_fraction,
     init=None,
     callback=None,
 ) -> Estimate:
@@ -358,26 +390,21 @@ def grad_desc_estimate(
     adds each kept anchor's packet variance, computed once, to its squared
     mean residual.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    if not 0.0 < keep_fraction <= 1.0:
-        raise DomainError("keep_fraction must be in (0, 1]")
+    GradDescParams(step, max_iters, keep_fraction)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     rssi = measurements.rssi
     n = rssi.shape[0]
     n_keep = max(3, math.ceil(keep_fraction * n))
     t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
-    offset = rssi.mean(axis=1) - params.p0
-    slope = 5.0 * params.n
-    gain = 2.0 * (10.0 * params.n / LN10) / n_keep
+    rssi_mean = rssi.mean(axis=1)
+    gain = 2.0 * _rssi_slope(params) / n_keep
     packet_var = None if callback is None else rssi.var(axis=1)
     kept = np.arange(n)
     converged = True
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        diff = t - anchors
-        d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
-        row_mean = offset + slope * np.log10(d2)
+        diff, d2, model = _rssi_model(t, anchors, params)
+        row_mean = rssi_mean - model
         order = np.argsort(np.abs(row_mean), kind="stable")
         kept = np.sort(order[:n_keep])
         kept_mean = row_mean[kept]

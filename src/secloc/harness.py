@@ -66,7 +66,6 @@ class EstimatorOutcome:
     """One estimator's result on one trial."""
 
     error: float | None
-    converged: bool
     n_eliminated: int
     tp: int
     fp: int
@@ -74,7 +73,7 @@ class EstimatorOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.failure is None and self.converged
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -208,25 +207,18 @@ ESTIMATORS = {
             t.measurements, t.topology.anchors, t.params, init=t.topology.target
         ),
     ),
+    # The settings' fields are passed as the estimators' keywords, so
+    # secbench/tracing.py reads max_iters= off the Grad-Desc call.
     "lmds": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: lmds_estimate(
-            t.system,
-            t.topology.anchors,
-            n_subsets=t.config.lmds.n_subsets,
-            subset_size=t.config.lmds.subset_size,
-            seed=t.lmds_rng,
+            t.system, t.topology.anchors, seed=t.lmds_rng, **vars(t.config.lmds)
         ),
     ),
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: grad_desc_estimate(
-            t.measurements,
-            t.topology.anchors,
-            t.params,
-            step=t.config.grad_desc.step,
-            max_iters=t.config.grad_desc.max_iters,  # keyword: secbench/tracing.py reads it
-            keep_fraction=t.config.grad_desc.keep_fraction,
+            t.measurements, t.topology.anchors, t.params, **vars(t.config.grad_desc)
         ),
     ),
     "ln1": EstimatorSpec(_ALL_ATTACKS, lambda t: ln1_estimate(t.system, t.config.admm)),
@@ -244,7 +236,6 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
     except SecLocError as exc:
         return EstimatorOutcome(
             error=None,
-            converged=False,
             n_eliminated=0,
             tp=0,
             fp=0,
@@ -254,7 +245,6 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
     eliminated = est.eliminated
     return EstimatorOutcome(
         error=float(np.linalg.norm(est.position - trial.topology.target)),
-        converged=est.converged,
         n_eliminated=len(eliminated),
         tp=len(eliminated & malicious),
         fp=len(eliminated - malicious),

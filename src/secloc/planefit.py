@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import COND_LIMIT, Estimate, LinearSystem
+from .estimators import Estimate, LinearSystem, rank_deficient
 from .exceptions import (
     DegenerateGeometryError,
     DomainError,
@@ -121,8 +121,7 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
         return fits[params]
     A, b = system.A, system.b
     q, r = np.linalg.qr(A)
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] <= svals[0] / COND_LIMIT:
+    if rank_deficient(np.linalg.svd(r, compute_uv=False)):
         raise DegenerateGeometryError("plane fit needs full-rank geometry")
     m = np.linalg.solve(r, q.T)  # u = m @ v solves min ||A u - v||_2
     u_ls = m @ b

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ class TestVarianceLaws:
             distance_variance(P44, 0.0)
         with pytest.raises(DomainError):
             distance_sq_variance(P44, -1.0)
+
+    @pytest.mark.parametrize(
+        "params, distance",
+        [
+            (PathLossParams(-10, 0.003, 2.0), 10.0),  # e^s overflows math.exp
+            (P44, 1e100),  # d^4 overflows
+        ],
+        ids=["tiny_n", "huge_range"],
+    )
+    def test_overflow_is_domain_error(self, params, distance):
+        named = f"sigma = {params.sigma:g} dB, n = {params.n:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=named):
+                distance_sq_variance(params, np.array([5.0, distance]))
 
 
 class TestNoiseSigmaEstimate:

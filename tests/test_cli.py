@@ -1,4 +1,5 @@
 import csv
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -166,7 +167,18 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "line",
-        ["admm.rho = -1", "admm.conv_tol = 0", "admm.max_iters = 0", "n = 0", "sigma = -1"],
+        [
+            "admm.rho = -1",
+            "admm.conv_tol = 0",
+            "admm.max_iters = 0",
+            "n = 0",
+            "sigma = -1",
+            "lmds.subset_size = 2",
+            "lmds.n_subsets = 0",
+            "grad_desc.step = 0",
+            "grad_desc.max_iters = 0",
+            "grad_desc.keep_fraction = 1.5",
+        ],
     )
     def test_out_of_range_value(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
@@ -219,6 +231,20 @@ class TestErrorPaths:
         path.write_text("\n".join(lines + ["n = 0.001", "trials = 3"]) + "\n")
         assert main(["simulate", "--config", str(path)]) == 3
         assert "error: rssi" in capsys.readouterr().err
+
+    def test_overflowing_squared_range_exits_3(self, tmp_path, capsys):
+        # The desk profile with n = 0.003: the ranges invert, but a square
+        # overflows.  A typed error, not an OverflowError or a numpy warning.
+        from importlib.resources import files
+
+        desk = files("secloc").joinpath("profiles/desk.cfg").read_text(encoding="utf-8")
+        lines = [ln for ln in desk.splitlines() if ln.split("=")[0].strip() not in ("n", "trials")]
+        path = tmp_path / "tiny_n.cfg"
+        path.write_text("\n".join(lines + ["n = 0.003", "trials = 3"]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(path)]) == 3
+        assert "error: range" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2

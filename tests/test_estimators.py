@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from secloc import (
     grad_desc_estimate,
     lmds_estimate,
     ls_estimate,
+    mean_rssi,
     ml_estimate,
     random_topology,
     select_malicious,
@@ -26,7 +28,7 @@ from secloc import (
     swls_estimate,
     wls_estimate,
 )
-from secloc.estimators import _rssi_cost_grad
+from secloc.estimators import _rssi_cost_grad, _rssi_model
 
 from helpers import grad_desc_reference, lmds_reference
 
@@ -69,6 +71,13 @@ class TestBuildLinearSystem:
     def test_too_few_anchors(self):
         with pytest.raises(InsufficientAnchorsError):
             build_linear_system([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+
+    def test_overflowing_square_is_domain_error(self):
+        anchors = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"range 1e\+200 m"):
+                build_linear_system(anchors, [5.0, 1e200, 5.0])
 
     def test_ranges_travel_with_subsets(self):
         anchors = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
@@ -146,6 +155,17 @@ class TestWls:
 
 def mean_rssi_of(distance):
     return P.p0 - 10 * P.n * math.log10(distance)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.3, 4.0])
+def test_squared_range_model_matches_channel(n):
+    # The estimators' model in d^2 form and the simulator's in d form.
+    params = PathLossParams(-10.0, n, 2.0)
+    rng = np.random.default_rng(31)
+    anchors = rng.uniform(0.0, 100.0, (29, 2))
+    for t in rng.uniform(-20.0, 120.0, (50, 2)):
+        _, d2, model = _rssi_model(t, anchors, params)
+        np.testing.assert_allclose(model, mean_rssi(params, np.sqrt(d2)), rtol=0, atol=1e-12)
 
 
 class TestSwls:
@@ -351,6 +371,8 @@ class TestGradDesc:
             grad_desc_estimate(meas, topo.anchors, params, step=0.0)
         with pytest.raises(DomainError):
             grad_desc_estimate(meas, topo.anchors, params, keep_fraction=0.0)
+        with pytest.raises(DomainError):
+            grad_desc_estimate(meas, topo.anchors, params, max_iters=0)
 
 
 class TestSharedProperties:
