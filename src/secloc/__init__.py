@@ -57,6 +57,7 @@ from .planefit import (
     KmeansResult,
     PlaneCoeffs,
     admm_l1_plane,
+    admm_l1_planes,
     kmeans_1d,
     ln1_estimate,
     ln1e_estimate,

@@ -5,6 +5,19 @@ so results are bit-identical regardless of execution order.  Within a trial
 all enabled estimators see the same measurement matrix, making the comparison
 paired.  Estimator failures (eliminations leaving too few anchors,
 non-convergence) are counted per estimator and never abort a trial.
+
+``run_monte_carlo`` runs the trials in chunks.  Per chunk it prepares every
+trial (``prepare_trial``: labels, measurements, range inversion, linear
+system), then, when LN-1 or LN-1E is enabled, fits all of the chunk's planes
+in two lock-step ADMM batches (``planefit.prefit_planes``: the all-anchor
+fits, then LN-1E's refits), and only then runs each trial (``run_trial``),
+whose LN-1/LN-1E calls read the fits memoized on its system.  A fit that
+fails in the batch is left for the trial's own call to raise, so failures
+stay per trial.  The batch needs every trial of a chunk in memory at once,
+which is what bounds ``L1_CHUNK``: peak RSS grows with it while the gain in
+trials/s levels off.  Without LN-1 or LN-1E a chunk is one trial, as before.
+A batched fit may round the last bits of its plane differently from the
+trial's own one-system fit (see ``planefit``).
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from .estimators import (
     wls_estimate,
 )
 from .exceptions import SecLocError
-from .planefit import ln1_estimate, ln1e_estimate
+from .planefit import ln1_estimate, ln1e_estimate, prefit_planes
 
 CSV_HEADER = (
     "axis_value",
@@ -59,6 +72,13 @@ _STREAM_TOPOLOGY = 0
 _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
+
+# Trials per chunk when LN-1 or LN-1E runs.  On the benchmark's coord-fixed
+# config (2 vCPU), chunks of 16, 32 and 48 trials ran 123, 145 and 152
+# trials/s in one round (a chunk of 1 about half as fast as 32) and added
+# 0.6, 1.3 and 1.8 % to peak RSS.
+L1_CHUNK = 32
+_L1_ESTIMATORS = frozenset(("ln1", "ln1e"))
 
 
 @dataclass(frozen=True)
@@ -252,16 +272,10 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
     )
 
 
-def run_trial(
-    config: ExperimentConfig, trial_index: int, topology: Topology | None = None
-) -> TrialResult:
-    """Simulate one measurement matrix and run every enabled estimator on it.
-
-    ``topology`` may carry the precomputed shared topology; when omitted it is
-    regenerated from the config, so the call is self-contained and
-    deterministic in (config, trial_index).
-    """
-    base = topology if topology is not None else base_topology(config)
+def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) -> Trial:
+    """Draw one trial's labels and measurements and build its linear system
+    (the trial's one mean-RSSI inversion: WLS, SWLS and LMdS read these
+    ranges off the system).  ``base`` is the shared topology."""
     topo = trial_topology(config, trial_index, base)
     params = config.params()
     measurements = simulate_measurements(
@@ -271,10 +285,8 @@ def run_trial(
         config.packets,
         seed=_trial_rng(config.master_seed, trial_index, _STREAM_NOISE),
     )
-    # The trial's one mean-RSSI inversion: WLS, SWLS and LMdS read these
-    # ranges off the system.
     mean_d = distance_from_rssi(params, measurements.rssi.mean(axis=1))
-    trial = Trial(
+    return Trial(
         config=config,
         topology=topo,
         measurements=measurements,
@@ -282,7 +294,21 @@ def run_trial(
         lmds_rng=_trial_rng(config.master_seed, trial_index, _STREAM_LMDS),
         params=params,
     )
+
+
+def run_trial(
+    config: ExperimentConfig, trial_index: int, trial: Trial | None = None
+) -> TrialResult:
+    """Run every enabled estimator on one trial's measurement matrix.
+
+    ``trial`` may carry the trial as ``prepare_trial`` made it; when omitted
+    it is prepared here from the config, so the call is self-contained and
+    deterministic in (config, trial_index).
+    """
+    if trial is None:
+        trial = prepare_trial(config, trial_index, base_topology(config))
     outcomes = {name: _outcome(ESTIMATORS[name], trial) for name in config.estimators}
+    topo = trial.topology
     return TrialResult(
         index=trial_index,
         n_malicious=len(topo.malicious),
@@ -293,9 +319,21 @@ def run_trial(
 
 
 def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
-    """Run config.trials independent trials and aggregate by trial index."""
-    topology = base_topology(config)
-    return summarize(config, [run_trial(config, i, topology) for i in range(config.trials)])
+    """Run config.trials independent trials, a chunk at a time (see the
+    module docstring), and aggregate by trial index."""
+    base = base_topology(config)
+    l1 = not _L1_ESTIMATORS.isdisjoint(config.estimators)
+    chunk = L1_CHUNK if l1 else 1
+    results = []
+    for start in range(0, config.trials, chunk):
+        indices = range(start, min(start + chunk, config.trials))
+        trials = [prepare_trial(config, i, base) for i in indices]
+        if l1:
+            prefit_planes(
+                [t.system for t in trials], config.admm, refit="ln1e" in config.estimators
+            )
+        results += [run_trial(config, i, t) for i, t in zip(indices, trials)]
+    return summarize(config, results)
 
 
 def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:

@@ -18,10 +18,29 @@ least-squares residual r_ls = A @ u_ls - b, both formed once per fit:
 x = proj @ v + r_ls + w is the shrink argument, the new dual is x clipped to
 [-1/rho, 1/rho], and z = x - w is its soft threshold.  The plane itself is
 formed once, after the last sweep.  ``primal_residual`` is the norm of the
-last dual change, which equals the last sweep's ||A u - z - b||.  LN-1E's
-first step is LN-1's all-anchor fit, so ``admm_l1_plane`` memoizes its
-result on the ``LinearSystem`` per ``AdmmParams``: when a trial runs both
-estimators on one system, the fit runs once and LN-1E reads LN-1's result.
+last dual change, which equals the last sweep's ||A u - z - b||.
+
+A sweep is a handful of numpy calls on vectors of about 30 entries, so its
+cost is call overhead, not arithmetic.  ``admm_l1_planes`` therefore runs the
+sweeps of many systems in lock step, one row per system.  Systems that share
+A (every all-anchor fit of a fixed topology) share mix = [proj^T;
+(I - proj)^T]: the row [z | w] of the last sweep times mix is
+proj @ (z - w) + w, so one matrix product and one addition of r_ls give every
+system's x.  Other systems (LN-1E's refits, per-trial topologies) step as
+A @ (m @ (z - w)) + w + r_ls with their A and m stacked, which keeps their
+memory and work linear in N; rows are zero-padded to the widest system, and
+a padded entry stays zero in every sweep.  Each system leaves the batch at
+its own sweep, with its own ``iterations``, ``converged`` and
+``primal_residual``; the batched products and the padding may round the last
+bits differently from a fit of that system alone.  ``admm_l1_plane`` is the
+one-system call of the same loop.
+
+Every fit is memoized on its ``LinearSystem`` per ``AdmmParams``
+(``admm_fits``), and so is LN-1E's split of the all-anchor fit's residuals
+(``ln1e_splits``).  LN-1E therefore reuses LN-1's fit, and
+``prefit_planes`` can fit a chunk of trials' systems, split them and refit
+their near rows in two batches before the estimators run: ``ln1_estimate``
+and ``ln1e_estimate`` then read the memo.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ from .exceptions import (
     DegenerateGeometryError,
     DomainError,
     InsufficientSurvivorsError,
+    SecLocError,
 )
 
 # Residuals below this fraction of the data scale mean every point already
@@ -103,52 +123,133 @@ def soft_threshold(x, threshold: float):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> AdmmResult:
-    """Minimize ||A u - b||_1 by alternating direction.
-
-    Splitting the residual into z, the iteration solves a least-squares
-    subproblem for u, soft-thresholds z, and takes a dual ascent step, from
-    zero initial state.  Stops once the l1 norm of z changes by at most
-    ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False, last
-    iterate returned).  The result is memoized on ``system`` per ``params``,
-    so a repeated call returns the first call's result.
-    """
-    fits = system.admm_fits
-    if fits is None:
-        fits = {}
-        object.__setattr__(system, "admm_fits", fits)
-    elif params in fits:
-        return fits[params]
-    A, b = system.A, system.b
+def _factor(A: np.ndarray) -> np.ndarray:
+    """m = R^-1 Q^T, so that u = m @ v solves min ||A u - v||_2."""
     q, r = np.linalg.qr(A)
     if rank_deficient(np.linalg.svd(r, compute_uv=False)):
         raise DegenerateGeometryError("plane fit needs full-rank geometry")
-    m = np.linalg.solve(r, q.T)  # u = m @ v solves min ||A u - v||_2
-    u_ls = m @ b
-    proj = A @ m
-    r_ls = A @ u_ls - b
-    bound = 1.0 / params.rho
-    v = w = np.zeros(system.n_rows)
-    prev_norm = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iters + 1):
-        v_in, w_prev = v, w
-        x = proj @ v_in + r_ls + w_prev
-        w = np.minimum(np.maximum(x, -bound), bound)
-        z = x - w
-        z_norm = float(np.abs(z).sum())
-        if abs(z_norm - prev_norm) <= params.conv_tol:
-            converged = True
-            break
+    return np.linalg.solve(r, q.T)
+
+
+def _halves(state: np.ndarray, width: int) -> tuple:
+    """A sweep state [z | w] and views of its z and w."""
+    return state, state[:, :width], state[:, width:]
+
+
+def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
+    """Minimize ||A u - b||_1 for every system, by alternating direction in
+    lock step.
+
+    Splitting the residual into z, the iteration solves a least-squares
+    subproblem for u, soft-thresholds z, and takes a dual ascent step, from
+    zero initial state.  A system stops once the l1 norm of its z changes by
+    at most ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False,
+    last iterate returned).  Returns one entry per system: its ``AdmmResult``,
+    memoized on the system per ``params`` (a memoized system is not fitted
+    again), or the ``SecLocError`` its fit raised (rank-deficient A,
+    non-finite plane), which is not memoized and does not stop the others.
+    """
+    out = [system.admm_fits.get(params) for system in systems]
+    live, factors = [], []  # the systems to fit and each one's m
+    factor = factored = None
+    for i, system in enumerate(systems):
+        if out[i] is not None:
+            continue
+        if factor is None or not np.array_equal(system.A, factored):
+            try:
+                factor, factored = _factor(system.A), system.A
+            except DegenerateGeometryError as exc:
+                out[i] = exc
+                continue
+        live.append(i)
+        factors.append(factor)
+    if not live:
+        return out
+    # Systems with one A share mix = [proj^T; (I - proj)^T], so that
+    # x = [z | w] @ mix + r_ls; others stack their A and m, zero-padded to the
+    # widest system, and step as x = A @ (m @ (z - w)) + w + r_ls.
+    shared = all(f is factors[0] for f in factors)
+    width = max(systems[i].n_rows for i in live)
+    if shared:
+        proj = systems[live[0]].A @ factors[0]
+        mix = np.vstack([proj.T, (np.eye(width) - proj).T])
+    else:
+        a_stack = np.zeros((len(live), width, 3))
+        m_stack = np.zeros((len(live), 3, width))
+    u_ls = [m @ systems[i].b for i, m in zip(live, factors)]
+    r_ls = np.zeros((len(live), width))
+    for k, (i, m) in enumerate(zip(live, factors)):
+        system = systems[i]
+        n = system.n_rows
+        r_ls[k, :n] = system.A @ u_ls[k] - system.b
+        if not shared:
+            a_stack[k, :n] = system.A
+            m_stack[k, :, :n] = m
+    rows = list(range(len(live)))  # batch row -> position in live
+    lo, hi = -1.0 / params.rho, 1.0 / params.rho
+    tol, max_iters = params.conv_tol, params.max_iters
+    # Each sweep writes its z and w into the spare state, so the last
+    # sweep's state stays at hand for the stopping sweep's plane (from
+    # v = z - w) and dual change.
+    last = _halves(np.zeros((len(live), 2 * width)), width)
+    spare = _halves(np.zeros_like(last[0]), width)
+    prev_norm = [0.0] * len(live)
+    # The per-system stopping test runs on Python floats: for a batch of a
+    # few systems that is cheaper than three more numpy calls per sweep.
+    dot, matmul, maximum, minimum = np.dot, np.matmul, np.maximum, np.minimum
+    absolute, subtract, add_reduce = np.abs, np.subtract, np.add.reduce
+    for iterations in range(1, max_iters + 1):
+        state, z_prev, w_prev = last
+        if shared:
+            x = dot(state, mix)
+        else:
+            x = matmul(a_stack, matmul(m_stack, (z_prev - w_prev)[:, :, None]))[:, :, 0]
+            x += w_prev
+        x += r_ls
+        _, z, w = spare
+        minimum(maximum(x, lo), hi, out=w)
+        subtract(x, w, out=z)
+        z_norm = add_reduce(absolute(z), axis=1).tolist()
+        converged = [abs(a - b) <= tol for a, b in zip(z_norm, prev_norm)]
+        if True in converged or iterations == max_iters:
+            keep = []
+            for j, done in enumerate(converged):
+                if not done and iterations < max_iters:
+                    keep.append(j)
+                    continue
+                k = rows[j]
+                system = systems[live[k]]
+                n = system.n_rows
+                v_in = z_prev[j, :n] - w_prev[j, :n]
+                try:
+                    plane = PlaneCoeffs(*(u_ls[k] + factors[k] @ v_in))
+                except DomainError as exc:
+                    out[live[k]] = exc
+                    continue
+                dual_change = float(np.linalg.norm(w[j, :n] - w_prev[j, :n]))
+                system.admm_fits[params] = out[live[k]] = AdmmResult(
+                    plane, iterations, done, dual_change
+                )
+            if not keep:
+                break
+            rows = [rows[j] for j in keep]
+            z_norm = [z_norm[j] for j in keep]
+            r_ls = r_ls[keep]
+            last, spare = _halves(last[0][keep], width), _halves(spare[0][keep], width)
+            if not shared:
+                a_stack, m_stack = a_stack[keep], m_stack[keep]
         prev_norm = z_norm
-        v = z - w
-    fits[params] = result = AdmmResult(
-        PlaneCoeffs(*(u_ls + m @ v_in)),
-        iterations,
-        converged,
-        float(np.linalg.norm(w - w_prev)),
-    )
+        last, spare = spare, last
+    return out
+
+
+def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> AdmmResult:
+    """Minimize ||A u - b||_1 by alternating direction: ``admm_l1_planes`` on
+    one system.  The result is memoized on ``system`` per ``params``, so a
+    repeated call returns the first call's result; a failed fit raises."""
+    (result,) = admm_l1_planes([system], params)
+    if isinstance(result, SecLocError):
+        raise result
     return result
 
 
@@ -203,38 +304,79 @@ def ln1_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Est
     )
 
 
+class _Ln1eSplit(NamedTuple):
+    near: LinearSystem  # the rows LN-1E refits
+    far: frozenset  # the rows it eliminates
+
+
+def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
+    """LN-1E's elimination step on the system's all-anchor fit, which must
+    already be memoized: the two clusters of the fit's residuals, or None
+    when LN-1E keeps every row (see ``ln1e_estimate``).  The split is
+    memoized on the system per ``params``; a split that raises is not."""
+    if params in system.ln1e_splits:
+        return system.ln1e_splits[params]
+    fit = system.admm_fits[params]
+    split = None
+    if fit.converged:
+        residuals = point_plane_residual(system, fit.plane)
+        scale = 1.0 + float(np.abs(system.b).max())
+        if float(residuals.max()) > ON_PLANE_RTOL * scale:
+            clusters = kmeans_1d(residuals)
+            if not clusters.degenerate:
+                near = np.flatnonzero(clusters.labels == 0)
+                if near.size < 3:
+                    raise InsufficientSurvivorsError(
+                        f"near-plane cluster has {near.size} points, need at least 3"
+                    )
+                far = frozenset(int(i) for i in np.flatnonzero(clusters.labels == 1))
+                split = _Ln1eSplit(system.subset(near), far)
+    system.ln1e_splits[params] = split
+    return split
+
+
 def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
     """l1 plane fit with outlier elimination and a refit.
 
     Fits all rows, splits the residuals into two clusters, drops the far
     cluster (the attacked rows) and refits on the remainder.  When every
-    residual is negligible relative to the data scale, all rows are kept and
-    the first fit is returned unchanged.  So is a first fit that stopped at
-    the iteration cap: its residuals are no basis for elimination, and the
-    estimate is non-converged whatever a refit would give.
+    residual is negligible relative to the data scale, or the clusters are
+    degenerate, all rows are kept and the first fit is returned unchanged.
+    So is a first fit that stopped at the iteration cap: its residuals are no
+    basis for elimination, and the estimate is non-converged whatever a refit
+    would give.
     """
     keep_all = ln1_estimate(system, params)
-    if not keep_all.converged:
+    split = _ln1e_split(system, params)
+    if split is None:
         return keep_all
-    plane = PlaneCoeffs(*keep_all.position, keep_all.auxiliary)
-    residuals = point_plane_residual(system, plane)
-    scale = 1.0 + float(np.abs(system.b).max())
-    if float(residuals.max()) <= ON_PLANE_RTOL * scale:
-        return keep_all
-    clusters = kmeans_1d(residuals)
-    if clusters.degenerate:
-        return keep_all
-    near = np.flatnonzero(clusters.labels == 0)
-    if near.size < 3:
-        raise InsufficientSurvivorsError(
-            f"near-plane cluster has {near.size} points, need at least 3"
-        )
-    refit = admm_l1_plane(system.subset(near), params)
-    far = frozenset(int(i) for i in np.flatnonzero(clusters.labels == 1))
+    refit = admm_l1_plane(split.near, params)
     return Estimate(
         position=(refit.plane.alpha, refit.plane.beta),
         auxiliary=refit.plane.gamma,
-        eliminated=far,
+        eliminated=split.far,
         iterations=keep_all.iterations + refit.iterations,
         converged=refit.converged,
     )
+
+
+def prefit_planes(systems, params: AdmmParams, refit: bool) -> None:
+    """Fill the memos LN-1 (and, with ``refit``, LN-1E) read, with one
+    lock-step ADMM for every all-anchor fit and one for every LN-1E refit.
+
+    A system whose fit or split raises is skipped, so that LN-1/LN-1E's own
+    call on it raises the same error.
+    """
+    admm_l1_planes(systems, params)
+    if not refit:
+        return
+    near = []
+    for system in systems:
+        if params in system.admm_fits:
+            try:
+                split = _ln1e_split(system, params)
+            except SecLocError:
+                continue
+            if split is not None:
+                near.append(split.near)
+    admm_l1_planes(near, params)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secloc import (
+    AdmmParams,
     ConfigError,
     ExperimentConfig,
     emit_csv,
@@ -14,7 +15,7 @@ from secloc import (
     summary_rows,
     sweep,
 )
-from secloc.harness import CSV_HEADER
+from secloc.harness import CSV_HEADER, L1_CHUNK
 
 
 def quiet_config(**kw):
@@ -120,6 +121,37 @@ class TestMonteCarlo:
         cfg = attack_config(trials=24)
         backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
         assert summarize(cfg, backwards) == run_monte_carlo(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                attack_kind="coordinated",
+                t_att=(75.0, 75.0),
+                malicious_fraction=0.28,
+                estimators=("wls", "ln1", "ln1e"),
+                admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
+                trials=L1_CHUNK + 1,
+                master_seed=3,
+            ),
+            attack_config(estimators=("ls", "ln1"), trials=L1_CHUNK + 1),
+        ],
+        ids=["coordinated", "uncoordinated"],
+    )
+    def test_chunked_fits_match_trial_by_trial(self, cfg):
+        # run_monte_carlo fits a chunk's LN-1/LN-1E planes in lock-step
+        # batches, which may round the last bits differently from a trial's
+        # own one-system fits; a full chunk and a one-trial tail give the
+        # same outcomes, and two runs the same summary
+        chunked = run_monte_carlo(cfg)
+        assert run_monte_carlo(cfg) == chunked
+        alone = summarize(cfg, [run_trial(cfg, i) for i in range(cfg.trials)])
+        assert chunked.crlb == alone.crlb
+        for name in cfg.estimators:
+            got, want = chunked.per_estimator[name], alone.per_estimator[name]
+            counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp")
+            assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+            assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
 
     def test_all_failures_reported_absent(self):
         cfg = attack_config(

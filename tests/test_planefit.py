@@ -9,6 +9,7 @@ from secloc import (
     LinearSystem,
     PlaneCoeffs,
     admm_l1_plane,
+    admm_l1_planes,
     build_linear_system,
     kmeans_1d,
     ln1_estimate,
@@ -179,6 +180,59 @@ def test_admm_matches_reference_loop(n_anchors, coordinated, seed, rho, log_tol,
     np.testing.assert_allclose(
         fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
     )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    draws=st.lists(
+        st.tuples(st.integers(3, 40), st.booleans(), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    shared=st.booleans(),
+    degenerate_at=st.integers(0, 6),
+    memoized_at=st.integers(0, 7),
+    max_iters=st.integers(1, 2000),
+)
+def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at, max_iters):
+    """One lock-step call fits every system as the plain loop fits it alone:
+    with its own stopping sweep and plane, whether the systems share A or
+    are padded to the widest, beside a rank-deficient system (which raises
+    only on its own call) and an already-memoized one (which is not refit)."""
+    params = AdmmParams(max_iters=max_iters)
+    systems = []
+    for n_anchors, coordinated, seed in draws:
+        rng = np.random.default_rng(seed)
+        if shared and systems:  # the first system's A, this draw's b
+            n_anchors = systems[0].n_rows
+        if coordinated:
+            system = coordinated_system(rng, n_anchors=n_anchors, sigma=2.0)[0]
+        else:
+            system = gross_outlier_system(rng, n_anchors=n_anchors)[0]
+        if shared and systems:
+            system = LinearSystem(A=systems[0].A, b=system.b)
+        systems.append(system)
+    memoized = gross_outlier_system(np.random.default_rng(memoized_at))[0]
+    memo = admm_l1_plane(memoized, params)
+    A = np.column_stack([np.arange(5.0), np.arange(5.0), np.ones(5)])
+    degenerate = LinearSystem(A=A, b=np.ones(5))
+    batch = list(systems)
+    batch.insert(degenerate_at % (len(batch) + 1), degenerate)
+    batch.insert(memoized_at % (len(batch) + 1), memoized)
+    results = dict(zip(map(id, batch), admm_l1_planes(batch, params)))
+    assert results[id(memoized)] is memo
+    assert isinstance(results[id(degenerate)], DegenerateGeometryError)
+    with pytest.raises(DegenerateGeometryError):
+        admm_l1_plane(degenerate, params)
+    for system in [*systems, memoized]:
+        expected = admm_l1_plane_reference(system, params)
+        fit = admm_l1_plane(system, params)
+        assert fit is results[id(system)]
+        assert fit.iterations == expected.iterations
+        assert fit.converged == expected.converged
+        np.testing.assert_allclose(
+            fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
+        )
 
 
 class TestAdmmMemo:

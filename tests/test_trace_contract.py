@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from secloc import ExperimentConfig, run_monte_carlo
+from secloc import AdmmParams, ExperimentConfig, run_monte_carlo
 
 SECBENCH = Path(__file__).resolve().parent.parent / "secbench"
 
@@ -34,3 +34,37 @@ def test_one_span_per_trial_and_estimator(tracing):
         (s.trial, by_span[s.name]) for s in tracer.spans if s.name in by_span
     )
     assert seen == Counter({(trial, name): 1 for trial in (0, 1) for name in names})
+
+
+def test_l1_estimates_read_their_fits_inside_their_spans(tracing):
+    # run_monte_carlo fits a chunk's planes before its trials run; LN-1 and
+    # LN-1E must still call admm_l1_plane inside their own spans, because the
+    # benchmark checks that an LN-1/LN-1E non-convergence is exactly a capped
+    # ADMM fit among the estimator span's children
+    cfg = ExperimentConfig(
+        attack_kind="coordinated",
+        t_att=(75.0, 75.0),
+        malicious_fraction=0.28,
+        estimators=("ln1", "ln1e"),
+        admm=AdmmParams(max_iters=800),
+        trials=6,
+        master_seed=5,
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run_monte_carlo(cfg)
+    fits = {}
+    for span in tracer.spans:
+        if span.name == "planefit.admm":
+            fits.setdefault(span.parent, []).append(span)
+    l1_spans = {tracing.ESTIMATOR_SPANS[name] for name in cfg.estimators}
+    estimates = [(i, s) for i, s in enumerate(tracer.spans) if s.name in l1_spans]
+    assert len(estimates) == len(cfg.estimators) * cfg.trials
+    capped = 0
+    for i, span in estimates:
+        assert span.failure is None
+        children = fits.get(i, [])
+        assert any(fit.converged == span.converged for fit in children)
+        assert (not span.converged) == any(not fit.converged for fit in children)
+        capped += not span.converged
+    assert 0 < capped < len(estimates)
