@@ -62,7 +62,6 @@ from .planefit import (
     ln1_estimate,
     ln1e_estimate,
     point_plane_residual,
-    soft_threshold,
 )
 from .crlb import Fim, crlb_bound, fim_coordinated, fim_uncoordinated
 from .config import (

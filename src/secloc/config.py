@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,6 +59,11 @@ class ExperimentConfig:
     topology_per_trial: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_anchors", "packets", "trials", "master_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         if self.area <= 0:
             raise ConfigError("area must be positive")
         if self.n_anchors < 3:

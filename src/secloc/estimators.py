@@ -17,6 +17,7 @@ checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,23 +55,18 @@ class LinearSystem:
 
     Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2.
     ``ranges`` holds the d_i when the system was built from ranges (see
-    ``build_linear_system``); WLS, SWLS and LMdS read them from here, so a
-    trial inverts its mean RSSI once.  ``subset`` keeps them row for row.
+    ``build_linear_system``); the estimators that need ranges read them from
+    here, so a trial inverts its mean RSSI once.  ``subset`` keeps them row for row.
 
-    A, b and ranges must not be mutated after construction: ``planefit``
-    memoizes on the system, keyed by ``AdmmParams``, its l1 fit
-    (``admm_fits``) and LN-1E's split of that fit's residuals
-    (``ln1e_splits``).  LN-1E thus reuses the all-anchor fit LN-1 made, and
-    the harness can fit, split and refit a whole chunk of trials' systems in
-    lock-step batches (``planefit.prefit_planes``) before the trials' own
-    LN-1/LN-1E calls, which then only read the memo.
+    ``memo`` holds results computed from the system, under keys owned and
+    documented by the module that fills it, so A, b and ranges must not be
+    mutated after construction.  A subset starts with an empty memo.
     """
 
     A: np.ndarray
     b: np.ndarray
     ranges: np.ndarray | None = None
-    admm_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    ln1e_splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -299,6 +295,9 @@ class LmdsParams:
     subset_size: int = 4
 
     def __post_init__(self) -> None:
+        counts = (self.n_subsets, self.subset_size)
+        if not all(isinstance(c, numbers.Integral) for c in counts):
+            raise DomainError(f"n_subsets and subset_size must be integers: {self}")
         if self.n_subsets < 1 or self.subset_size < 3:
             raise DomainError(f"need n_subsets >= 1 and subset_size >= 3: {self}")
 
@@ -368,6 +367,8 @@ class GradDescParams:
     keep_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise DomainError(f"max_iters must be an integer: {self}")
         if self.step <= 0 or self.max_iters < 1 or not 0.0 < self.keep_fraction <= 1.0:
             raise DomainError(f"need step > 0, max_iters >= 1, keep_fraction in (0, 1]: {self}")
 

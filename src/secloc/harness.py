@@ -8,16 +8,18 @@ non-convergence) are counted per estimator and never abort a trial.
 
 ``run_monte_carlo`` runs the trials in chunks.  Per chunk it prepares every
 trial (``prepare_trial``: labels, measurements, range inversion, linear
-system), then, when LN-1 or LN-1E is enabled, fits all of the chunk's planes
-in two lock-step ADMM batches (``planefit.prefit_planes``: the all-anchor
-fits, then LN-1E's refits), and only then runs each trial (``run_trial``),
-whose LN-1/LN-1E calls read the fits memoized on its system.  A fit that
-fails in the batch is left for the trial's own call to raise, so failures
-stay per trial.  The batch needs every trial of a chunk in memory at once,
-which is what bounds ``L1_CHUNK``: peak RSS grows with it while the gain in
-trials/s levels off.  Without LN-1 or LN-1E a chunk is one trial, as before.
-A batched fit may round the last bits of its plane differently from the
-trial's own one-system fit (see ``planefit``).
+system), then calls the ``batch`` step of each enabled ``ESTIMATORS`` row
+that has one, in ``config.estimators`` order, with the chunk's trials, and
+only then runs each trial (``run_trial``).  A batch step may compute, for the
+whole chunk at once, what its row's ``run`` needs, and leave it in a memo on
+the trial's inputs (as LN-1 and LN-1E leave their lock-step ADMM fits on the
+trial's ``LinearSystem``; see ``planefit``), so that ``run`` reads it inside
+the trial.  What fails in a batch is left for the trial's own ``run`` to
+raise, so failures stay per trial.  A batch needs every trial of a chunk in
+memory at once, which is what bounds ``L1_CHUNK``: peak RSS grows with it
+while the gain in trials/s levels off.  When no enabled row has a batch step
+a chunk is one trial.  A batched result may round its last bits differently
+from the trial's own computation; it is the same whichever other rows run.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .estimators import (
     wls_estimate,
 )
 from .exceptions import SecLocError
-from .planefit import ln1_estimate, ln1e_estimate, prefit_planes
+from .planefit import admm_l1_planes, ln1_estimate, ln1e_estimate, prefit_planes
 
 CSV_HEADER = (
     "axis_value",
@@ -73,12 +75,11 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# Trials per chunk when LN-1 or LN-1E runs.  On the benchmark's coord-fixed
-# config (2 vCPU), chunks of 16, 32 and 48 trials ran 123, 145 and 152
-# trials/s in one round (a chunk of 1 about half as fast as 32) and added
-# 0.6, 1.3 and 1.8 % to peak RSS.
+# Trials per chunk when an enabled estimator has a batch step.  With LN-1 and
+# LN-1E on the benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and
+# 48 trials ran 123, 145 and 152 trials/s in one round (a chunk of 1 about
+# half as fast as 32) and added 0.6, 1.3 and 1.8 % to peak RSS.
 L1_CHUNK = 32
-_L1_ESTIMATORS = frozenset(("ln1", "ln1e"))
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,10 @@ class Trial:
     """Everything the estimators of one trial share."""
 
     config: ExperimentConfig
+    index: int
     topology: Topology  # labelled
     measurements: MeasurementMatrix
     system: LinearSystem
-    lmds_rng: np.random.Generator
     params: PathLossParams
 
 
@@ -196,12 +197,15 @@ class EstimatorSpec:
 
     ``run`` must look its estimator function up in this module's globals when
     it is called, as a lambda body does, so that replacing the module-level
-    name (as secbench/tracing.py does) reaches the call.
+    name (as secbench/tracing.py does) reaches the call.  ``batch``, when
+    set, is called with each chunk's trials before any of them runs (see the
+    module docstring); its return value is ignored, and it raises nothing.
     """
 
     attacks: frozenset
     run: Callable[[Trial], Estimate]
     detector: bool = False  # eliminates anchors; reported by `detect`
+    batch: Callable[[list], None] | None = None
 
 
 _ALL_ATTACKS = frozenset(ATTACK_KINDS)
@@ -228,11 +232,15 @@ ESTIMATORS = {
         ),
     ),
     # The settings' fields are passed as the estimators' keywords, so
-    # secbench/tracing.py reads max_iters= off the Grad-Desc call.
+    # secbench/tracing.py reads max_iters= off the Grad-Desc call.  LMdS
+    # draws its subsets from a stream of its own, made only when it runs.
     "lmds": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: lmds_estimate(
-            t.system, t.topology.anchors, seed=t.lmds_rng, **vars(t.config.lmds)
+            t.system,
+            t.topology.anchors,
+            seed=_trial_rng(t.config.master_seed, t.index, _STREAM_LMDS),
+            **vars(t.config.lmds),
         ),
     ),
     "grad_desc": EstimatorSpec(
@@ -241,11 +249,20 @@ ESTIMATORS = {
             t.measurements, t.topology.anchors, t.params, **vars(t.config.grad_desc)
         ),
     ),
-    "ln1": EstimatorSpec(_ALL_ATTACKS, lambda t: ln1_estimate(t.system, t.config.admm)),
+    # LN-1 and LN-1E read the plane fits their batch steps memoized on the
+    # trials' systems (see planefit).
+    "ln1": EstimatorSpec(
+        _ALL_ATTACKS,
+        lambda t: ln1_estimate(t.system, t.config.admm),
+        batch=lambda ts: admm_l1_planes([t.system for t in ts], ts[0].config.admm),
+    ),
     # LN-1E's elimination assumes the attacked rows sit on a second plane,
     # which an uncoordinated attack does not produce.
     "ln1e": EstimatorSpec(
-        _NOT_UNCOORDINATED, lambda t: ln1e_estimate(t.system, t.config.admm), detector=True
+        _NOT_UNCOORDINATED,
+        lambda t: ln1e_estimate(t.system, t.config.admm),
+        detector=True,
+        batch=lambda ts: prefit_planes([t.system for t in ts], ts[0].config.admm),
     ),
 }
 
@@ -274,8 +291,8 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
 
 def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) -> Trial:
     """Draw one trial's labels and measurements and build its linear system
-    (the trial's one mean-RSSI inversion: WLS, SWLS and LMdS read these
-    ranges off the system).  ``base`` is the shared topology."""
+    (the trial's one mean-RSSI inversion: the estimators that need ranges
+    read them off the system).  ``base`` is the shared topology."""
     topo = trial_topology(config, trial_index, base)
     params = config.params()
     measurements = simulate_measurements(
@@ -288,10 +305,10 @@ def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) ->
     mean_d = distance_from_rssi(params, measurements.rssi.mean(axis=1))
     return Trial(
         config=config,
+        index=trial_index,
         topology=topo,
         measurements=measurements,
         system=build_linear_system(topo.anchors, mean_d),
-        lmds_rng=_trial_rng(config.master_seed, trial_index, _STREAM_LMDS),
         params=params,
     )
 
@@ -322,16 +339,14 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     """Run config.trials independent trials, a chunk at a time (see the
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
-    l1 = not _L1_ESTIMATORS.isdisjoint(config.estimators)
-    chunk = L1_CHUNK if l1 else 1
+    batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
+    chunk = L1_CHUNK if batches else 1
     results = []
     for start in range(0, config.trials, chunk):
         indices = range(start, min(start + chunk, config.trials))
         trials = [prepare_trial(config, i, base) for i in indices]
-        if l1:
-            prefit_planes(
-                [t.system for t in trials], config.admm, refit="ln1e" in config.estimators
-            )
+        for batch in batches:
+            batch(trials)
         results += [run_trial(config, i, t) for i, t in zip(indices, trials)]
     return summarize(config, results)
 

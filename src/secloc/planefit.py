@@ -35,17 +35,21 @@ its own sweep, with its own ``iterations``, ``converged`` and
 bits differently from a fit of that system alone.  ``admm_l1_plane`` is the
 one-system call of the same loop.
 
-Every fit is memoized on its ``LinearSystem`` per ``AdmmParams``
-(``admm_fits``), and so is LN-1E's split of the all-anchor fit's residuals
-(``ln1e_splits``).  LN-1E therefore reuses LN-1's fit, and
-``prefit_planes`` can fit a chunk of trials' systems, split them and refit
-their near rows in two batches before the estimators run: ``ln1_estimate``
-and ``ln1e_estimate`` then read the memo.
+Results are memoized in the system's ``memo``, under two keys per
+``AdmmParams``: ``("fit", params)`` holds the system's ``AdmmResult`` and
+``("split", params)`` LN-1E's split of that fit's residuals (None when LN-1E
+keeps every row).  A fit or split that raises is not memoized.  LN-1E
+therefore reuses LN-1's fit, and the batch steps of the LN-1 and LN-1E rows
+of ``harness.ESTIMATORS`` fill the memo for a chunk of trials before their
+estimators run: ``admm_l1_planes`` fits every all-anchor system in one
+batch, and ``prefit_planes`` also splits them and refits their near rows in
+a second.  ``ln1_estimate`` and ``ln1e_estimate`` then read the memo.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,8 +101,8 @@ class AdmmParams:
             raise DomainError("rho must be positive")
         if self.conv_tol <= 0:
             raise DomainError("conv_tol must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise DomainError("max_iters must be an integer of at least 1")
 
 
 class AdmmResult(NamedTuple):
@@ -112,15 +116,6 @@ class KmeansResult(NamedTuple):
     labels: np.ndarray  # 0 = near-plane cluster, 1 = far cluster
     centroids: np.ndarray  # ascending
     degenerate: bool
-
-
-def soft_threshold(x, threshold: float):
-    """Shrink magnitudes by ``threshold`` toward zero, elementwise."""
-    if threshold < 0:
-        raise DomainError("threshold must be non-negative")
-    v = np.asarray(x, dtype=float)
-    out = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def _factor(A: np.ndarray) -> np.ndarray:
@@ -149,7 +144,7 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
     again), or the ``SecLocError`` its fit raised (rank-deficient A,
     non-finite plane), which is not memoized and does not stop the others.
     """
-    out = [system.admm_fits.get(params) for system in systems]
+    out = [system.memo.get(("fit", params)) for system in systems]
     live, factors = [], []  # the systems to fit and each one's m
     factor = factored = None
     for i, system in enumerate(systems):
@@ -227,7 +222,7 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
                     out[live[k]] = exc
                     continue
                 dual_change = float(np.linalg.norm(w[j, :n] - w_prev[j, :n]))
-                system.admm_fits[params] = out[live[k]] = AdmmResult(
+                system.memo["fit", params] = out[live[k]] = AdmmResult(
                     plane, iterations, done, dual_change
                 )
             if not keep:
@@ -313,10 +308,10 @@ def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
     """LN-1E's elimination step on the system's all-anchor fit, which must
     already be memoized: the two clusters of the fit's residuals, or None
     when LN-1E keeps every row (see ``ln1e_estimate``).  The split is
-    memoized on the system per ``params``; a split that raises is not."""
-    if params in system.ln1e_splits:
-        return system.ln1e_splits[params]
-    fit = system.admm_fits[params]
+    memoized under ``("split", params)``; a split that raises is not."""
+    if ("split", params) in system.memo:
+        return system.memo["split", params]
+    fit = system.memo["fit", params]
     split = None
     if fit.converged:
         residuals = point_plane_residual(system, fit.plane)
@@ -331,7 +326,7 @@ def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
                     )
                 far = frozenset(int(i) for i in np.flatnonzero(clusters.labels == 1))
                 split = _Ln1eSplit(system.subset(near), far)
-    system.ln1e_splits[params] = split
+    system.memo["split", params] = split
     return split
 
 
@@ -360,19 +355,17 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     )
 
 
-def prefit_planes(systems, params: AdmmParams, refit: bool) -> None:
-    """Fill the memos LN-1 (and, with ``refit``, LN-1E) read, with one
-    lock-step ADMM for every all-anchor fit and one for every LN-1E refit.
+def prefit_planes(systems, params: AdmmParams) -> None:
+    """Fill the memo LN-1E reads, with one lock-step ADMM for every
+    all-anchor fit and one for every refit.
 
-    A system whose fit or split raises is skipped, so that LN-1/LN-1E's own
-    call on it raises the same error.
+    A system whose fit or split raises is skipped, so that LN-1E's own call
+    on it raises the same error.
     """
     admm_l1_planes(systems, params)
-    if not refit:
-        return
     near = []
     for system in systems:
-        if params in system.admm_fits:
+        if ("fit", params) in system.memo:
             try:
                 split = _ln1e_split(system, params)
             except SecLocError:

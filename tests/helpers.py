@@ -29,7 +29,6 @@ from secloc import (
     random_topology,
     select_malicious,
     simulate_measurements,
-    soft_threshold,
 )
 from secloc.estimators import COND_LIMIT
 
@@ -67,7 +66,8 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
     for iterations in range(1, params.max_iters + 1):
         u = np.linalg.solve(r, q.T @ (b + z - y / rho))
         au = A @ u
-        z = soft_threshold(au - b + y / rho, shrink)
+        v = au - b + y / rho
+        z = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)  # soft threshold
         primal = au - z - b
         y += rho * primal
         z_norm = float(np.abs(z).sum())

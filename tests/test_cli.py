@@ -1,9 +1,11 @@
 import csv
 import warnings
 import xml.etree.ElementTree as ET
+from importlib.resources import files
 
 import pytest
 
+from secloc import load_config
 from secloc.cli import main
 
 DESK_SMALL = """
@@ -23,6 +25,20 @@ estimators = wls, ln1e
 trials = 15
 master_seed = 11
 """
+
+
+def desk_file(tmp_path, overrides):
+    """The shipped desk profile with the given keys replaced."""
+    desk = files("secloc").joinpath("profiles/desk.cfg").read_text(encoding="utf-8")
+    lines = [ln for ln in desk.splitlines() if ln.split("=")[0].strip() not in overrides]
+    path = tmp_path / "desk.cfg"
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    return str(path)
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return {row["estimator"]: row for row in csv.DictReader(fh)}
 
 
 @pytest.fixture()
@@ -223,27 +239,17 @@ class TestErrorPaths:
     def test_overflowing_range_exits_3(self, tmp_path, capsys):
         # The desk profile with n = 0.001: a mean RSSI a few dB below p0
         # inverts to a range that overflows.
-        from importlib.resources import files
-
-        desk = files("secloc").joinpath("profiles/desk.cfg").read_text(encoding="utf-8")
-        lines = [ln for ln in desk.splitlines() if ln.split("=")[0].strip() not in ("n", "trials")]
-        path = tmp_path / "tiny_n.cfg"
-        path.write_text("\n".join(lines + ["n = 0.001", "trials = 3"]) + "\n")
-        assert main(["simulate", "--config", str(path)]) == 3
+        path = desk_file(tmp_path, {"n": "0.001", "trials": "3"})
+        assert main(["simulate", "--config", path]) == 3
         assert "error: rssi" in capsys.readouterr().err
 
     def test_overflowing_squared_range_exits_3(self, tmp_path, capsys):
         # The desk profile with n = 0.003: the ranges invert, but a square
         # overflows.  A typed error, not an OverflowError or a numpy warning.
-        from importlib.resources import files
-
-        desk = files("secloc").joinpath("profiles/desk.cfg").read_text(encoding="utf-8")
-        lines = [ln for ln in desk.splitlines() if ln.split("=")[0].strip() not in ("n", "trials")]
-        path = tmp_path / "tiny_n.cfg"
-        path.write_text("\n".join(lines + ["n = 0.003", "trials = 3"]) + "\n")
+        path = desk_file(tmp_path, {"n": "0.003", "trials": "3"})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", "--config", str(path)]) == 3
+            assert main(["simulate", "--config", path]) == 3
         assert "error: range" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
@@ -278,3 +284,28 @@ class TestErrorPaths:
         )
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "swls" in capsys.readouterr().out
+
+
+class TestDeskEdgeCases:
+    def test_noiseless_desk_has_no_bound(self, tmp_path):
+        # sigma = 0: the bound is undefined (it needs sigma > 0), so absent,
+        # while every estimator still reports every trial
+        out = tmp_path / "out.csv"
+        path = desk_file(tmp_path, {"sigma": "0", "trials": "20"})
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        rows = csv_rows(out)
+        assert rows.pop("crlb")["crlb_m"] == ""
+        assert list(rows) == list(load_config(path).estimators)
+        for name, row in rows.items():
+            assert row.pop("axis_value") == row.pop("crlb_m") == "", name
+            assert all(row.values()), name
+            assert int(row["trials_ok"]) + int(row["trials_failed"]) == 20, name
+
+    def test_nearly_all_malicious_desk_counts_failures(self, tmp_path):
+        # 95 % malicious anchors: SWLS eliminates too many on every trial,
+        # which is counted against it and aborts nothing
+        out = tmp_path / "out.csv"
+        path = desk_file(tmp_path, {"malicious.fraction": "0.95", "trials": "5"})
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        swls = csv_rows(out)["swls"]
+        assert (swls["rmse_m"], swls["trials_ok"], swls["trials_failed"]) == ("", "0", "5")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pathlib import Path
@@ -8,6 +9,7 @@ from secloc import (
     ESTIMATORS,
     AdmmParams,
     ConfigError,
+    DomainError,
     ExperimentConfig,
     GradDescParams,
     LmdsParams,
@@ -270,6 +272,32 @@ class TestValidation:
             ExperimentConfig(malicious_fraction=1.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(n_anchors=2)
+
+    # A float count passes the range checks and would crash later, in range(),
+    # rng.normal or SeedSequence, with an untyped TypeError.
+    @pytest.mark.parametrize("field", ["trials", "packets", "n_anchors", "master_seed"])
+    def test_counts_must_be_integers(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            ExperimentConfig(**{field: 10.5})
+        assert getattr(ExperimentConfig(**{field: np.int64(10)}), field) == 10
+
+    def test_master_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig(master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            (AdmmParams, "max_iters"),
+            (LmdsParams, "n_subsets"),
+            (LmdsParams, "subset_size"),
+            (GradDescParams, "max_iters"),
+        ],
+    )
+    def test_solver_counts_must_be_integers(self, settings, field):
+        with pytest.raises(DomainError):
+            settings(**{field: 4.5})
+        assert getattr(settings(**{field: np.int64(4)}), field) == 4
 
 
 class TestProfilesAndAxis:

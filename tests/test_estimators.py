@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secloc import (
     AttackSpec,
@@ -13,6 +14,7 @@ from secloc import (
     LinearSystem,
     MeasurementMatrix,
     PathLossParams,
+    SecLocError,
     Topology,
     build_linear_system,
     distance_from_rssi,
@@ -402,6 +404,85 @@ class TestSharedProperties:
                 shifted[name].position, base[name].position + shift, atol=1e-6,
                 err_msg=name,
             )
+
+    @staticmethod
+    def invariant_four(topo, meas, params):
+        """LS, WLS, SWLS and ML on one trial: the estimators whose result
+        depends only on the ranges and RSSI rows, not on the anchors' order
+        or on a random draw.  A failure is kept as its type."""
+
+        def run(estimate, *args, **kw):
+            try:
+                return estimate(*args, **kw)
+            except SecLocError as exc:
+                return type(exc)
+
+        system = mean_system(topo.anchors, meas, params)
+        return {
+            "ls": run(ls_estimate, system),
+            "wls": run(wls_estimate, system, params),
+            "swls": run(swls_estimate, system, meas, params),
+            "ml": run(ml_estimate, meas, topo.anchors, params, init=topo.target),
+        }
+
+    @staticmethod
+    def uncoordinated_trial(seed, n_anchors):
+        rng = np.random.default_rng(seed)
+        topo = random_topology(n_anchors, 100.0, seed=rng)
+        topo = topo.with_malicious(select_malicious(n_anchors, 0.28, seed=rng))
+        attack = AttackSpec("uncoordinated", sigma_att=8.0)
+        return topo, simulate_measurements(topo, P, attack, 10, seed=rng), P
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_anchors=st.integers(6, 29),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_rotation_equivariance(self, seed, n_anchors, angle):
+        # the rotated layout reuses the measurement matrix: every range, and
+        # so every RSSI packet, is the same
+        topo, meas, params = self.uncoordinated_trial(seed, n_anchors)
+        c, s = math.cos(angle), math.sin(angle)
+        center = np.array([50.0, 50.0])
+
+        def turn(points):
+            return (points - center) @ np.array([[c, s], [-s, c]]) + center
+
+        turned = Topology(anchors=turn(topo.anchors), target=turn(topo.target))
+        base = self.invariant_four(topo, meas, params)
+        moved = self.invariant_four(turned, meas, params)
+        for name, est in base.items():
+            if isinstance(est, type):
+                assert moved[name] is est, name
+                continue
+            np.testing.assert_allclose(
+                moved[name].position, turn(est.position), rtol=0, atol=1e-6, err_msg=name
+            )
+            assert moved[name].eliminated == est.eliminated, name
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_anchors=st.integers(6, 29),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_anchor_permutation_invariance(self, seed, n_anchors, order):
+        # anchor j of the shuffled trial is anchor perm[j] of the original
+        topo, meas, params = self.uncoordinated_trial(seed, n_anchors)
+        perm = list(range(n_anchors))
+        order.shuffle(perm)
+        shuffled = Topology(anchors=topo.anchors[perm], target=topo.target)
+        base = self.invariant_four(topo, meas, params)
+        moved = self.invariant_four(shuffled, MeasurementMatrix(meas.rssi[perm]), params)
+        for name, est in base.items():
+            if isinstance(est, type):
+                assert moved[name] is est, name
+                continue
+            np.testing.assert_allclose(
+                moved[name].position, est.position, rtol=0, atol=1e-6, err_msg=name
+            )
+            assert {perm[j] for j in moved[name].eliminated} == est.eliminated, name
 
     def test_deterministic_given_inputs(self):
         topo, meas, params = noisy_setup(seed=31)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from secloc import (
     summary_rows,
     sweep,
 )
+from secloc import harness
 from secloc.harness import CSV_HEADER, L1_CHUNK
 
 
@@ -231,6 +233,51 @@ class TestSweepAndCsv:
         alone = ln1e_row(("ln1e",))
         assert len(alone) == 1
         assert alone == ln1e_row(("ln1", "ln1e"))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            attack_config(
+                estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
+                n_anchors=12,
+                trials=L1_CHUNK + 1,
+            ),
+            ExperimentConfig(
+                attack_kind="coordinated",
+                t_att=(75.0, 75.0),
+                malicious_fraction=0.28,
+                estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
+                admm=AdmmParams(max_iters=1500),
+                n_anchors=12,
+                trials=L1_CHUNK + 1,
+                master_seed=3,
+            ),
+        ],
+        ids=["uncoordinated", "coordinated"],
+    )
+    def test_every_row_independent_of_the_others(self, cfg):
+        # batch steps, chunking and per-estimator streams leave each
+        # estimator's row as it is when that estimator runs alone
+        rows = summary_rows("", cfg, run_monte_carlo(cfg))
+        for name, row in zip(cfg.estimators, rows):
+            alone = replace(cfg, estimators=(name,))
+            assert summary_rows("", alone, run_monte_carlo(alone))[0] == row, name
+
+    def test_lmds_stream_drawn_only_when_lmds_runs(self, monkeypatch):
+        requested = []
+        original = harness._trial_rng
+
+        def recording(master_seed, trial_index, stream):
+            requested.append((trial_index, stream))
+            return original(master_seed, trial_index, stream)
+
+        monkeypatch.setattr(harness, "_trial_rng", recording)
+        run_monte_carlo(attack_config(trials=5))
+        assert requested and all(s != harness._STREAM_LMDS for _, s in requested)
+        requested.clear()
+        run_monte_carlo(attack_config(estimators=("ls", "lmds"), trials=5))
+        lmds = [i for i, s in requested if s == harness._STREAM_LMDS]
+        assert lmds == list(range(5))
 
     def test_axis_gating(self):
         cfg = attack_config()

@@ -16,7 +16,6 @@ from secloc import (
     ln1e_estimate,
     point_plane_residual,
     random_topology,
-    soft_threshold,
 )
 
 from helpers import (
@@ -29,21 +28,6 @@ from helpers import (
 )
 
 TIGHT = AdmmParams(rho=0.2, conv_tol=1e-8, max_iters=200_000)
-
-
-class TestSoftThreshold:
-    def test_scalars(self):
-        assert soft_threshold(3.0, 5.0) == 0.0
-        assert soft_threshold(7.0, 5.0) == 2.0
-        assert soft_threshold(-8.0, 5.0) == -3.0
-
-    def test_elementwise(self):
-        x = np.array([-8.0, -3.0, 0.0, 3.0, 7.0])
-        np.testing.assert_allclose(soft_threshold(x, 5.0), [-3.0, 0.0, 0.0, 0.0, 2.0])
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(DomainError):
-            soft_threshold(1.0, -0.1)
 
 
 class TestAdmmPlane:
