@@ -186,8 +186,13 @@ class Placement:
     def __post_init__(self) -> None:
         if self.kind not in PLACEMENT_KINDS:
             raise ConfigError(f"unknown placement kind {self.kind!r}")
+        if not math.isfinite(self.radius):
+            raise ConfigError(f"placement radius must be finite, got {self.radius!r}")
         if self.kind != "anywhere" and self.radius <= 0:
             raise ConfigError("radius-constrained placement needs radius > 0")
+        center = self.center
+        if center is not None and (np.shape(center) != (2,) or not np.all(np.isfinite(center))):
+            raise ConfigError(f"placement center must be two finite coordinates, got {center!r}")
 
     def eligible(self, anchors: np.ndarray, default_center) -> np.ndarray:
         """Indices of anchors satisfying the constraint."""

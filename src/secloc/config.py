@@ -3,7 +3,9 @@
 The format is a plain text file of ``key = value`` lines; ``#`` starts a
 comment.  The ``_KEYS`` table is the list of accepted keys; any other key is
 an error.  Numbers must be finite, and vectors are written as two whitespace-
-or comma-separated numbers.
+or comma-separated numbers.  ``ExperimentConfig`` holds a config built in
+Python to the same rules: a non-finite number, or an estimator listed twice,
+fails there too.
 Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 (5000 trials); ``load_config`` resolves those names as well as paths.
 Attack keys follow ``attack.kind``: ``uncoordinated`` takes
@@ -64,16 +66,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
-        if self.area <= 0:
-            raise ConfigError("area must be positive")
+        if not 0.0 < self.area < math.inf:
+            raise ConfigError(f"area must be positive and finite, got {self.area!r}")
+        if np.shape(self.target) != (2,) or not np.all(np.isfinite(self.target)):
+            raise ConfigError(f"target must be two finite coordinates, got {self.target!r}")
         if self.n_anchors < 3:
             raise ConfigError("need at least 3 anchors")
         if self.packets < 1:
             raise ConfigError("packets must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.zeta <= 0:
-            raise ConfigError("zeta must be positive")
+        if not 0.0 < self.zeta < math.inf:
+            raise ConfigError(f"zeta must be positive and finite, got {self.zeta!r}")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ConfigError("malicious fraction must be in [0, 1]")
         # The one attack rule AttackSpec cannot see: how the decoy is given.
@@ -90,9 +94,11 @@ class ExperimentConfig:
         # harness imports this module, so its estimator table is read here.
         from .harness import ESTIMATORS
 
-        for name in self.estimators:
+        for i, name in enumerate(self.estimators):
             if name not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {name!r}")
+            if name in self.estimators[:i]:
+                raise ConfigError(f"estimator {name!r} is listed more than once")
             if self.attack_kind not in ESTIMATORS[name].attacks:
                 raise ConfigError(
                     f"estimator {name!r} is not applicable under a "

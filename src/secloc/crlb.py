@@ -2,12 +2,14 @@
 
 The per-packet RSSI likelihood is Gaussian around the path-loss mean, so the
 information about the target position accumulates as a weighted sum of
-rank-one geometry terms, one per anchor per packet.  Honest anchors
-contribute at weight 1/sigma^2; under an uncoordinated attack malicious
-anchors contribute at 1/(sigma^2 + sigma_att^2), and under a coordinated
-attack their geometry terms are evaluated at the decoy position instead of
-the target.  The bound assumes the malicious identities and noise levels are
-known, so it benchmarks what an unbiased estimator could achieve.
+rank-one geometry terms, one per anchor per packet.  Both attacks use the
+one sum, ``_fisher_sum``, in which each anchor has its own reference point
+and weight.  Honest anchors contribute about the target at weight
+1/sigma^2; under an uncoordinated attack malicious anchors contribute at
+1/(sigma^2 + sigma_att^2), and under a coordinated attack their geometry
+terms are taken about the decoy position instead of the target.  The bound
+assumes the malicious identities and noise levels are known, so it
+benchmarks what an unbiased estimator could achieve.
 """
 
 from __future__ import annotations
@@ -34,19 +36,6 @@ class Fim:
         return np.array([[self.f_xx, self.f_xy], [self.f_xy, self.f_yy]])
 
 
-def _geometry_sums(points: np.ndarray, ref: np.ndarray) -> tuple[float, float, float]:
-    """Sum of (p - ref)(p - ref)^T / ||p - ref||^4 components over rows."""
-    diff = points - ref
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if np.any(d2 == 0.0):
-        raise DomainError("a node coincides with the evaluation point")
-    w = 1.0 / (d2 * d2)
-    sxx = float(np.sum(w * diff[:, 0] ** 2))
-    syy = float(np.sum(w * diff[:, 1] ** 2))
-    sxy = float(np.sum(w * diff[:, 0] * diff[:, 1]))
-    return sxx, sxy, syy
-
-
 def _check_common(params: PathLossParams, packets: int) -> None:
     if packets < 1:
         raise DomainError("packets must be >= 1")
@@ -54,17 +43,17 @@ def _check_common(params: PathLossParams, packets: int) -> None:
         raise DomainError("the bound needs sigma > 0")
 
 
-def _assemble(topology: Topology, prefactor: float, groups) -> Fim:
-    """prefactor * sum of weight * geometry terms over ``groups``, one
-    (row mask, reference point, weight) each, summed in the given order."""
-    sxx = sxy = syy = 0.0
-    for rows, ref, weight in groups:
-        if np.any(rows):
-            gxx, gxy, gyy = _geometry_sums(topology.anchors[rows], ref)
-            sxx += weight * gxx
-            sxy += weight * gxy
-            syy += weight * gyy
-    return Fim(prefactor * sxx, prefactor * sxy, prefactor * syy)
+def _fisher_sum(anchors: np.ndarray, refs, weights, prefactor: float) -> Fim:
+    """prefactor * sum over anchors i of w_i (a_i - r_i)(a_i - r_i)^T /
+    ||a_i - r_i||^4, with each anchor's own reference point r_i (``refs``,
+    (N, 2) or one (2,) point for all) and weight w_i (``weights``, (N,) or
+    one scalar)."""
+    diff = anchors - refs
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if np.any(d2 == 0.0):
+        raise DomainError("a node coincides with the evaluation point")
+    (f_xx, f_xy), (_, f_yy) = prefactor * ((diff * (weights / (d2 * d2))[:, None]).T @ diff)
+    return Fim(float(f_xx), float(f_xy), float(f_yy))
 
 
 def fim_uncoordinated(
@@ -76,15 +65,9 @@ def fim_uncoordinated(
     _check_common(params, packets)
     if not math.isfinite(sigma_att) or sigma_att < 0:
         raise DomainError("sigma_att must be >= 0 and finite")
-    mask = topology.malicious_mask()
-    return _assemble(
-        topology,
-        100.0 * packets * params.n**2 / LN10**2,
-        (
-            (~mask, topology.target, 1.0 / params.sigma**2),
-            (mask, topology.target, 1.0 / (params.sigma**2 + sigma_att**2)),
-        ),
-    )
+    var = np.where(topology.malicious_mask(), params.sigma**2 + sigma_att**2, params.sigma**2)
+    prefactor = 100.0 * packets * params.n**2 / LN10**2
+    return _fisher_sum(topology.anchors, topology.target, 1.0 / var, prefactor)
 
 
 def fim_coordinated(
@@ -96,13 +79,10 @@ def fim_coordinated(
     t_att = np.asarray(t_att, dtype=float).reshape(2)
     if not np.all(np.isfinite(t_att)):
         raise DomainError("t_att must be finite")
-    mask = topology.malicious_mask()
-    # One noise level: it sits in the prefactor and every group has weight 1.
-    return _assemble(
-        topology,
-        100.0 * packets * params.n**2 / (params.sigma**2 * LN10**2),
-        ((~mask, topology.target, 1.0), (mask, t_att, 1.0)),
-    )
+    refs = np.where(topology.malicious_mask()[:, None], t_att, topology.target)
+    # One noise level: it sits in the prefactor and every anchor has weight 1.
+    prefactor = 100.0 * packets * params.n**2 / (params.sigma**2 * LN10**2)
+    return _fisher_sum(topology.anchors, refs, 1.0, prefactor)
 
 
 def crlb_bound(fim: Fim) -> float:

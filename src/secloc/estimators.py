@@ -7,11 +7,13 @@ once per trial, when the system is built, and travel with it: LS solves the
 system unweighted, WLS weights its rows by the inverse variance of the
 squared range, SWLS first eliminates anchors whose per-packet range variance
 implies an inflated noise level, and LMdS scores its candidates against the
-same ranges.  ML and Grad-Desc fit the RSSI matrix directly, through one
-squared-range model of the mean RSSI (``_rssi_model``).  The LMdS and
-Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the config's ``lmds``
-and ``grad_desc`` sections) give the estimators their keyword defaults and
-checks.
+same ranges.  Every linear least-squares solve, theirs and LN-1/LN-1E's in
+``planefit``, goes through one kernel, ``_least_squares``: one SVD per
+system, and ``rank_deficient`` as its only rank test.  ML and Grad-Desc fit
+the RSSI matrix directly, through one squared-range model of the mean RSSI
+(``_rssi_model``).  The LMdS and Grad-Desc settings (``LmdsParams``,
+``GradDescParams``, the config's ``lmds`` and ``grad_desc`` sections) give
+the estimators their keyword defaults and checks.
 """
 
 from __future__ import annotations
@@ -136,15 +138,32 @@ def build_linear_system(anchors, mean_distances) -> LinearSystem:
     return LinearSystem(A=A, b=b, ranges=d)
 
 
+def _least_squares(A: np.ndarray, b: np.ndarray | None = None) -> tuple:
+    """The one least-squares kernel: factor a stack of (..., N, 3) systems,
+    N >= 3, by one SVD each.  Returns the solutions argmin ||A u - b||_2, or,
+    with no ``b``, the operators m with m @ b = argmin ||A u - b||_2,
+    together with each system's ``rank_deficient`` flag.  What it returns
+    for a flagged system is meaningless, and computing it raises no numpy
+    warning."""
+    u, svals, vt = np.linalg.svd(A, full_matrices=False)
+    deficient = rank_deficient(svals)
+    svals = np.where(deficient[..., None], 1.0, svals)
+    if b is None:
+        m = np.swapaxes(vt, -1, -2) / svals[..., None, :] @ np.swapaxes(u, -1, -2)
+        return m, deficient
+    coords = np.einsum("...ji,...j->...i", u, b) / svals
+    return np.einsum("...ji,...j->...i", vt, coords), deficient
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
-    """Solve the (optionally weighted) normal equations via an orthogonal
-    decomposition, guarding against near-singular geometry."""
+    """Solve the (optionally weighted) least-squares system by the shared
+    kernel, rejecting rank-deficient geometry."""
     if weights is not None:
         sw = np.sqrt(weights)
         A = A * sw[:, None]
         b = b * sw
-    sol, _, rank, svals = np.linalg.lstsq(A, b, rcond=None)
-    if rank < 3 or rank_deficient(svals):
+    sol, deficient = _least_squares(A, b)
+    if deficient:
         raise DegenerateGeometryError("anchor geometry is rank deficient")
     return sol
 
@@ -178,8 +197,8 @@ def swls_estimate(
     noise-level estimate, and anchors whose estimate reaches zeta * sigma are
     dropped before the WLS solve on the remaining rows.
     """
-    if zeta <= 0:
-        raise DomainError("zeta must be positive")
+    if not 0.0 < zeta < math.inf:
+        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
     if measurements.packets < 2:
         raise DomainError("sample variance needs at least 2 packets")
     if measurements.n_anchors != system.n_rows:
@@ -315,10 +334,10 @@ def lmds_estimate(
     position whose squared residuals against the system's ranges, over all
     anchors, have the smallest median (the first such candidate on a tie).
     Subsets are drawn one ``rng.choice`` at a time, as many as candidates are
-    still missing, and solved together by one batched SVD; a rank-deficient
-    subset is skipped and costs one of the 20 * n_subsets retries.  Walking
-    each batch in draw order, the candidates kept and the retries spent are
-    those of drawing and solving one subset at a time.
+    still missing, and solved together by one ``_least_squares`` call; a
+    rank-deficient subset is skipped and costs one of the 20 * n_subsets
+    retries.  Walking each batch in draw order, the candidates kept and the
+    retries spent are those of drawing and solving one subset at a time.
     """
     LmdsParams(n_subsets, subset_size)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -336,19 +355,17 @@ def lmds_estimate(
         idx = np.array(
             [rng.choice(n, size=subset_size, replace=False) for _ in range(n_subsets - produced)]
         )
-        u, svals, vt = np.linalg.svd(system.A[idx], full_matrices=False)
+        sols, flags = _least_squares(system.A[idx], system.b[idx])
         usable = []
-        for k, deficient in enumerate(rank_deficient(svals)):
+        for k, deficient in enumerate(flags):
             if retries < 0:
                 break
             if deficient:
                 retries -= 1
             else:
                 usable.append(k)
-        keep = np.array(usable, dtype=int)
-        coords = np.einsum("kji,kj->ki", u[keep], system.b[idx[keep]]) / svals[keep]
-        solutions.append(np.einsum("kji,kj->ki", vt[keep], coords))
-        produced += keep.size
+        solutions.append(sols[usable])
+        produced += len(usable)
     if produced == 0:
         raise DegenerateGeometryError("every candidate subset was rank deficient")
     sols = np.concatenate(solutions)

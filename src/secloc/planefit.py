@@ -9,7 +9,8 @@ soft threshold.  A two-cluster split of the residuals then separates on-plane
 points from outliers so the plane can be refit on the clean set.
 
 The least-squares step of every iteration solves with the same A, so a fit
-factors it once: m = R^-1 Q^T from A's QR decomposition.  With the scaled
+factors it once, by the estimators' least-squares kernel: m = V S^-1 U^T
+from A's SVD, so that m @ v = argmin ||A u - v||_2.  With the scaled
 dual w = y/rho (Boyd et al., "Distributed Optimization and Statistical
 Learning via ADMM", 2011, section 3.1.1) and v = z - w, each sweep's
 u-update is u_ls + m @ v, where u_ls = m @ b is the least-squares plane.  A
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import Estimate, LinearSystem, rank_deficient
+from .estimators import Estimate, LinearSystem, _least_squares
 from .exceptions import (
     DegenerateGeometryError,
     DomainError,
@@ -118,14 +119,6 @@ class KmeansResult(NamedTuple):
     degenerate: bool
 
 
-def _factor(A: np.ndarray) -> np.ndarray:
-    """m = R^-1 Q^T, so that u = m @ v solves min ||A u - v||_2."""
-    q, r = np.linalg.qr(A)
-    if rank_deficient(np.linalg.svd(r, compute_uv=False)):
-        raise DegenerateGeometryError("plane fit needs full-rank geometry")
-    return np.linalg.solve(r, q.T)
-
-
 def _halves(state: np.ndarray, width: int) -> tuple:
     """A sweep state [z | w] and views of its z and w."""
     return state, state[:, :width], state[:, width:]
@@ -151,11 +144,11 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
         if out[i] is not None:
             continue
         if factor is None or not np.array_equal(system.A, factored):
-            try:
-                factor, factored = _factor(system.A), system.A
-            except DegenerateGeometryError as exc:
-                out[i] = exc
+            m, deficient = _least_squares(system.A)
+            if deficient:
+                out[i] = DegenerateGeometryError("plane fit needs full-rank geometry")
                 continue
+            factor, factored = m, system.A
         live.append(i)
         factors.append(factor)
     if not live:

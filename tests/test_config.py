@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,31 @@ class TestValidation:
     def test_unknown_estimator(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(estimators=("ls", "magic"))
+
+    def test_duplicate_estimator_rejected(self):
+        with pytest.raises(ConfigError, match="'ls' is listed more than once"):
+            ExperimentConfig(estimators=("ls", "ls", "wls"))
+
+    def test_duplicate_estimator_in_file_rejected(self):
+        with pytest.raises(ConfigError, match="'wls' is listed more than once"):
+            parse_config(MINIMAL.replace("ls, wls, swls", "ls, wls, swls, wls"))
+
+    # Config files reject these numbers as they are parsed; a config built in
+    # Python must fail as early, and not as a failure count or a run-time error.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("zeta", lambda v: ExperimentConfig(zeta=v)),
+            ("area", lambda v: ExperimentConfig(area=v)),
+            ("target", lambda v: ExperimentConfig(target=(v, 0.0))),
+            ("radius", lambda v: Placement("within_radius", radius=v)),
+            ("center", lambda v: Placement("within_radius", radius=5.0, center=(0.0, v))),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, build, value):
+        with pytest.raises(ConfigError, match=field):
+            build(value)
 
     def test_range_checks(self):
         with pytest.raises(ConfigError):

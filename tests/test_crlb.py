@@ -86,6 +86,48 @@ class TestFimClosedForm:
             fim_uncoordinated(topo, PathLossParams(-10, 4, 0.0), 1.0, 1)
 
 
+def fisher_loop(topology, params, packets, sigma_att=0.0, t_att=None):
+    """The information matrix as a plain loop over anchors: each malicious
+    anchor's term is taken about the decoy when ``t_att`` is given, and at
+    the inflated variance sigma^2 + sigma_att^2 otherwise."""
+    info = np.zeros((2, 2))
+    for i, anchor in enumerate(topology.anchors):
+        ref, var = topology.target, params.sigma**2
+        if i in topology.malicious:
+            if t_att is None:
+                var += sigma_att**2
+            else:
+                ref = t_att
+        diff = anchor - ref
+        info += np.outer(diff, diff) / (var * float(diff @ diff) ** 2)
+    return 100.0 * packets * params.n**2 / math.log(10.0) ** 2 * info
+
+
+class TestFisherSum:
+    @pytest.mark.parametrize("fraction", [0.0, 0.28, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_both_attacks_match_the_anchor_loop(self, seed, fraction):
+        topo = random_attacked(seed=seed, fraction=fraction)
+        rng = np.random.default_rng(seed)
+        sigma_att = rng.uniform(0.5, 16.0)
+        t_att = topo.target + rng.uniform(-30.0, 30.0, 2)
+        for fim, expected in (
+            (fim_uncoordinated(topo, P, sigma_att, 7), fisher_loop(topo, P, 7, sigma_att)),
+            (fim_coordinated(topo, P, t_att, 7), fisher_loop(topo, P, 7, t_att=t_att)),
+        ):
+            got = fim.as_matrix()
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_decoy_checked_against_malicious_rows_only(self):
+        # each row is tested against its own reference point: the decoy
+        # may sit on an honest anchor, not on a malicious one
+        topo = Topology(anchors=CROSS.anchors, target=[1.0, 1.0], malicious={0})
+        fim = fim_coordinated(topo, P, topo.anchors[1], 1)
+        assert crlb_bound(fim) > 0.0
+        with pytest.raises(DomainError, match="coincides"):
+            fim_coordinated(topo, P, topo.anchors[0], 1)
+
+
 class TestCrlbBound:
     def test_identity_information(self):
         assert crlb_bound(Fim(1.0, 0.0, 1.0)) == pytest.approx(math.sqrt(2.0), rel=1e-12)

@@ -21,6 +21,8 @@ from secloc import (
     distance_sq_variance,
     grad_desc_estimate,
     lmds_estimate,
+    ln1_estimate,
+    ln1e_estimate,
     ls_estimate,
     mean_rssi,
     ml_estimate,
@@ -30,7 +32,13 @@ from secloc import (
     swls_estimate,
     wls_estimate,
 )
-from secloc.estimators import _rssi_cost_grad, _rssi_model
+from secloc.estimators import (
+    _least_squares,
+    _rssi_cost_grad,
+    _rssi_model,
+    _solve_rows,
+    rank_deficient,
+)
 
 from helpers import grad_desc_reference, lmds_reference
 
@@ -202,6 +210,14 @@ class TestSwls:
         )
         with pytest.raises(InsufficientSurvivorsError):
             swls_estimate(mean_system(topo.anchors, meas, P), meas, P)
+
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.nan, math.inf])
+    def test_zeta_must_be_positive_and_finite(self, zeta):
+        # A nan threshold would eliminate every anchor and report it as too
+        # few survivors, not as the bad setting it is.
+        topo, meas, params = noisy_setup(seed=13)
+        with pytest.raises(DomainError, match="zeta"):
+            swls_estimate(mean_system(topo.anchors, meas, params), meas, params, zeta=zeta)
 
     def test_needs_two_packets(self):
         topo = random_topology(5, 100.0, seed=14)
@@ -406,32 +422,69 @@ class TestSharedProperties:
             )
 
     @staticmethod
-    def invariant_four(topo, meas, params):
-        """LS, WLS, SWLS and ML on one trial: the estimators whose result
-        depends only on the ranges and RSSI rows, not on the anchors' order
-        or on a random draw.  A failure is kept as its type."""
-
-        def run(estimate, *args, **kw):
-            try:
-                return estimate(*args, **kw)
-            except SecLocError as exc:
-                return type(exc)
-
+    def invariant_estimators(topo, meas, params, names):
+        """The named estimators among LS, WLS, SWLS, ML, LN-1 and LN-1E on one
+        trial: those whose result depends only on the ranges and RSSI rows,
+        not on the anchors' order or on a random draw.  A failure is kept as
+        its type."""
         system = mean_system(topo.anchors, meas, params)
-        return {
-            "ls": run(ls_estimate, system),
-            "wls": run(wls_estimate, system, params),
-            "swls": run(swls_estimate, system, meas, params),
-            "ml": run(ml_estimate, meas, topo.anchors, params, init=topo.target),
+        calls = {
+            "ls": lambda: ls_estimate(system),
+            "wls": lambda: wls_estimate(system, params),
+            "swls": lambda: swls_estimate(system, meas, params),
+            "ml": lambda: ml_estimate(meas, topo.anchors, params, init=topo.target),
+            "ln1": lambda: ln1_estimate(system),
+            "ln1e": lambda: ln1e_estimate(system),
         }
+        out = {}
+        for name in names:
+            try:
+                out[name] = calls[name]()
+            except SecLocError as exc:
+                out[name] = type(exc)
+        return out
 
     @staticmethod
-    def uncoordinated_trial(seed, n_anchors):
+    def attacked_trials(seed, n_anchors):
+        """Two trials from one seed: an uncoordinated one, run by LS, WLS,
+        SWLS, ML and LN-1, and a coordinated one, run by LN-1 and LN-1E."""
         rng = np.random.default_rng(seed)
-        topo = random_topology(n_anchors, 100.0, seed=rng)
-        topo = topo.with_malicious(select_malicious(n_anchors, 0.28, seed=rng))
-        attack = AttackSpec("uncoordinated", sigma_att=8.0)
-        return topo, simulate_measurements(topo, P, attack, 10, seed=rng), P
+        trials = []
+        for attack, names in (
+            ("uncoordinated", ("ls", "wls", "swls", "ml", "ln1")),
+            ("coordinated", ("ln1", "ln1e")),
+        ):
+            topo = random_topology(n_anchors, 100.0, seed=rng)
+            topo = topo.with_malicious(select_malicious(n_anchors, 0.28, seed=rng))
+            spec = (
+                AttackSpec("uncoordinated", sigma_att=8.0)
+                if attack == "uncoordinated"
+                else AttackSpec("coordinated", t_att=topo.target + 12.0)
+            )
+            trials.append((topo, simulate_measurements(topo, P, spec, 10, seed=rng), names))
+        return trials
+
+    @staticmethod
+    def assert_same(moved, base, expected_position, eliminated_map):
+        """Each estimate of ``moved`` is that of ``base`` at
+        ``expected_position(position)``, with the same failure, eliminated set
+        (mapped back by ``eliminated_map``) and, for the l1 fits, the same
+        iteration count and convergence."""
+        for name, est in base.items():
+            if isinstance(est, type):
+                assert moved[name] is est, name
+                continue
+            np.testing.assert_allclose(
+                moved[name].position,
+                expected_position(est.position),
+                rtol=0,
+                atol=1e-6,
+                err_msg=name,
+            )
+            assert eliminated_map(moved[name].eliminated) == est.eliminated, name
+            if name in ("ln1", "ln1e"):
+                assert moved[name].iterations == est.iterations, name
+                assert moved[name].converged == est.converged, name
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(
@@ -442,24 +495,20 @@ class TestSharedProperties:
     def test_rotation_equivariance(self, seed, n_anchors, angle):
         # the rotated layout reuses the measurement matrix: every range, and
         # so every RSSI packet, is the same
-        topo, meas, params = self.uncoordinated_trial(seed, n_anchors)
         c, s = math.cos(angle), math.sin(angle)
         center = np.array([50.0, 50.0])
 
         def turn(points):
             return (points - center) @ np.array([[c, s], [-s, c]]) + center
 
-        turned = Topology(anchors=turn(topo.anchors), target=turn(topo.target))
-        base = self.invariant_four(topo, meas, params)
-        moved = self.invariant_four(turned, meas, params)
-        for name, est in base.items():
-            if isinstance(est, type):
-                assert moved[name] is est, name
-                continue
-            np.testing.assert_allclose(
-                moved[name].position, turn(est.position), rtol=0, atol=1e-6, err_msg=name
+        for topo, meas, names in self.attacked_trials(seed, n_anchors):
+            turned = Topology(anchors=turn(topo.anchors), target=turn(topo.target))
+            self.assert_same(
+                self.invariant_estimators(turned, meas, P, names),
+                self.invariant_estimators(topo, meas, P, names),
+                turn,
+                lambda eliminated: eliminated,
             )
-            assert moved[name].eliminated == est.eliminated, name
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(
@@ -469,20 +518,18 @@ class TestSharedProperties:
     )
     def test_anchor_permutation_invariance(self, seed, n_anchors, order):
         # anchor j of the shuffled trial is anchor perm[j] of the original
-        topo, meas, params = self.uncoordinated_trial(seed, n_anchors)
         perm = list(range(n_anchors))
         order.shuffle(perm)
-        shuffled = Topology(anchors=topo.anchors[perm], target=topo.target)
-        base = self.invariant_four(topo, meas, params)
-        moved = self.invariant_four(shuffled, MeasurementMatrix(meas.rssi[perm]), params)
-        for name, est in base.items():
-            if isinstance(est, type):
-                assert moved[name] is est, name
-                continue
-            np.testing.assert_allclose(
-                moved[name].position, est.position, rtol=0, atol=1e-6, err_msg=name
+        for topo, meas, names in self.attacked_trials(seed, n_anchors):
+            shuffled = Topology(anchors=topo.anchors[perm], target=topo.target)
+            self.assert_same(
+                self.invariant_estimators(
+                    shuffled, MeasurementMatrix(meas.rssi[perm]), P, names
+                ),
+                self.invariant_estimators(topo, meas, P, names),
+                lambda position: position,
+                lambda eliminated: {perm[j] for j in eliminated},
             )
-            assert {perm[j] for j in moved[name].eliminated} == est.eliminated, name
 
     def test_deterministic_given_inputs(self):
         topo, meas, params = noisy_setup(seed=31)
@@ -631,3 +678,62 @@ class TestLmdsParity:
         for fn in (lmds_reference, lmds_estimate):
             with pytest.raises(DegenerateGeometryError):
                 fn(system, anchors, n_subsets=3, subset_size=3, seed=0)
+
+
+class TestLeastSquaresKernel:
+    """``_least_squares`` against numpy's own least-squares solver."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.integers(1, 5),
+        on_line=st.integers(0, 12),
+        off_line=st.integers(0, 4),
+        weighted=st.booleans(),
+    )
+    def test_matches_lstsq(self, seed, stack, on_line, off_line, weighted):
+        # Anchors on a line make a system rank deficient up to rounding; one
+        # or two off it give full rank at a large condition number.
+        rng = np.random.default_rng(seed)
+        off_line = max(off_line, 3 - on_line)
+        rows = on_line + off_line
+        systems, weights = [], []
+        for _ in range(stack):
+            anchors = _collinear_anchors(on_line, off_line, seed=rng)
+            target = rng.uniform(0.0, 100.0, 2)
+            d = np.linalg.norm(anchors - target, axis=1) * rng.uniform(0.9, 1.1, rows)
+            systems.append(build_linear_system(anchors, d))
+            weights.append(rng.uniform(0.1, 10.0, rows) if weighted else np.ones(rows))
+        sw = np.sqrt(weights)
+        A = np.array([s.A for s in systems]) * sw[:, :, None]
+        b = np.array([s.b for s in systems]) * sw
+        sols, flags = _least_squares(A, b)
+        ops, op_flags = _least_squares(A)
+        np.testing.assert_array_equal(op_flags, flags)
+        for k, system in enumerate(systems):
+            expected, _, rank, svals = np.linalg.lstsq(A[k], b[k], rcond=None)
+            assert flags[k] == (rank < 3 or rank_deficient(svals))
+            if flags[k]:
+                with pytest.raises(DegenerateGeometryError):
+                    _solve_rows(system.A, system.b, weights[k] if weighted else None)
+                continue
+            scale = np.linalg.norm(expected)
+            assert np.linalg.norm(sols[k] - expected) <= 1e-9 * scale
+            assert np.linalg.norm(ops[k] @ b[k] - expected) <= 1e-9 * scale
+            solved = _solve_rows(system.A, system.b, weights[k] if weighted else None)
+            assert np.linalg.norm(solved - expected) <= 1e-9 * scale
+
+    def test_singular_stack_is_flagged_quietly(self):
+        # A zero matrix has no nonzero singular value to divide by; the
+        # suite turns the warning such a division would raise into an error.
+        good = build_linear_system(_collinear_anchors(3, 3, seed=47), np.full(6, 30.0))
+        line = build_linear_system(_collinear_anchors(6, 0, seed=48), np.full(6, 30.0))
+        A = np.array([good.A, np.zeros((6, 3)), line.A])
+        b = np.array([good.b, np.ones(6), line.b])
+        sols, flags = _least_squares(A, b)
+        ops, _ = _least_squares(A)
+        assert flags.tolist() == [False, True, True]
+        np.testing.assert_allclose(
+            sols[0], np.linalg.lstsq(good.A, good.b, rcond=None)[0], rtol=1e-9, atol=0
+        )
+        np.testing.assert_allclose(ops[0] @ good.b, sols[0], rtol=1e-9, atol=0)

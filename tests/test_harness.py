@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +301,27 @@ class TestTopologyModes:
         cfg = attack_config(trials=2, topology_file=str(path), malicious_fraction=0.0)
         res = run_trial(cfg, 0)
         assert res.n_malicious == 1  # the file's "m" mark is used as-is
+
+
+def test_readme_estimator_table_is_the_estimators_table():
+    # README.md says its estimator table is harness.ESTIMATORS: the same
+    # rows in the same order, the same attack kinds, the same detectors.
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| estimator |"))
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+    assert header == ["estimator", "none", "uncoordinated", "coordinated", "detector"]
+    table = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        name, *kinds, detector = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.split("`")[1]] = (
+            frozenset(kind for kind, cell in zip(header[1:4], kinds) if cell == "yes"),
+            detector == "yes",
+        )
+    assert list(table) == list(harness.ESTIMATORS)
+    assert table == {
+        name: (spec.attacks, spec.detector) for name, spec in harness.ESTIMATORS.items()
+    }
