@@ -53,9 +53,7 @@ from .estimators import (
 )
 from .planefit import (
     AdmmParams,
-    AdmmResult,
     KmeansResult,
-    PlaneCoeffs,
     admm_l1_plane,
     admm_l1_planes,
     kmeans_1d,

@@ -102,7 +102,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A 2-D position plus per-estimator diagnostics."""
+    """A 2-D position plus per-estimator diagnostics.
+
+    Every estimator returns one, and so does every l1 plane fit of
+    ``planefit``.  ``auxiliary`` is gamma, the third unknown of the
+    squared-range system u = (t_x, t_y, gamma), where the estimator solves
+    for it (LS, WLS, SWLS, LMdS, LN-1, LN-1E; gamma estimates ||t||^2), and
+    None for ML and Grad-Desc.
+    """
 
     position: np.ndarray
     auxiliary: float | None = None

@@ -18,8 +18,9 @@ sweep therefore needs only the N x N projector proj = A @ m and the
 least-squares residual r_ls = A @ u_ls - b, both formed once per fit:
 x = proj @ v + r_ls + w is the shrink argument, the new dual is x clipped to
 [-1/rho, 1/rho], and z = x - w is its soft threshold.  The plane itself is
-formed once, after the last sweep.  ``primal_residual`` is the norm of the
-last dual change, which equals the last sweep's ||A u - z - b||.
+formed once, after the last sweep.  A fit is an ``Estimate``, as LS's and
+WLS's solutions of the same system are: ``position`` is (alpha, beta),
+``auxiliary`` is gamma, with the fit's ``iterations`` and ``converged``.
 
 A sweep is a handful of numpy calls on vectors of about 30 entries, so its
 cost is call overhead, not arithmetic.  ``admm_l1_planes`` therefore runs the
@@ -31,13 +32,14 @@ system's x.  Other systems (LN-1E's refits, per-trial topologies) step as
 A @ (m @ (z - w)) + w + r_ls with their A and m stacked, which keeps their
 memory and work linear in N; rows are zero-padded to the widest system, and
 a padded entry stays zero in every sweep.  Each system leaves the batch at
-its own sweep, with its own ``iterations``, ``converged`` and
-``primal_residual``; the batched products and the padding may round the last
-bits differently from a fit of that system alone.  ``admm_l1_plane`` is the
-one-system call of the same loop.
+its own sweep, with its own ``iterations`` and ``converged``; the batched
+products and the padding may round the last bits differently from a fit of
+that system alone.  ``admm_l1_plane`` is the one-system call of the same
+loop.
 
 Results are memoized in the system's ``memo``, under two keys per
-``AdmmParams``: ``("fit", params)`` holds the system's ``AdmmResult`` and
+``AdmmParams``: ``("fit", params)`` holds the system's fit, the ``Estimate``
+that ``admm_l1_plane`` returns and LN-1 reports as it is, and
 ``("split", params)`` LN-1E's split of that fit's residuals (None when LN-1E
 keeps every row).  A fit or split that raises is not memoized.  LN-1E
 therefore reuses LN-1's fit, and the batch steps of the LN-1 and LN-1E rows
@@ -49,9 +51,8 @@ a second.  ``ln1_estimate`` and ``ln1e_estimate`` then read the memo.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -70,26 +71,6 @@ ON_PLANE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PlaneCoeffs:
-    """Fitted plane z = alpha*x + beta*y + gamma.
-
-    alpha and beta are the position coordinates; gamma approximates their
-    squared norm.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
-            raise DomainError("plane coefficients must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
-
-
-@dataclass(frozen=True)
 class AdmmParams:
     """Penalty weight, objective-change stopping tolerance, iteration cap."""
 
@@ -104,13 +85,6 @@ class AdmmParams:
             raise DomainError("conv_tol must be positive")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise DomainError("max_iters must be an integer of at least 1")
-
-
-class AdmmResult(NamedTuple):
-    plane: PlaneCoeffs
-    iterations: int
-    converged: bool
-    primal_residual: float = float("nan")  # ||w - w_prev||_2 = ||Au - z - b||_2, last sweep
 
 
 class KmeansResult(NamedTuple):
@@ -132,10 +106,12 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
     subproblem for u, soft-thresholds z, and takes a dual ascent step, from
     zero initial state.  A system stops once the l1 norm of its z changes by
     at most ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False,
-    last iterate returned).  Returns one entry per system: its ``AdmmResult``,
-    memoized on the system per ``params`` (a memoized system is not fitted
-    again), or the ``SecLocError`` its fit raised (rank-deficient A,
-    non-finite plane), which is not memoized and does not stop the others.
+    last iterate returned).  Returns one entry per system: its fit, an
+    ``Estimate`` of the plane z = alpha*x + beta*y + gamma with position
+    (alpha, beta) and auxiliary gamma, memoized on the system per ``params``
+    (a memoized system is not fitted again), or the ``SecLocError`` its fit
+    raised (rank-deficient A, non-finite plane), which is not memoized and
+    does not stop the others.
     """
     out = [system.memo.get(("fit", params)) for system in systems]
     live, factors = [], []  # the systems to fit and each one's m
@@ -178,7 +154,7 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
     tol, max_iters = params.conv_tol, params.max_iters
     # Each sweep writes its z and w into the spare state, so the last
     # sweep's state stays at hand for the stopping sweep's plane (from
-    # v = z - w) and dual change.
+    # v = z - w).
     last = _halves(np.zeros((len(live), 2 * width)), width)
     spare = _halves(np.zeros_like(last[0]), width)
     prev_norm = [0.0] * len(live)
@@ -208,15 +184,12 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
                 k = rows[j]
                 system = systems[live[k]]
                 n = system.n_rows
-                v_in = z_prev[j, :n] - w_prev[j, :n]
-                try:
-                    plane = PlaneCoeffs(*(u_ls[k] + factors[k] @ v_in))
-                except DomainError as exc:
-                    out[live[k]] = exc
+                plane = u_ls[k] + factors[k] @ (z_prev[j, :n] - w_prev[j, :n])
+                if not np.all(np.isfinite(plane)):
+                    out[live[k]] = DomainError("plane coefficients must be finite")
                     continue
-                dual_change = float(np.linalg.norm(w[j, :n] - w_prev[j, :n]))
-                system.memo["fit", params] = out[live[k]] = AdmmResult(
-                    plane, iterations, done, dual_change
+                system.memo["fit", params] = out[live[k]] = Estimate(
+                    plane[:2], float(plane[2]), iterations=iterations, converged=done
                 )
             if not keep:
                 break
@@ -231,7 +204,7 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
     return out
 
 
-def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> AdmmResult:
+def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
     """Minimize ||A u - b||_1 by alternating direction: ``admm_l1_planes`` on
     one system.  The result is memoized on ``system`` per ``params``, so a
     repeated call returns the first call's result; a failed fit raises."""
@@ -241,20 +214,24 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Ad
     return result
 
 
-def point_plane_residual(system: LinearSystem, plane: PlaneCoeffs) -> np.ndarray:
-    """Vertical (z-axis) absolute residual of every data point from the plane.
+def point_plane_residual(system: LinearSystem, fit: Estimate) -> np.ndarray:
+    """Vertical (z-axis) absolute residual of every data point from the plane
+    of ``fit``, (alpha, beta, gamma) = (*position, auxiliary).
 
     This is exactly the quantity the l1 objective penalizes, so the residual
     vector sums to the fit objective.
     """
-    return np.abs(system.b - system.A @ plane.as_array())
+    return np.abs(system.b - system.A @ np.array([*fit.position, fit.auxiliary]))
 
 
 def kmeans_1d(values) -> KmeansResult:
-    """Two-cluster K-means on scalars, initialized at (min, max).
+    """Two-cluster K-means on scalars: Lloyd's method started at (min, max).
 
     Deterministic.  Identical values collapse to a single cluster: everything
-    is labeled near-plane and the result is flagged degenerate.
+    is labeled near-plane and the result is flagged degenerate.  Lloyd's
+    method stops at the first split that no longer moves, which can have a
+    higher within-cluster sum of squares than the optimal two-means split of
+    the sorted values.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
@@ -282,14 +259,12 @@ def kmeans_1d(values) -> KmeansResult:
 
 
 def ln1_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
-    """Position read directly off the all-anchor l1 plane fit."""
-    fit = admm_l1_plane(system, params)
-    return Estimate(
-        position=(fit.plane.alpha, fit.plane.beta),
-        auxiliary=fit.plane.gamma,
-        iterations=fit.iterations,
-        converged=fit.converged,
-    )
+    """Position read directly off the all-anchor l1 plane fit: the fit itself."""
+    # Kept as a function of its own: secbench/tracing.py times
+    # harness.ln1_estimate and planefit.admm_l1_plane as two nested spans, and
+    # secbench/run.py checks that an LN-1 non-convergence has a capped ADMM
+    # span below it.
+    return admm_l1_plane(system, params)
 
 
 class _Ln1eSplit(NamedTuple):
@@ -307,7 +282,7 @@ def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
     fit = system.memo["fit", params]
     split = None
     if fit.converged:
-        residuals = point_plane_residual(system, fit.plane)
+        residuals = point_plane_residual(system, fit)
         scale = 1.0 + float(np.abs(system.b).max())
         if float(residuals.max()) > ON_PLANE_RTOL * scale:
             clusters = kmeans_1d(residuals)
@@ -339,12 +314,8 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     if split is None:
         return keep_all
     refit = admm_l1_plane(split.near, params)
-    return Estimate(
-        position=(refit.plane.alpha, refit.plane.beta),
-        auxiliary=refit.plane.gamma,
-        eliminated=split.far,
-        iterations=keep_all.iterations + refit.iterations,
-        converged=refit.converged,
+    return replace(
+        refit, eliminated=split.far, iterations=keep_all.iterations + refit.iterations
     )
 
 

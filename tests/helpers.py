@@ -16,13 +16,11 @@ from scipy.optimize import linprog
 
 from secloc import (
     AdmmParams,
-    AdmmResult,
     AttackSpec,
     DegenerateGeometryError,
     DomainError,
     Estimate,
     PathLossParams,
-    PlaneCoeffs,
     Topology,
     build_linear_system,
     distance_from_rssi,
@@ -48,7 +46,8 @@ def l1_oracle(A, b):
 
 def admm_l1_plane_reference(system, params=AdmmParams()):
     """The ADMM l1 plane fit as a plain loop: a fresh least-squares solve
-    with R every sweep and no memo."""
+    with R every sweep and no memo.  Returns the fit as the library does, an
+    ``Estimate`` with position (alpha, beta) and auxiliary gamma."""
     A, b = system.A, system.b
     q, r = np.linalg.qr(A)
     svals = np.linalg.svd(r, compute_uv=False)
@@ -62,7 +61,6 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
     prev_norm = 0.0
     converged = False
     iterations = 0
-    primal = np.zeros(system.n_rows)
     for iterations in range(1, params.max_iters + 1):
         u = np.linalg.solve(r, q.T @ (b + z - y / rho))
         au = A @ u
@@ -75,9 +73,9 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
             converged = True
             break
         prev_norm = z_norm
-    return AdmmResult(
-        PlaneCoeffs(*u), iterations, converged, float(np.linalg.norm(primal))
-    )
+    if not np.all(np.isfinite(u)):
+        raise DomainError("plane coefficients must be finite")
+    return Estimate(u[:2], float(u[2]), iterations=iterations, converged=converged)
 
 
 def _rssi_residuals(t, anchors, rssi, params):

@@ -680,6 +680,55 @@ class TestLmdsParity:
                 fn(system, anchors, n_subsets=3, subset_size=3, seed=0)
 
 
+class TestCollinearAnchors:
+    """ML and Grad-Desc fit the RSSI matrix, not the squared-range system, so
+    anchors on (or near) one line leave them no rank test to fail; these
+    pin what they return there.  Any numpy warning fails the suite."""
+
+    TARGET = np.array([50.0, 50.0])
+
+    @pytest.mark.parametrize("on_line,off_line", [(28, 1), (27, 2), (26, 3), (20, 9)])
+    def test_nearly_collinear_ml_and_grad_desc_finite(self, on_line, off_line):
+        for seed in range(5):
+            anchors = _collinear_anchors(on_line, off_line, seed=seed)
+            meas = simulate_measurements(
+                Topology(anchors, self.TARGET), P, AttackSpec("none"), 10, seed=seed
+            )
+            ml = ml_estimate(meas, anchors, P, init=self.TARGET)
+            gd = grad_desc_estimate(meas, anchors, P)
+            for est in (ml, gd):
+                assert est.converged and np.all(np.isfinite(est.position))
+            assert np.linalg.norm(ml.position - self.TARGET) < 2.0
+
+    def test_exactly_collinear(self):
+        # 12 anchors on y = 20, beyond what Topology accepts, so the RSSI
+        # matrix is built here: the squared-range estimators see a
+        # rank-deficient A, while ML and Grad-Desc still return an estimate.
+        # Their cost is symmetric about the line, and Grad-Desc starts at the
+        # anchors' centroid, on the line, so it never leaves it.
+        anchors = np.column_stack([np.arange(12) * 8.0 + 6.0, np.full(12, 20.0)])
+        d = np.linalg.norm(anchors - self.TARGET, axis=1)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rssi = mean_rssi(P, d)[:, None] + rng.normal(0.0, 2.0, (12, 10))
+            meas = MeasurementMatrix(rssi)
+            system = mean_system(anchors, meas, P)
+            for fn in (
+                lambda: ls_estimate(system),
+                lambda: lmds_estimate(system, anchors, seed=seed),
+                lambda: ln1_estimate(system),
+            ):
+                with pytest.raises(DegenerateGeometryError):
+                    fn()
+            ml = ml_estimate(meas, anchors, P, init=self.TARGET)
+            gd = grad_desc_estimate(meas, anchors, P)
+            for est in (ml, gd):
+                assert est.converged and np.all(np.isfinite(est.position))
+                assert est.iterations >= 1
+            assert np.linalg.norm(ml.position - self.TARGET) < 2.0
+            assert gd.position[1] == 20.0
+
+
 class TestLeastSquaresKernel:
     """``_least_squares`` against numpy's own least-squares solver."""
 

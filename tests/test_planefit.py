@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secloc import (
     AdmmParams,
     DegenerateGeometryError,
     DomainError,
+    Estimate,
     LinearSystem,
-    PlaneCoeffs,
     admm_l1_plane,
     admm_l1_planes,
     build_linear_system,
@@ -30,6 +30,23 @@ from helpers import (
 TIGHT = AdmmParams(rho=0.2, conv_tol=1e-8, max_iters=200_000)
 
 
+def plane_of(fit):
+    return np.array([*fit.position, fit.auxiliary])
+
+
+def assert_same_fit(fit, expected, rtol):
+    """Same stopping sweep and outcome, and each plane coefficient within
+    ``rtol`` of the expected plane's norm.  Both fits round on the scale of
+    gamma ~ ||t||^2, not on that of alpha and beta, so a coefficient-wise
+    relative check would hold only by luck of the instance."""
+    assert fit.iterations == expected.iterations
+    assert fit.converged == expected.converged
+    plane = plane_of(expected)
+    np.testing.assert_allclose(
+        plane_of(fit), plane, rtol=0, atol=rtol * np.linalg.norm(plane)
+    )
+
+
 class TestAdmmPlane:
     def test_exact_plane_recovered(self):
         topo = random_topology(12, 100.0, seed=1)
@@ -37,8 +54,8 @@ class TestAdmmPlane:
         fit = admm_l1_plane(system)
         assert fit.converged
         target = np.append(topo.target, topo.target @ topo.target)
-        np.testing.assert_allclose(fit.plane.as_array(), target, atol=1e-6)
-        assert point_plane_residual(system, fit.plane).sum() < 1e-6
+        np.testing.assert_allclose(plane_of(fit), target, atol=1e-6)
+        assert point_plane_residual(system, fit).sum() < 1e-6
 
     def test_planted_z_outliers(self):
         # clean majority exactly on u* = (3, 4, 25); 8 of 29 b-entries grossly
@@ -55,24 +72,16 @@ class TestAdmmPlane:
         u_lp, _ = l1_oracle(A, b)
         np.testing.assert_allclose(u_lp, u_star, atol=1e-6)
         fit = admm_l1_plane(system, TIGHT)
-        np.testing.assert_allclose(fit.plane.as_array(), u_star, atol=1e-3)
+        np.testing.assert_allclose(plane_of(fit), u_star, atol=1e-3)
 
     def test_objective_matches_lp_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             system, _, _ = gross_outlier_system(rng, fraction=float(rng.uniform(0, 0.4)))
             fit = admm_l1_plane(system, TIGHT)
-            objective = point_plane_residual(system, fit.plane).sum()
+            objective = point_plane_residual(system, fit).sum()
             _, best = l1_oracle(system.A, system.b)
             assert objective <= best * (1 + 1e-4) + 1e-9
-
-    def test_primal_residual_small_on_convergence(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            system, _, _ = gross_outlier_system(rng, fraction=0.28)
-            fit = admm_l1_plane(system, AdmmParams(0.2, 1e-8, 200_000))
-            assert fit.converged
-            assert fit.primal_residual <= 1e-6 * (1.0 + np.linalg.norm(system.b))
 
     def test_max_iters_reports_nonconvergence(self):
         rng = np.random.default_rng(5)
@@ -85,24 +94,40 @@ class TestAdmmPlane:
         with pytest.raises(DegenerateGeometryError):
             admm_l1_plane(LinearSystem(A=A, b=np.ones(5)))
 
+    def test_non_finite_plane_rejected(self):
+        # a nan in b makes every sweep's z nan, so the fit runs to its cap; the
+        # plane is a DomainError, not memoized, and the batch's other fits stand
+        system, _, _ = gross_outlier_system(np.random.default_rng(21))
+        b = system.b.copy()
+        b[0] = np.nan
+        broken = LinearSystem(A=system.A, b=b)
+        params = AdmmParams(max_iters=20)
+        bad, good = admm_l1_planes([broken, system], params)
+        assert isinstance(bad, DomainError)
+        assert str(bad) == "plane coefficients must be finite"
+        assert ("fit", params) not in broken.memo
+        assert good is admm_l1_plane(system, params)
+        with pytest.raises(DomainError, match="plane coefficients must be finite"):
+            admm_l1_plane(broken, params)
+
     def test_residuals_sum_to_objective(self):
         rng = np.random.default_rng(6)
         system, _, _ = gross_outlier_system(rng, fraction=0.2)
         fit = admm_l1_plane(system, TIGHT)
-        res = point_plane_residual(system, fit.plane)
-        manual = np.abs(system.b - system.A @ fit.plane.as_array())
+        res = point_plane_residual(system, fit)
+        manual = np.abs(system.b - system.A @ plane_of(fit))
         np.testing.assert_allclose(res, manual, rtol=0, atol=0)
 
     def test_point_on_plane_scalar_cases(self):
         system = LinearSystem(A=np.eye(3), b=np.array([0.0, 0.0, 7.0]))
-        plane = PlaneCoeffs(0.0, 0.0, 0.0)
+        plane = Estimate(position=(0.0, 0.0), auxiliary=0.0)
         np.testing.assert_allclose(point_plane_residual(system, plane), [0.0, 0.0, 7.0])
 
 
 def _refit_subset(system):
     """The rows LN-1E refits on: the near cluster of the all-anchor fit."""
     fit = admm_l1_plane_reference(system)
-    labels = kmeans_1d(point_plane_residual(system, fit.plane)).labels
+    labels = kmeans_1d(point_plane_residual(system, fit)).labels
     return system.subset(np.flatnonzero(labels == 0))
 
 
@@ -127,13 +152,8 @@ class TestAdmmParity:
     def test_same_iterations_and_plane(self, admm_population, params):
         converged = []
         for system in admm_population:
-            expected = admm_l1_plane_reference(system, params)
             fit = admm_l1_plane(_copy(system), params)
-            assert fit.iterations == expected.iterations
-            assert fit.converged == expected.converged
-            np.testing.assert_allclose(
-                fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
-            )
+            assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
             converged.append(fit.converged)
         if params.max_iters == 50:  # the capped branch is the one compared
             assert not any(converged)
@@ -157,13 +177,8 @@ def test_admm_matches_reference_loop(n_anchors, coordinated, seed, rho, log_tol,
     else:
         system = gross_outlier_system(rng, n_anchors=n_anchors)[0]
     params = AdmmParams(rho=rho, conv_tol=10.0**log_tol, max_iters=max_iters)
-    expected = admm_l1_plane_reference(system, params)
     fit = admm_l1_plane(_copy(system), params)
-    assert fit.iterations == expected.iterations
-    assert fit.converged == expected.converged
-    np.testing.assert_allclose(
-        fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
-    )
+    assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -178,11 +193,20 @@ def test_admm_matches_reference_loop(n_anchors, coordinated, seed, rho, log_tol,
     memoized_at=st.integers(0, 7),
     max_iters=st.integers(1, 2000),
 )
+# gamma ~ 1e3 rounds beta (~30) off the reference loop by 1.02e-9 relative
+@example(
+    draws=[(14, False, 549473), (3, True, 0)],
+    shared=True,
+    degenerate_at=0,
+    memoized_at=0,
+    max_iters=97,
+)
 def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at, max_iters):
-    """One lock-step call fits every system as the plain loop fits it alone:
-    with its own stopping sweep and plane, whether the systems share A or
-    are padded to the widest, beside a rank-deficient system (which raises
-    only on its own call) and an already-memoized one (which is not refit)."""
+    """One lock-step call fits every system as a one-system call fits it
+    (to 1e-12 of the plane's norm) and as the plain loop does: with its own
+    stopping sweep and plane, whether the systems share A or are padded to
+    the widest, beside a rank-deficient system (which raises only on its own
+    call) and an already-memoized one (which is not refit)."""
     params = AdmmParams(max_iters=max_iters)
     systems = []
     for n_anchors, coordinated, seed in draws:
@@ -198,6 +222,7 @@ def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at,
         systems.append(system)
     memoized = gross_outlier_system(np.random.default_rng(memoized_at))[0]
     memo = admm_l1_plane(memoized, params)
+    alone = {id(system): admm_l1_plane(_copy(system), params) for system in systems}
     A = np.column_stack([np.arange(5.0), np.arange(5.0), np.ones(5)])
     degenerate = LinearSystem(A=A, b=np.ones(5))
     batch = list(systems)
@@ -209,14 +234,11 @@ def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at,
     with pytest.raises(DegenerateGeometryError):
         admm_l1_plane(degenerate, params)
     for system in [*systems, memoized]:
-        expected = admm_l1_plane_reference(system, params)
         fit = admm_l1_plane(system, params)
         assert fit is results[id(system)]
-        assert fit.iterations == expected.iterations
-        assert fit.converged == expected.converged
-        np.testing.assert_allclose(
-            fit.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
-        )
+        if system is not memoized:
+            assert_same_fit(fit, alone[id(system)], 1e-12)
+        assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
 
 
 class TestAdmmMemo:
@@ -231,9 +253,7 @@ class TestAdmmMemo:
             first = admm_l1_plane_reference(system)
             refit = admm_l1_plane_reference(_refit_subset(system))
             assert fresh.iterations == first.iterations + refit.iterations
-            np.testing.assert_allclose(
-                fresh.position, refit.plane.as_array()[:2], rtol=1e-9, atol=0
-            )
+            np.testing.assert_allclose(fresh.position, refit.position, rtol=1e-9, atol=0)
             np.testing.assert_array_equal(after_ln1.position, fresh.position)
             assert after_ln1.auxiliary == fresh.auxiliary
             assert after_ln1.eliminated == fresh.eliminated
@@ -252,9 +272,7 @@ class TestAdmmMemo:
         assert shipped.converged and shipped.iterations > 50
         assert not capped.converged and capped.iterations == 50
         expected = admm_l1_plane_reference(system, AdmmParams(max_iters=50))
-        np.testing.assert_allclose(
-            capped.plane.as_array(), expected.plane.as_array(), rtol=1e-9, atol=0
-        )
+        assert_same_fit(capped, expected, 1e-9)
         assert admm_l1_plane(system) is shipped
 
 

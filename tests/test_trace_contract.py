@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from secloc import AdmmParams, ExperimentConfig, run_monte_carlo
+from secloc import ESTIMATORS, AdmmParams, ExperimentConfig, run_monte_carlo
 
 SECBENCH = Path(__file__).resolve().parent.parent / "secbench"
 
@@ -68,3 +68,36 @@ def test_l1_estimates_read_their_fits_inside_their_spans(tracing):
         assert (not span.converged) == any(not fit.converged for fit in children)
         capped += not span.converged
     assert 0 < capped < len(estimates)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        dict(attack_kind="uncoordinated", sigma_att=8.0),
+        # a cap low enough that some LN-1/LN-1E fits stop at it
+        dict(
+            attack_kind="coordinated", t_att=(75.0, 75.0), admm=AdmmParams(max_iters=800)
+        ),
+    ],
+    ids=["uncoordinated", "coordinated"],
+)
+def test_spans_read_iterations_and_converged(tracing, attack):
+    # the tracer reads a result's iterations and converged with getattr and a
+    # None default, so a result type without them would trace as None spans
+    # instead of failing; every estimator applicable under the attack runs
+    kind = attack["attack_kind"]
+    estimators = tuple(name for name, spec in ESTIMATORS.items() if kind in spec.attacks)
+    cfg = ExperimentConfig(
+        **attack, malicious_fraction=0.28, estimators=estimators, trials=4, master_seed=5
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run_monte_carlo(cfg)
+    checked = {tracing.ESTIMATOR_SPANS[name] for name in estimators} | {"planefit.admm"}
+    seen = Counter()
+    for span in tracer.spans:
+        if span.name in checked and span.failure is None:
+            assert type(span.iterations) is int, (span.name, span.iterations)
+            assert type(span.converged) is bool, (span.name, span.converged)
+            seen[span.name] += 1
+    assert set(seen) == checked
