@@ -31,7 +31,6 @@ from .attacks import (
     MeasurementMatrix,
     Placement,
     Topology,
-    chi_factor,
     load_topology,
     parse_topology,
     random_topology,

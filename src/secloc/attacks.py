@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import PathLossParams, mean_rssi
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError
 
 ATTACK_KINDS = ("none", "uncoordinated", "coordinated")
 PLACEMENT_KINDS = ("anywhere", "within_radius", "beyond_radius")
@@ -132,18 +132,6 @@ class MeasurementMatrix:
         return self.rssi.shape[1]
 
 
-def chi_factor(anchors, target, t_att):
-    """Range-scaling factor ||t_att - a|| / ||t - a|| applied by a coordinated
-    attacker at each anchor position ``a``: a float for one (2,) position, an
-    array for an (N, 2) array of them."""
-    a = np.asarray(anchors, dtype=float)
-    denom = np.linalg.norm(a - target, axis=-1)
-    if np.any(denom == 0.0):
-        raise DomainError("anchor coincides with the target")
-    chi = np.linalg.norm(a - t_att, axis=-1) / denom
-    return float(chi) if chi.ndim == 0 else chi
-
-
 def simulate_measurements(
     topology: Topology,
     params: PathLossParams,
@@ -156,7 +144,8 @@ def simulate_measurements(
     Honest rows are mean_rssi(d_i) + N(0, sigma^2) noise per packet.  Under an
     uncoordinated attack each malicious row gains independent per-packet
     N(0, sigma_att^2) jitter; under a coordinated attack the malicious mean is
-    shifted so the noise-free row inverts to the distance ||t_att - a_i||.
+    mean_rssi at the decoy range ||t_att - a_i||, so the noise-free row
+    inverts to that distance.
     The same seed yields a bit-identical matrix.
     """
     if packets < 1:
@@ -165,10 +154,10 @@ def simulate_measurements(
     mean = mean_rssi(params, topology.distances())
     mal = sorted(topology.malicious)
     if attack.kind == "coordinated" and mal:
-        if np.any(np.linalg.norm(topology.anchors - attack.t_att, axis=1) == 0.0):
+        decoy = np.linalg.norm(topology.anchors - attack.t_att, axis=1)
+        if np.any(decoy == 0.0):
             raise ConfigError("t_att coincides with an anchor position")
-        chi = chi_factor(topology.anchors[mal], topology.target, attack.t_att)
-        mean[mal] -= 10.0 * params.n * np.log10(chi)
+        mean[mal] = mean_rssi(params, decoy[mal])
     rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
     if attack.kind == "uncoordinated" and mal:
         rssi[mal] += rng.normal(0.0, attack.sigma_att, size=(len(mal), packets))

@@ -1,12 +1,16 @@
 """Log-distance path-loss channel and the statistics of RSSI ranging.
 
-Received power decays linearly in log-distance, so inverting the model turns
-RSSI samples into distance estimates whose multiplicative noise is lognormal.
-This module provides the forward/inverse conversions, the asymmetry of the
-inverse map under power perturbations, the distance-estimate density and its
-variance laws (one lognormal law for the range and its square), and the
-closed-form estimator that recovers the channel noise level from an observed
-distance-sample variance.
+Received power falls 10 n dB per decade of range, i.e. ``slope`` = 10 n / ln 10
+dB per neper, so inverting the model turns RSSI samples into distance
+estimates whose multiplicative noise is lognormal with shape sigma / slope.
+The law and its slope live here, and every other module reads them from here
+(``mean_rssi``, ``distance_from_rssi``, ``PathLossParams.slope`` and the
+squared-range form ``mean_rssi_sq``).  This module provides the
+forward/inverse conversions, the asymmetry of the inverse map under power
+perturbations, the distance-estimate density and its variance laws (one
+lognormal law for the range and its square), and the closed-form estimator
+that recovers the channel noise level from an observed distance-sample
+variance.
 
 All powers are dBm, all distances meters; there is no unit-conversion layer.
 """
@@ -22,12 +26,6 @@ from .exceptions import DomainError
 
 LN10 = math.log(10.0)
 
-# Exact forms of the variance-law denominators (~18.8612 and ~4.7153).
-# Keeping them exact makes estimate_noise_sigma() invert distance_variance()
-# to machine precision.
-VAR_D_DENOM = 100.0 / LN10**2
-VAR_D2_DENOM = 25.0 / LN10**2
-
 
 @dataclass(frozen=True)
 class PathLossParams:
@@ -36,6 +34,9 @@ class PathLossParams:
     p0: anchor transmit power (dBm), i.e. the received power at 1 m.
     n: path-loss exponent (> 0).
     sigma: per-packet measurement-noise standard deviation (dB, >= 0).
+
+    ``slope``, 10 n / ln 10 dB per neper of range, is derived from n; the
+    modules that need the law's slope read it here.
     """
 
     p0: float
@@ -52,6 +53,12 @@ class PathLossParams:
             raise DomainError(f"path-loss exponent must be > 0, got {self.n}")
         if self.sigma < 0:
             raise DomainError(f"noise sigma must be >= 0, got {self.sigma}")
+
+    @property
+    def slope(self) -> float:
+        """dB the mean RSSI falls per neper of range, 10 n / ln 10: a range
+        estimate is lognormal with shape sigma / slope."""
+        return 10.0 * self.n / LN10
 
 
 def _ret(x: np.ndarray):
@@ -76,6 +83,15 @@ def mean_rssi(params: PathLossParams, distance):
     return _ret(params.p0 - 10.0 * params.n * np.log10(d))
 
 
+def mean_rssi_sq(params: PathLossParams, d2):
+    """:func:`mean_rssi` written in the squared range, p0 - 5 n log10 d^2.
+
+    No input checks: the ML and Grad-Desc inner loops call it on squared
+    ranges they have already floored above zero.
+    """
+    return params.p0 - 5.0 * params.n * np.log10(d2)
+
+
 def distance_from_rssi(params: PathLossParams, rssi):
     """Distance (m) whose noise-free received power equals ``rssi`` (dBm).
 
@@ -97,45 +113,47 @@ def distance_from_rssi(params: PathLossParams, rssi):
 
 
 def perturbation_g(params: PathLossParams, x):
-    """Distance-scale response c*(1 - 10^(-x/10n)) to a power shift x (dB).
+    """Distance-scale response d(0) - d(x) to a power shift x (dB), where d is
+    :func:`distance_from_rssi`; equivalently c*(1 - 10^(-x/10n)), c = d(0).
 
-    c = 10^(p0/10n).  g(0) = 0, g is increasing, and g(x) + g(-x) <= 0: a
-    power drop moves the distance estimate more than an equal power rise.
+    g(0) = 0, g is increasing, and g(x) + g(-x) <= 0: a power drop moves the
+    distance estimate more than an equal power rise.  A shift whose range
+    overflows is a DomainError.
     """
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise DomainError("power shift must be finite")
-    c = 10.0 ** (params.p0 / (10.0 * params.n))
-    return _ret(c * (1.0 - 10.0 ** (-xv / (10.0 * params.n))))
+    return distance_from_rssi(params, 0.0) - distance_from_rssi(params, xv)
 
 
 def distance_perturbation(params: PathLossParams, rssi, delta_p, direction: str):
     """Magnitude (m) of the distance-estimate shift for a power shift of
     ``delta_p`` dB applied to a packet received at ``rssi`` dBm.
 
-    direction="positive": received power rises, the estimate shrinks by the
-    returned amount.  direction="negative": power drops, the estimate grows
-    by the returned amount.  Both magnitudes are >= 0, and the negative
-    direction always dominates the positive one.
+    direction="positive": received power rises, the estimate shrinks by
+    d(rssi) - d(rssi + delta_p).  direction="negative": power drops, the
+    estimate grows by d(rssi - delta_p) - d(rssi).  d is
+    :func:`distance_from_rssi`, so a range that overflows is a DomainError.
+    Both magnitudes are >= 0, and the negative direction always dominates the
+    positive one.
     """
     dp = np.asarray(delta_p, dtype=float)
     if not np.all(np.isfinite(dp)) or np.any(dp < 0):
         raise DomainError("delta_p must be non-negative and finite")
+    if direction not in ("positive", "negative"):
+        raise DomainError(f"direction must be 'positive' or 'negative', got {direction!r}")
     p = np.asarray(rssi, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise DomainError("rssi must be finite")
-    scale = 10.0 ** (-p / (10.0 * params.n))
+    d = distance_from_rssi(params, p)
     if direction == "positive":
-        return _ret(perturbation_g(params, dp) * scale)
-    if direction == "negative":
-        return _ret(-perturbation_g(params, -dp) * scale)
-    raise DomainError(f"direction must be 'positive' or 'negative', got {direction!r}")
+        return d - distance_from_rssi(params, p + dp)
+    return distance_from_rssi(params, p - dp) - d
 
 
 def distance_pdf(params: PathLossParams, true_distance: float, gamma):
     """Density of the per-packet distance estimate at ``gamma`` (m).
 
-    The estimate is lognormal: d_hat = d * 10^(-eta/10n) with eta ~ N(0, sigma^2).
+    The estimate is lognormal: d_hat = d * exp(-eta/slope) with
+    eta ~ N(0, sigma^2), i.e. shape s = sigma/slope and scale d.
     Requires sigma > 0; the sigma = 0 distribution is a point mass and callers
     must branch on it explicitly.
     """
@@ -144,20 +162,21 @@ def distance_pdf(params: PathLossParams, true_distance: float, gamma):
     if not (math.isfinite(true_distance) and true_distance > 0):
         raise DomainError("true_distance must be positive and finite")
     g = _positive_finite("gamma", gamma)
-    n, sigma = params.n, params.sigma
-    coeff = 5.0 * n / (g * sigma * LN10) * math.sqrt(2.0 / math.pi)
-    expo = -50.0 * n**2 * np.log(g / true_distance) ** 2 / (sigma**2 * LN10**2)
-    return _ret(coeff * np.exp(expo))
+    shape = params.sigma / params.slope
+    expo = -0.5 * (np.log(g / true_distance) / shape) ** 2
+    return _ret(np.exp(expo) / (g * shape * math.sqrt(2.0 * math.pi)))
 
 
-def _lognormal_variance(params: PathLossParams, mean_distance, denom: float, power: int):
-    """Variance d^power * e^s (e^s - 1) of a lognormal range power, with
-    s = sigma^2 / (denom * n^2): the one law behind the two below."""
+def _lognormal_variance(params: PathLossParams, mean_distance, k: int):
+    """Variance of the k-th power of a per-packet range estimate at the given
+    range: d^k is lognormal with shape k sigma / slope, so with
+    e^s = exp((k sigma / slope)^2) its variance is d^(2k) e^s (e^s - 1).  The
+    one law behind the two below."""
     d = _positive_finite("mean_distance", mean_distance)
     try:
-        es = math.exp(params.sigma**2 / (denom * params.n**2))
+        es = math.exp((k * params.sigma / params.slope) ** 2)
         with np.errstate(over="raise", invalid="raise"):
-            return _ret(d**power * es * (es - 1.0))
+            return _ret(d ** (2 * k) * es * (es - 1.0))
     except (OverflowError, FloatingPointError):
         msg = f"variance overflows at sigma = {params.sigma:g} dB, n = {params.n:g}"
         raise DomainError(msg) from None
@@ -165,12 +184,12 @@ def _lognormal_variance(params: PathLossParams, mean_distance, denom: float, pow
 
 def distance_variance(params: PathLossParams, mean_distance):
     """Variance (m^2) of a per-packet distance estimate at the given range."""
-    return _lognormal_variance(params, mean_distance, VAR_D_DENOM, 2)
+    return _lognormal_variance(params, mean_distance, 1)
 
 
 def distance_sq_variance(params: PathLossParams, mean_distance):
     """Variance (m^4) of the squared per-packet distance estimate."""
-    return _lognormal_variance(params, mean_distance, VAR_D2_DENOM, 4)
+    return _lognormal_variance(params, mean_distance, 2)
 
 
 def estimate_noise_sigma(params: PathLossParams, sample_variance, mean_distance):
@@ -178,13 +197,13 @@ def estimate_noise_sigma(params: PathLossParams, sample_variance, mean_distance)
     ``sample_variance``.
 
     Closed-form inverse of :func:`distance_variance`: solving
-    x^2 - x = v/d^2 for x = exp(sigma^2 / (VAR_D_DENOM * n^2)) gives
-    sigma = sqrt(VAR_D_DENOM * n^2 * ln(0.5 + 0.5*sqrt(1 + 4 v / d^2))).
-    Only params.n is used; params.sigma plays no role here.
+    x^2 - x = v/d^2 for x = exp((sigma / slope)^2) gives
+    sigma = slope * sqrt(ln(0.5 + 0.5*sqrt(1 + 4 v / d^2))).
+    Only params.slope is used; params.sigma plays no role here.
     """
     v = np.asarray(sample_variance, dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise DomainError("sample_variance must be non-negative and finite")
     d = _positive_finite("mean_distance", mean_distance)
     x = 0.5 + 0.5 * np.sqrt(1.0 + 4.0 * v / d**2)
-    return _ret(np.sqrt(VAR_D_DENOM * params.n**2 * np.log(x)))
+    return _ret(params.slope * np.sqrt(np.log(x)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN10, PathLossParams
+from .channel import PathLossParams
 from .attacks import Topology
 from .exceptions import DegenerateInformationError, DomainError
 
@@ -66,7 +66,7 @@ def fim_uncoordinated(
     if not math.isfinite(sigma_att) or sigma_att < 0:
         raise DomainError("sigma_att must be >= 0 and finite")
     var = np.where(topology.malicious_mask(), params.sigma**2 + sigma_att**2, params.sigma**2)
-    prefactor = 100.0 * packets * params.n**2 / LN10**2
+    prefactor = packets * params.slope**2
     return _fisher_sum(topology.anchors, topology.target, 1.0 / var, prefactor)
 
 
@@ -81,7 +81,7 @@ def fim_coordinated(
         raise DomainError("t_att must be finite")
     refs = np.where(topology.malicious_mask()[:, None], t_att, topology.target)
     # One noise level: it sits in the prefactor and every anchor has weight 1.
-    prefactor = 100.0 * packets * params.n**2 / (params.sigma**2 * LN10**2)
+    prefactor = packets * (params.slope / params.sigma) ** 2
     return _fisher_sum(topology.anchors, refs, 1.0, prefactor)
 
 

@@ -11,7 +11,8 @@ same ranges.  Every linear least-squares solve, theirs and LN-1/LN-1E's in
 ``planefit``, goes through one kernel, ``_least_squares``: one SVD per
 system, and ``rank_deficient`` as its only rank test.  ML and Grad-Desc fit
 the RSSI matrix directly, through one squared-range model of the mean RSSI
-(``_rssi_model``).  The LMdS and Grad-Desc settings (``LmdsParams``,
+(``_rssi_model``, which reads the channel's ``mean_rssi_sq`` and
+``PathLossParams.slope``).  The LMdS and Grad-Desc settings (``LmdsParams``,
 ``GradDescParams``, the config's ``lmds`` and ``grad_desc`` sections) give
 the estimators their keyword defaults and checks.
 """
@@ -25,11 +26,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (
-    LN10,
     PathLossParams,
     distance_from_rssi,
     distance_sq_variance,
     estimate_noise_sigma,
+    mean_rssi_sq,
 )
 from .attacks import MeasurementMatrix
 from .exceptions import (
@@ -229,15 +230,11 @@ def swls_estimate(
 
 def _rssi_model(t, anchors, params):
     """Offsets t - a_i, squared ranges (floored above zero), and the mean
-    RSSI p0 - 5 n log10 d^2 each anchor's packets have at position t."""
+    RSSI each anchor's packets have at position t.  The model's gradient in
+    t is -params.slope * diff / d2."""
     diff = t - anchors
     d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
-    return diff, d2, params.p0 - 5.0 * params.n * np.log10(d2)
-
-
-def _rssi_slope(params: PathLossParams) -> float:
-    """dB the model falls per neper of range: its gradient is -slope * diff / d2."""
-    return 10.0 * params.n / LN10
+    return diff, d2, mean_rssi_sq(params, d2)
 
 
 def _rssi_cost_grad(t, anchors, rssi, params):
@@ -245,7 +242,7 @@ def _rssi_cost_grad(t, anchors, rssi, params):
     diff, d2, model = _rssi_model(t, anchors, params)
     err = rssi - model[:, None]
     cost = float(np.sum(err * err))
-    grad = 2.0 * _rssi_slope(params) * ((err.sum(axis=1) / d2) @ diff)
+    grad = 2.0 * params.slope * ((err.sum(axis=1) / d2) @ diff)
     return cost, grad
 
 
@@ -433,7 +430,7 @@ def grad_desc_estimate(
     n_keep = max(3, math.ceil(keep_fraction * n))
     t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
     rssi_mean = rssi.mean(axis=1)
-    gain = 2.0 * _rssi_slope(params) / n_keep
+    gain = 2.0 * params.slope / n_keep
     packet_var = None if callback is None else rssi.var(axis=1)
     kept = np.arange(n)
     converged = True

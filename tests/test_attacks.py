@@ -6,12 +6,10 @@ import pytest
 from secloc import (
     AttackSpec,
     ConfigError,
-    DomainError,
     MeasurementMatrix,
     PathLossParams,
     Placement,
     Topology,
-    chi_factor,
     distance_from_rssi,
     mean_rssi,
     parse_topology,
@@ -68,33 +66,6 @@ class TestAttackSpec:
             AttackSpec("none", sigma_att=1.0)
         with pytest.raises(ConfigError):
             AttackSpec("jamming")
-
-
-class TestChiFactor:
-    def test_attack_at_target_is_neutral(self):
-        assert chi_factor((0, 0), (3, 4), (3, 4)) == 1.0
-
-    def test_three_four_five(self):
-        assert chi_factor((0, 0), (3, 4), (6, 8)) == pytest.approx(2.0, rel=1e-12)
-
-    def test_effective_power_shift(self):
-        # chi = 2 at n = 4 lowers the apparent transmit power by 40*log10(2) dB
-        chi = chi_factor((0, 0), (3, 4), (6, 8))
-        shift = (P.p0 - 10 * P.n * math.log10(chi)) - P.p0
-        assert shift == pytest.approx(-12.041199826559248, rel=1e-12)
-
-    def test_anchor_on_target_rejected(self):
-        with pytest.raises(DomainError):
-            chi_factor((3, 4), (3, 4), (6, 8))
-        with pytest.raises(DomainError):
-            chi_factor([(0, 0), (3, 4)], (3, 4), (6, 8))
-
-    def test_vectorized_matches_rows(self):
-        anchors = SQUARE + 0.5
-        target, t_att = np.array([40.0, 60.0]), np.array([70.0, 20.0])
-        chi = chi_factor(anchors, target, t_att)
-        assert chi.shape == (4,)
-        assert list(chi) == [chi_factor(a, target, t_att) for a in anchors]
 
 
 class TestSimulateMeasurements:

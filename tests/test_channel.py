@@ -17,6 +17,7 @@ from secloc import (
     mean_rssi,
     perturbation_g,
 )
+from secloc.channel import mean_rssi_sq
 
 P44 = PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
 
@@ -86,6 +87,19 @@ class TestRssiDistance:
         assert distance_from_rssi(P44, -47.5) == 10.0 ** ((P44.p0 + 47.5) / (10.0 * P44.n))
 
 
+@pytest.mark.parametrize("n", [2.0, 3.3, 4.0])
+def test_squared_range_model_matches_channel(n):
+    # The estimators' model in d^2 form and the simulator's in d form.
+    params = PathLossParams(-10.0, n, 2.0)
+    rng = np.random.default_rng(31)
+    anchors = rng.uniform(0.0, 100.0, (29, 2))
+    for t in rng.uniform(-20.0, 120.0, (50, 2)):
+        d2 = np.sum((t - anchors) ** 2, axis=1)
+        np.testing.assert_allclose(
+            mean_rssi_sq(params, d2), mean_rssi(params, np.sqrt(d2)), rtol=0, atol=1e-12
+        )
+
+
 class TestPerturbation:
     def test_zero_shift(self):
         assert perturbation_g(P44, 0.0) == 0.0
@@ -139,6 +153,16 @@ class TestPerturbation:
             distance_perturbation(P44, -30.0, -1.0, "positive")
         with pytest.raises(DomainError):
             distance_perturbation(P44, -30.0, 1.0, "sideways")
+
+    def test_overflowing_shift_is_domain_error(self):
+        # Each call needs the range of an rssi near -1e5 dBm, which overflows
+        # (see test_overflowing_range_is_domain_error): an error, not inf.
+        with pytest.raises(DomainError, match="rssi -100000 dBm"):
+            perturbation_g(P44, -1e5)
+        with pytest.raises(DomainError, match="rssi -100030 dBm"):
+            distance_perturbation(P44, -30.0, 1e5, "negative")
+        with pytest.raises(DomainError, match="rssi -100000 dBm"):
+            distance_perturbation(P44, -1e5, 1.0, "positive")
 
 
 class TestDistancePdf:
@@ -195,6 +219,19 @@ class TestVarianceLaws:
             m4 = np.mean((sample - sample.mean()) ** 4)
             se = math.sqrt((m4 - v**2) / sample.size)
             assert abs(v - law) <= 3 * se
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 5.0, 8.0])
+    @pytest.mark.parametrize("n", [2.0, 3.3, 4.0, 6.0])
+    def test_match_scipy_lognormal(self, sigma, n):
+        # A range estimate is lognormal with shape sigma / (10 n / ln 10) and
+        # scale d; its square has twice the shape and scale d^2.
+        params = PathLossParams(-10.0, n, sigma)
+        shape = sigma / (10.0 * n / math.log(10.0))
+        for d in (0.5, 12.0, 150.0):
+            want = stats.lognorm(shape, scale=d).var()
+            assert distance_variance(params, d) == pytest.approx(want, rel=1e-12)
+            want = stats.lognorm(2.0 * shape, scale=d**2).var()
+            assert distance_sq_variance(params, d) == pytest.approx(want, rel=1e-12)
 
     def test_distance_scaling(self):
         assert distance_variance(P44, 20.0) == pytest.approx(4 * distance_variance(P44, 10.0))

@@ -35,7 +35,6 @@ from secloc import (
 from secloc.estimators import (
     _least_squares,
     _rssi_cost_grad,
-    _rssi_model,
     _solve_rows,
     rank_deficient,
 )
@@ -161,21 +160,6 @@ class TestWls:
         system = mean_system(topo.anchors, meas, params)
         with pytest.raises(DomainError):
             wls_estimate(LinearSystem(A=system.A, b=system.b), params)
-
-
-def mean_rssi_of(distance):
-    return P.p0 - 10 * P.n * math.log10(distance)
-
-
-@pytest.mark.parametrize("n", [2.0, 3.3, 4.0])
-def test_squared_range_model_matches_channel(n):
-    # The estimators' model in d^2 form and the simulator's in d form.
-    params = PathLossParams(-10.0, n, 2.0)
-    rng = np.random.default_rng(31)
-    anchors = rng.uniform(0.0, 100.0, (29, 2))
-    for t in rng.uniform(-20.0, 120.0, (50, 2)):
-        _, d2, model = _rssi_model(t, anchors, params)
-        np.testing.assert_allclose(model, mean_rssi(params, np.sqrt(d2)), rtol=0, atol=1e-12)
 
 
 class TestSwls:
