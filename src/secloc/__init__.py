@@ -44,6 +44,7 @@ from .estimators import (
     LmdsParams,
     build_linear_system,
     grad_desc_estimate,
+    grad_desc_fits,
     lmds_estimate,
     ls_estimate,
     ml_estimate,

@@ -111,9 +111,15 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """N x P grid of received powers (dBm), one row per anchor."""
+    """N x P grid of received powers (dBm), one row per anchor.
+
+    ``memo`` holds results computed from the matrix, under keys owned and
+    documented by the module that fills it (Grad-Desc's fits: see
+    ``estimators``), so ``rssi`` must not be mutated after construction.
+    """
 
     rssi: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rssi = np.atleast_2d(np.asarray(self.rssi, dtype=float))

@@ -12,9 +12,11 @@ same ranges.  Every linear least-squares solve, theirs and LN-1/LN-1E's in
 system, and ``rank_deficient`` as its only rank test.  ML and Grad-Desc fit
 the RSSI matrix directly, through one squared-range model of the mean RSSI
 (``_rssi_model``, which reads the channel's ``mean_rssi_sq`` and
-``PathLossParams.slope``).  The LMdS and Grad-Desc settings (``LmdsParams``,
-``GradDescParams``, the config's ``lmds`` and ``grad_desc`` sections) give
-the estimators their keyword defaults and checks.
+``PathLossParams.slope``); Grad-Desc steps many trials in lock step and
+memoizes each fit on its trial's ``MeasurementMatrix`` (``grad_desc_fits``).
+The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
+config's ``lmds`` and ``grad_desc`` sections) give the estimators their
+keyword defaults and checks.
 """
 
 from __future__ import annotations
@@ -231,9 +233,10 @@ def swls_estimate(
 def _rssi_model(t, anchors, params):
     """Offsets t - a_i, squared ranges (floored above zero), and the mean
     RSSI each anchor's packets have at position t.  The model's gradient in
-    t is -params.slope * diff / d2."""
+    t is -params.slope * diff / d2.  Leading axes broadcast: t of shape
+    (T, 1, 2) against (T, N, 2) anchors gives T trials' (T, N) models."""
     diff = t - anchors
-    d2 = np.maximum(np.einsum("ij,ij->i", diff, diff), 1e-24)
+    d2 = np.maximum(np.einsum("...j,...j->...", diff, diff), 1e-24)
     return diff, d2, mean_rssi_sq(params, d2)
 
 
@@ -394,6 +397,98 @@ class GradDescParams:
             raise DomainError(f"need step > 0, max_iters >= 1, keep_fraction in (0, 1]: {self}")
 
 
+def _grad_desc_steps(
+    measurements, anchors, t, params, step, max_iters, keep_fraction, callback=None
+) -> list:
+    """The Grad-Desc loop, in lock step over T trials, one row per trial:
+    ``measurements`` are their T matrices, ``anchors`` their (T, N, 2)
+    layouts and ``t`` their (T, 2) starts.  Returns one ``Estimate`` per
+    trial.  ``callback`` is called with row 0 (see ``grad_desc_estimate``)."""
+    n = anchors.shape[1]
+    if any(m.n_anchors != n for m in measurements):
+        raise DomainError("anchor and measurement row counts differ")
+    n_keep = max(3, math.ceil(keep_fraction * n))
+    gain = 2.0 * params.slope / n_keep
+    rssi_mean = np.array([m.rssi.mean(axis=1) for m in measurements])
+    packet_var = None if callback is None else measurements[0].rssi.var(axis=1)
+    out = [None] * len(measurements)
+    rows = np.arange(len(measurements))  # batch row -> trial
+    # kept + row_start indexes the kept entries of the flattened (rows, N)
+    # arrays: one np.take per gather, cheaper than np.take_along_axis
+    row_start = rows[:, None] * n
+    for iterations in range(1, max_iters + 1):
+        diff, d2, model = _rssi_model(t[:, None, :], anchors, params)
+        row_mean = rssi_mean - model
+        order = np.argsort(np.abs(row_mean), axis=1, kind="stable")
+        kept = np.sort(order[:, :n_keep], axis=1)
+        flat = kept + row_start
+        kept_mean = row_mean.take(flat)
+        if callback is not None:
+            cost = float(np.sum(packet_var[kept[0]] + kept_mean[0] ** 2)) / n_keep
+            callback(iterations, t[0].copy(), kept[0].copy(), cost)
+        weight = kept_mean / d2.take(flat)
+        kept_diff = diff.reshape(-1, 2).take(flat, axis=0)
+        t_new = t - step * (gain * np.einsum("tk,tkj->tj", weight, kept_diff))
+        # False for an inf or nan iterate too; such a row keeps its last t
+        inside = np.hypot(t_new[:, 0], t_new[:, 1]) <= 1e6
+        step_len = t_new - t
+        stop = ~inside | (np.hypot(step_len[:, 0], step_len[:, 1]) < 1e-12)
+        if iterations == max_iters:
+            stop[:] = True
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                out[rows[j]] = Estimate(
+                    position=t_new[j] if inside[j] else t[j],
+                    eliminated=np.setdiff1d(np.arange(n), kept[j]),
+                    iterations=iterations,
+                    converged=bool(inside[j]),
+                )
+            go = ~stop
+            t, rssi_mean, anchors, rows = t_new[go], rssi_mean[go], anchors[go], rows[go]
+            if not rows.size:
+                break
+            row_start = row_start[: rows.size]
+        else:
+            t = t_new
+    return out
+
+
+def grad_desc_fits(
+    measurements,
+    anchors,
+    params: PathLossParams,
+    step: float = GradDescParams.step,
+    max_iters: int = GradDescParams.max_iters,
+    keep_fraction: float = GradDescParams.keep_fraction,
+) -> list:
+    """Grad-Desc on T trials in lock step, each from its anchors' centroid:
+    ``measurements`` are the T matrices and ``anchors`` their layouts
+    stacked as (T, N, 2) (a fixed topology repeats one).  Returns one
+    ``Estimate`` per trial, the one ``grad_desc_estimate`` returns for it,
+    and memoizes it on that trial's matrix (see ``grad_desc_estimate``); a
+    memoized trial is not run again."""
+    settings = GradDescParams(step, max_iters, keep_fraction)
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 3 or anchors.shape[0] != len(measurements) or anchors.shape[2] != 2:
+        raise DomainError("anchors must be stacked as (T, N, 2) for T matrices")
+    keys = [("grad_desc", a.tobytes(), params, settings) for a in anchors]
+    out = [m.memo.get(key) for m, key in zip(measurements, keys)]
+    live = [i for i, fit in enumerate(out) if fit is None]
+    if live:
+        fits = _grad_desc_steps(
+            [measurements[i] for i in live],
+            anchors[live],
+            anchors[live].mean(axis=1),
+            params,
+            step,
+            max_iters,
+            keep_fraction,
+        )
+        for i, fit in zip(live, fits):
+            measurements[i].memo[keys[i]] = out[i] = fit
+    return out
+
+
 def grad_desc_estimate(
     measurements: MeasurementMatrix,
     anchors,
@@ -421,39 +516,28 @@ def grad_desc_estimate(
     ``max_iters`` returns ``converged=True`` by design: on the benchmark's
     coord-fixed and uncoord-fixed blocks at seed 20260810, 76 % and 81 % of
     calls use all 200 steps.  Only an iterate that leaves the 1e6 m box, or
-    turns inf or nan, is non-converged.
+    turns inf or nan, is non-converged; the estimate is then the last
+    iterate inside the box.
+
+    There is one Grad-Desc loop, which steps many trials in lock step, one
+    row per trial, each stopping at its own step (a step is a handful of
+    numpy calls on vectors of N entries, so its cost is call overhead);
+    this call is a batch of one.  ``grad_desc_fits`` runs a batch and
+    memoizes each fit on its trial's ``MeasurementMatrix`` under
+    ``("grad_desc", anchors.tobytes(), params, GradDescParams(step,
+    max_iters, keep_fraction))``, anchors as float64; with no ``init`` and
+    no ``callback`` this call returns that memoized fit, or runs
+    ``grad_desc_fits`` on the one trial.  The batch's sums may round the
+    last bits differently from a lone trial's.
     """
-    GradDescParams(step, max_iters, keep_fraction)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    rssi = measurements.rssi
-    n = rssi.shape[0]
-    n_keep = max(3, math.ceil(keep_fraction * n))
-    t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
-    rssi_mean = rssi.mean(axis=1)
-    gain = 2.0 * params.slope / n_keep
-    packet_var = None if callback is None else rssi.var(axis=1)
-    kept = np.arange(n)
-    converged = True
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        diff, d2, model = _rssi_model(t, anchors, params)
-        row_mean = rssi_mean - model
-        order = np.argsort(np.abs(row_mean), kind="stable")
-        kept = np.sort(order[:n_keep])
-        kept_mean = row_mean[kept]
-        if callback is not None:
-            cost = float(np.sum(packet_var[kept] + kept_mean**2)) / n_keep
-            callback(iterations, t.copy(), kept.copy(), cost)
-        grad = gain * ((kept_mean / d2[kept]) @ diff[kept])
-        t_new = t - step * grad
-        if not math.hypot(*t_new) <= 1e6:  # also true for an inf or nan iterate
-            converged = False
-            break
-        moved = math.hypot(*(t_new - t))
-        t = t_new
-        if moved < 1e-12:
-            break
-    eliminated = frozenset(int(i) for i in np.setdiff1d(np.arange(n), kept))
-    return Estimate(
-        position=t, eliminated=eliminated, iterations=iterations, converged=converged
+    if init is None and callback is None:
+        return grad_desc_fits(
+            [measurements], anchors[None], params, step, max_iters, keep_fraction
+        )[0]
+    GradDescParams(step, max_iters, keep_fraction)
+    t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2)
+    (fit,) = _grad_desc_steps(
+        [measurements], anchors[None], t[None], params, step, max_iters, keep_fraction, callback
     )
+    return fit

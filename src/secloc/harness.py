@@ -12,11 +12,12 @@ system), then calls the ``batch`` step of each enabled ``ESTIMATORS`` row
 that has one, in ``config.estimators`` order, with the chunk's trials, and
 only then runs each trial (``run_trial``).  A batch step may compute, for the
 whole chunk at once, what its row's ``run`` needs, and leave it in a memo on
-the trial's inputs (as LN-1 and LN-1E leave their lock-step ADMM fits on the
-trial's ``LinearSystem``; see ``planefit``), so that ``run`` reads it inside
+the trial's inputs (as LN-1 and LN-1E leave their fits on the
+``LinearSystem``, see ``planefit``, and Grad-Desc its fits on the
+``MeasurementMatrix``, see ``estimators``), so that ``run`` reads it inside
 the trial.  What fails in a batch is left for the trial's own ``run`` to
 raise, so failures stay per trial.  A batch needs every trial of a chunk in
-memory at once, which is what bounds ``L1_CHUNK``: peak RSS grows with it
+memory at once, which is what bounds ``CHUNK``: peak RSS grows with it
 while the gain in trials/s levels off.  When no enabled row has a batch step
 a chunk is one trial.  A batched result may round its last bits differently
 from the trial's own computation; it is the same whichever other rows run.
@@ -48,6 +49,7 @@ from .estimators import (
     LinearSystem,
     build_linear_system,
     grad_desc_estimate,
+    grad_desc_fits,
     lmds_estimate,
     ls_estimate,
     ml_estimate,
@@ -75,11 +77,15 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# Trials per chunk when an enabled estimator has a batch step.  With LN-1 and
-# LN-1E on the benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and
-# 48 trials ran 123, 145 and 152 trials/s in one round (a chunk of 1 about
-# half as fast as 32) and added 0.6, 1.3 and 1.8 % to peak RSS.
-L1_CHUNK = 32
+# Trials per chunk when an enabled estimator has a batch step (the LN-1 and
+# LN-1E plane fits, the Grad-Desc steps).  With LN-1 and LN-1E on the
+# benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and 48 trials ran
+# 123, 145 and 152 trials/s in one round (a chunk of 1 about half as fast as
+# 32) and added 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc batched too,
+# on uncoord-fixed (the desk profile), chunks of 16, 32, 48 and 64 ran
+# 120-124, 147-159, 156-171 and 161-171 trials/s in two rounds, at 41.7,
+# 42.0, 42.4 and 42.8 MB peak RSS.
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -243,14 +249,21 @@ ESTIMATORS = {
             **vars(t.config.lmds),
         ),
     ),
+    # Grad-Desc, LN-1 and LN-1E read the fits their batch steps memoized on
+    # the trials' measurement matrices (see estimators) and systems (see
+    # planefit).
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: grad_desc_estimate(
             t.measurements, t.topology.anchors, t.params, **vars(t.config.grad_desc)
         ),
+        batch=lambda ts: grad_desc_fits(
+            [t.measurements for t in ts],
+            np.stack([t.topology.anchors for t in ts]),
+            ts[0].params,
+            **vars(ts[0].config.grad_desc),
+        ),
     ),
-    # LN-1 and LN-1E read the plane fits their batch steps memoized on the
-    # trials' systems (see planefit).
     "ln1": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: ln1_estimate(t.system, t.config.admm),
@@ -340,7 +353,7 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    chunk = L1_CHUNK if batches else 1
+    chunk = CHUNK if batches else 1
     results = []
     for start in range(0, config.trials, chunk):
         indices = range(start, min(start + chunk, config.trials))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from secloc import (
     distance_from_rssi,
     distance_sq_variance,
     grad_desc_estimate,
+    grad_desc_fits,
     lmds_estimate,
     ln1_estimate,
     ln1e_estimate,
@@ -375,6 +377,10 @@ class TestGradDesc:
             grad_desc_estimate(meas, topo.anchors, params, keep_fraction=0.0)
         with pytest.raises(DomainError):
             grad_desc_estimate(meas, topo.anchors, params, max_iters=0)
+        with pytest.raises(DomainError):  # anchors of another trial
+            grad_desc_estimate(meas, topo.anchors[:5], params)
+        with pytest.raises(DomainError):  # one layout for two matrices
+            grad_desc_fits([meas, meas], topo.anchors[None], params)
 
 
 class TestSharedProperties:
@@ -570,6 +576,47 @@ class TestGradDescParity:
             assert est.iterations == expected.iterations
             assert est.eliminated == expected.eliminated
 
+    @pytest.mark.parametrize(
+        "settings,stops",
+        [
+            (dict(), {"cap", "move", "box"}),
+            (dict(step=1e12), {"box"}),
+            (dict(max_iters=1), {"cap", "box"}),
+        ],
+        ids=["default", "all-leave-box", "one-step"],
+    )
+    def test_batch_same_paths_as_reference(self, settings, stops):
+        # one lock-step batch of trials that stop at different steps: on a
+        # move below 1e-12 m ("move"), at max_iters ("cap"), or by leaving
+        # the 1e6 m box ("box"; at the default step, rows 1e8 dB too loud
+        # leave it at their first step): every row takes its own trial's
+        # reference path, whichever rows share its batch
+        trials = []
+        for kind in ATTACK_KINDS:
+            params, kind_trials = _attacked_trials(kind, seed=47, count=8)
+            trials += [(meas, anchors) for meas, anchors, _ in kind_trials]
+        loud = [(MeasurementMatrix(meas.rssi + 1e8), anchors) for meas, anchors in trials[:3]]
+        trials[3:3] = loud
+        fits = grad_desc_fits(
+            [meas for meas, _ in trials],
+            np.stack([anchors for _, anchors in trials]),
+            params,
+            **settings,
+        )
+        max_iters = settings.get("max_iters", 200)
+        seen = set()
+        for (meas, anchors), est in zip(trials, fits):
+            expected = grad_desc_reference(meas, anchors, params, **settings)
+            assert est.iterations == expected.iterations
+            assert est.converged == expected.converged
+            assert est.eliminated == expected.eliminated
+            np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
+            if not est.converged:
+                seen.add("box")
+            else:
+                seen.add("cap" if est.iterations == max_iters else "move")
+        assert seen == stops
+
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_callback_same_kept_sets_and_costs(self, kind):
         params, trials = _attacked_trials(kind, seed=42, count=3, n_anchors=16)
@@ -587,6 +634,66 @@ class TestGradDescParity:
             np.testing.assert_allclose(
                 [c for *_, c in new], [c for *_, c in ref], rtol=1e-9, atol=0
             )
+
+
+class TestGradDescMemo:
+    """A fit memoized on a ``MeasurementMatrix`` is returned only for its own
+    anchors, params and settings, and never to a call with ``init`` or
+    ``callback``."""
+
+    def batch(self):
+        params, trials = _attacked_trials("uncoordinated", seed=48, count=3)
+        fits = grad_desc_fits(
+            [meas for meas, _, _ in trials],
+            np.stack([anchors for _, anchors, _ in trials]),
+            params,
+            max_iters=200,
+        )
+        return params, [(meas, anchors) for meas, anchors, _ in trials], fits
+
+    def test_repeat_call_returns_memoized_fit(self):
+        params, trials, fits = self.batch()
+        for (meas, anchors), fit in zip(trials, fits):
+            assert grad_desc_estimate(meas, anchors, params) is fit
+            (again,) = grad_desc_fits([meas], anchors[None], params)
+            assert again is fit
+
+    @pytest.mark.parametrize("change", ["max_iters", "layout", "p0", "init", "callback"])
+    def test_other_inputs_recompute(self, change):
+        params, trials, fits = self.batch()
+        for (meas, anchors), fit in zip(trials, fits):
+            calls = []
+            args, kwargs = (meas, anchors, params), {}
+            if change == "max_iters":
+                kwargs = dict(max_iters=50)
+            elif change == "layout":
+                args = (meas, anchors + np.array([3.0, -2.0]), params)
+            elif change == "p0":
+                args = (meas, anchors, replace(params, p0=params.p0 + 1.0))
+            elif change == "init":
+                kwargs = dict(init=anchors.mean(axis=0) + np.array([5.0, -5.0]))
+            else:
+                kwargs = dict(callback=lambda it, *_: calls.append(it))
+            est = grad_desc_estimate(*args, **kwargs)
+            kwargs.pop("callback", None)
+            expected = grad_desc_reference(*args, **kwargs)
+            assert est is not fit
+            assert est.iterations == expected.iterations
+            assert est.converged == expected.converged
+            assert est.eliminated == expected.eliminated
+            np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
+            if change == "callback":
+                assert calls == list(range(1, est.iterations + 1))
+            # the batch's own fit is still the one returned for its inputs
+            assert grad_desc_estimate(meas, anchors, params) is fit
+
+    def test_matrix_equality_and_repr_ignore_the_memo(self):
+        _, trials, _ = self.batch()
+        meas = trials[0][0]
+        fresh = MeasurementMatrix(meas.rssi)
+        assert meas.memo and not fresh.memo
+        assert fresh == meas
+        assert repr(fresh) == repr(meas) and "memo" not in repr(meas)
 
 
 def _collinear_anchors(on_line, off_line, seed):

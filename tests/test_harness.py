@@ -18,7 +18,7 @@ from secloc import (
     sweep,
 )
 from secloc import harness
-from secloc.harness import CSV_HEADER, L1_CHUNK
+from secloc.harness import CSV_HEADER, CHUNK
 
 
 def quiet_config(**kw):
@@ -132,22 +132,35 @@ class TestMonteCarlo:
                 attack_kind="coordinated",
                 t_att=(75.0, 75.0),
                 malicious_fraction=0.28,
-                estimators=("wls", "ln1", "ln1e"),
+                estimators=("wls", "grad_desc", "ln1", "ln1e"),
                 admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
-                trials=L1_CHUNK + 1,
+                trials=CHUNK + 1,
                 master_seed=3,
             ),
-            attack_config(estimators=("ls", "ln1"), trials=L1_CHUNK + 1),
+            attack_config(estimators=("ls", "grad_desc", "ln1"), trials=CHUNK + 1),
+            attack_config(estimators=("grad_desc",), topology_per_trial=True, trials=CHUNK + 1),
         ],
-        ids=["coordinated", "uncoordinated"],
+        ids=["coordinated", "uncoordinated", "per-trial-topology"],
     )
-    def test_chunked_fits_match_trial_by_trial(self, cfg):
-        # run_monte_carlo fits a chunk's LN-1/LN-1E planes in lock-step
-        # batches, which may round the last bits differently from a trial's
-        # own one-system fits; a full chunk and a one-trial tail give the
-        # same outcomes, and two runs the same summary
+    def test_chunked_fits_match_trial_by_trial(self, cfg, monkeypatch):
+        # run_monte_carlo runs a chunk's Grad-Desc steps and LN-1/LN-1E
+        # plane fits in lock-step batches, which may round the last bits
+        # differently from a trial's own one-trial calls; a full chunk and a
+        # one-trial tail give the same outcomes, and two runs the same
+        # summary.  Grad-Desc keeps, trial by trial, its iterations,
+        # converged flag and eliminated set, and its position within 1e-12 m.
+        fits = []
+        original = harness.grad_desc_estimate
+
+        def recording(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(harness, "grad_desc_estimate", recording)
         chunked = run_monte_carlo(cfg)
+        batched = list(fits)
         assert run_monte_carlo(cfg) == chunked
+        fits.clear()
         alone = summarize(cfg, [run_trial(cfg, i) for i in range(cfg.trials)])
         assert chunked.crlb == alone.crlb
         for name in cfg.estimators:
@@ -155,6 +168,11 @@ class TestMonteCarlo:
             counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp")
             assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
             assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
+        assert len(batched) == len(fits) == cfg.trials
+        for got, want in zip(batched, fits):
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert got.eliminated == want.eliminated
+            np.testing.assert_allclose(got.position, want.position, rtol=0, atol=1e-12)
 
     def test_all_failures_reported_absent(self):
         cfg = attack_config(
@@ -241,7 +259,7 @@ class TestSweepAndCsv:
             attack_config(
                 estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
                 n_anchors=12,
-                trials=L1_CHUNK + 1,
+                trials=CHUNK + 1,
             ),
             ExperimentConfig(
                 attack_kind="coordinated",
@@ -250,7 +268,7 @@ class TestSweepAndCsv:
                 estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
                 admm=AdmmParams(max_iters=1500),
                 n_anchors=12,
-                trials=L1_CHUNK + 1,
+                trials=CHUNK + 1,
                 master_seed=3,
             ),
         ],

@@ -70,6 +70,33 @@ def test_l1_estimates_read_their_fits_inside_their_spans(tracing):
     assert 0 < capped < len(estimates)
 
 
+def test_grad_desc_reads_its_fit_inside_its_span(tracing):
+    # run_monte_carlo runs a chunk's Grad-Desc steps in one lock-step batch
+    # before its trials; each trial must still call grad_desc_estimate inside
+    # its own span, with the config's max_iters=, because the benchmark's
+    # grad_desc_iters_p50 and grad_desc_cap_share read that call's span
+    cfg = ExperimentConfig(
+        attack_kind="coordinated",
+        t_att=(75.0, 75.0),
+        malicious_fraction=0.28,
+        estimators=("wls", "grad_desc"),
+        trials=6,
+        master_seed=5,
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run_monte_carlo(cfg)
+    spans = tracer.spans
+    fits = [span for span in spans if span.name == "estimators.grad_desc"]
+    assert sorted(span.trial for span in fits) == list(range(cfg.trials))
+    for span in fits:
+        trial = spans[span.parent]
+        assert trial.name == "harness.trial" and trial.trial == span.trial
+        assert trial.start <= span.start <= span.end <= trial.end
+        assert type(span.iterations) is int and type(span.converged) is bool
+        assert span.max_iters == cfg.grad_desc.max_iters
+
+
 @pytest.mark.parametrize(
     "attack",
     [
