@@ -222,7 +222,8 @@ def select_malicious(n_anchors: int, fraction: float, seed, eligible=None) -> fr
 
 def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
     """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
-    ``MIN_SEPARATION`` to the target (defaults to the area center)."""
+    ``MIN_SEPARATION`` to the target (defaults to the area center).  An area
+    with no point that far from the target is a ``ConfigError``."""
     if not (math.isfinite(area) and area > 0):
         raise ConfigError("area must be positive and finite")
     t = (
@@ -232,6 +233,9 @@ def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topo
     )
     if not np.all(np.isfinite(t)):
         raise ConfigError("target must be finite")  # never clears the separation test
+    farthest_corner = math.hypot(max(t[0], area - t[0]), max(t[1], area - t[1]))
+    if farthest_corner <= MIN_SEPARATION:
+        raise ConfigError(f"no point of the {area:g} m area is {MIN_SEPARATION:g} m off the target")
     rng = np.random.default_rng(seed)
     anchors = np.empty((n_anchors, 2))
     filled = 0

@@ -12,8 +12,11 @@ same ranges.  Every linear least-squares solve, theirs and LN-1/LN-1E's in
 system, and ``rank_deficient`` as its only rank test.  ML and Grad-Desc fit
 the RSSI matrix directly, through one squared-range model of the mean RSSI
 (``_rssi_model``, which reads the channel's ``mean_rssi_sq`` and
-``PathLossParams.slope``); Grad-Desc steps many trials in lock step and
-memoizes each fit on its trial's ``MeasurementMatrix`` (``grad_desc_fits``).
+``PathLossParams.slope``).  Grad-Desc has one loop, ``grad_desc_fits``: it
+steps many trials in lock step, each from its anchors' centroid (anchors on
+one line fail ``rank_deficient`` there too), and memoizes each fit on its
+trial's ``MeasurementMatrix``; ``grad_desc_estimate`` is a batch of one and
+takes no start point or per-step callback.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -397,36 +400,55 @@ class GradDescParams:
             raise DomainError(f"need step > 0, max_iters >= 1, keep_fraction in (0, 1]: {self}")
 
 
-def _grad_desc_steps(
-    measurements, anchors, t, params, step, max_iters, keep_fraction, callback=None
+def grad_desc_fits(
+    measurements,
+    anchors,
+    params: PathLossParams,
+    step: float = GradDescParams.step,
+    max_iters: int = GradDescParams.max_iters,
+    keep_fraction: float = GradDescParams.keep_fraction,
 ) -> list:
-    """The Grad-Desc loop, in lock step over T trials, one row per trial:
-    ``measurements`` are their T matrices, ``anchors`` their (T, N, 2)
-    layouts and ``t`` their (T, 2) starts.  Returns one ``Estimate`` per
-    trial.  ``callback`` is called with row 0 (see ``grad_desc_estimate``)."""
+    """Grad-Desc on T trials in lock step, one row per trial, each from its
+    anchors' centroid: ``measurements`` are the T matrices and ``anchors``
+    their layouts stacked as (T, N, 2) (a fixed topology repeats one).
+    Returns one entry per trial: its ``Estimate``, memoized on its matrix
+    (see ``grad_desc_estimate``; a memoized trial is not run again), or, for
+    anchors on one line, a ``DegenerateGeometryError``, which is not memoized
+    and does not stop the others."""
+    settings = GradDescParams(step, max_iters, keep_fraction)
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 3 or anchors.shape[0] != len(measurements) or anchors.shape[2] != 2:
+        raise DomainError("anchors must be stacked as (T, N, 2) for T matrices")
     n = anchors.shape[1]
     if any(m.n_anchors != n for m in measurements):
         raise DomainError("anchor and measurement row counts differ")
+    keys = [("grad_desc", a.tobytes(), params, settings) for a in anchors]
+    out = [m.memo.get(key) for m, key in zip(measurements, keys)]
+    # batch row -> trial
+    rows = np.array([i for i, fit in enumerate(out) if fit is None], dtype=int)
+    anchors = anchors[rows]
+    t = anchors.mean(axis=1)
+    # The cost is symmetric about a line holding every anchor, so from their
+    # centroid every step would stay on it.
+    on_line = rank_deficient(np.linalg.svd(anchors - t[:, None, :], compute_uv=False))
+    for i in rows[on_line]:
+        out[i] = DegenerateGeometryError("Grad-Desc needs anchors off one line")
+    rows, anchors, t = rows[~on_line], anchors[~on_line], t[~on_line]
     n_keep = max(3, math.ceil(keep_fraction * n))
     gain = 2.0 * params.slope / n_keep
-    rssi_mean = np.array([m.rssi.mean(axis=1) for m in measurements])
-    packet_var = None if callback is None else measurements[0].rssi.var(axis=1)
-    out = [None] * len(measurements)
-    rows = np.arange(len(measurements))  # batch row -> trial
+    rssi_mean = np.array([measurements[i].rssi.mean(axis=1) for i in rows])
     # kept + row_start indexes the kept entries of the flattened (rows, N)
     # arrays: one np.take per gather, cheaper than np.take_along_axis
-    row_start = rows[:, None] * n
+    row_start = np.arange(rows.size)[:, None] * n
     for iterations in range(1, max_iters + 1):
+        if not rows.size:
+            break
         diff, d2, model = _rssi_model(t[:, None, :], anchors, params)
         row_mean = rssi_mean - model
         order = np.argsort(np.abs(row_mean), axis=1, kind="stable")
         kept = np.sort(order[:, :n_keep], axis=1)
         flat = kept + row_start
-        kept_mean = row_mean.take(flat)
-        if callback is not None:
-            cost = float(np.sum(packet_var[kept[0]] + kept_mean[0] ** 2)) / n_keep
-            callback(iterations, t[0].copy(), kept[0].copy(), cost)
-        weight = kept_mean / d2.take(flat)
+        weight = row_mean.take(flat) / d2.take(flat)
         kept_diff = diff.reshape(-1, 2).take(flat, axis=0)
         t_new = t - step * (gain * np.einsum("tk,tkj->tj", weight, kept_diff))
         # False for an inf or nan iterate too; such a row keeps its last t
@@ -437,7 +459,8 @@ def _grad_desc_steps(
             stop[:] = True
         if stop.any():
             for j in np.flatnonzero(stop):
-                out[rows[j]] = Estimate(
+                i = rows[j]
+                measurements[i].memo[keys[i]] = out[i] = Estimate(
                     position=t_new[j] if inside[j] else t[j],
                     eliminated=np.setdiff1d(np.arange(n), kept[j]),
                     iterations=iterations,
@@ -445,47 +468,9 @@ def _grad_desc_steps(
                 )
             go = ~stop
             t, rssi_mean, anchors, rows = t_new[go], rssi_mean[go], anchors[go], rows[go]
-            if not rows.size:
-                break
             row_start = row_start[: rows.size]
         else:
             t = t_new
-    return out
-
-
-def grad_desc_fits(
-    measurements,
-    anchors,
-    params: PathLossParams,
-    step: float = GradDescParams.step,
-    max_iters: int = GradDescParams.max_iters,
-    keep_fraction: float = GradDescParams.keep_fraction,
-) -> list:
-    """Grad-Desc on T trials in lock step, each from its anchors' centroid:
-    ``measurements`` are the T matrices and ``anchors`` their layouts
-    stacked as (T, N, 2) (a fixed topology repeats one).  Returns one
-    ``Estimate`` per trial, the one ``grad_desc_estimate`` returns for it,
-    and memoizes it on that trial's matrix (see ``grad_desc_estimate``); a
-    memoized trial is not run again."""
-    settings = GradDescParams(step, max_iters, keep_fraction)
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 3 or anchors.shape[0] != len(measurements) or anchors.shape[2] != 2:
-        raise DomainError("anchors must be stacked as (T, N, 2) for T matrices")
-    keys = [("grad_desc", a.tobytes(), params, settings) for a in anchors]
-    out = [m.memo.get(key) for m, key in zip(measurements, keys)]
-    live = [i for i, fit in enumerate(out) if fit is None]
-    if live:
-        fits = _grad_desc_steps(
-            [measurements[i] for i in live],
-            anchors[live],
-            anchors[live].mean(axis=1),
-            params,
-            step,
-            max_iters,
-            keep_fraction,
-        )
-        for i, fit in zip(live, fits):
-            measurements[i].memo[keys[i]] = out[i] = fit
     return out
 
 
@@ -496,20 +481,16 @@ def grad_desc_estimate(
     step: float = GradDescParams.step,
     max_iters: int = GradDescParams.max_iters,
     keep_fraction: float = GradDescParams.keep_fraction,
-    init=None,
-    callback=None,
 ) -> Estimate:
-    """Constant-step gradient descent on the RSSI cost with residual pruning.
+    """Constant-step gradient descent on the RSSI cost with residual pruning,
+    from the anchors' centroid.
 
     Each iteration keeps the ceil(keep_fraction * N) anchors with the
     smallest absolute mean RSSI residual at the current iterate and descends
     the mean squared residual over that subset.  The model is one value per
     anchor, so every step works on per-anchor means: anchor i's mean residual
     is its mean RSSI minus the model, and the gradient of its packets' summed
-    squared residuals is P times that of the mean.  ``callback(iteration,
-    position, kept_indices, cost)`` is invoked once per iteration; its cost
-    adds each kept anchor's packet variance, computed once, to its squared
-    mean residual.
+    squared residuals is P times that of the mean.
 
     Grad-Desc is a fixed-budget baseline: it stops when a step moves the
     iterate by less than 1e-12 m or after ``max_iters`` steps, and stopping at
@@ -517,27 +498,21 @@ def grad_desc_estimate(
     coord-fixed and uncoord-fixed blocks at seed 20260810, 76 % and 81 % of
     calls use all 200 steps.  Only an iterate that leaves the 1e6 m box, or
     turns inf or nan, is non-converged; the estimate is then the last
-    iterate inside the box.
+    iterate inside the box.  Anchors on one line (``rank_deficient`` on
+    their centred coordinates) raise ``DegenerateGeometryError``.
 
-    There is one Grad-Desc loop, which steps many trials in lock step, one
-    row per trial, each stopping at its own step (a step is a handful of
-    numpy calls on vectors of N entries, so its cost is call overhead);
-    this call is a batch of one.  ``grad_desc_fits`` runs a batch and
-    memoizes each fit on its trial's ``MeasurementMatrix`` under
-    ``("grad_desc", anchors.tobytes(), params, GradDescParams(step,
-    max_iters, keep_fraction))``, anchors as float64; with no ``init`` and
-    no ``callback`` this call returns that memoized fit, or runs
-    ``grad_desc_fits`` on the one trial.  The batch's sums may round the
-    last bits differently from a lone trial's.
+    There is one Grad-Desc loop, ``grad_desc_fits``, which steps many trials
+    in lock step, one row per trial, each stopping at its own step (a step
+    is a handful of numpy calls on vectors of N entries, so its cost is call
+    overhead); this call is a batch of one.  ``grad_desc_fits`` memoizes each
+    fit on its trial's ``MeasurementMatrix`` under ``("grad_desc",
+    anchors.tobytes(), params, GradDescParams(step, max_iters,
+    keep_fraction))``, anchors as float64, so this call returns the fit a
+    batch left for the same inputs.  The batch's sums may round the last
+    bits differently from a lone trial's.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if init is None and callback is None:
-        return grad_desc_fits(
-            [measurements], anchors[None], params, step, max_iters, keep_fraction
-        )[0]
-    GradDescParams(step, max_iters, keep_fraction)
-    t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2)
-    (fit,) = _grad_desc_steps(
-        [measurements], anchors[None], t[None], params, step, max_iters, keep_fraction, callback
-    )
+    (fit,) = grad_desc_fits([measurements], anchors[None], params, step, max_iters, keep_fraction)
+    if isinstance(fit, DegenerateGeometryError):
+        raise fit
     return fit

@@ -93,7 +93,6 @@ class EstimatorOutcome:
     """One estimator's result on one trial."""
 
     error: float | None
-    n_eliminated: int
     tp: int
     fp: int
     failure: str | None = None
@@ -284,18 +283,11 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
     try:
         est = spec.run(trial)
     except SecLocError as exc:
-        return EstimatorOutcome(
-            error=None,
-            n_eliminated=0,
-            tp=0,
-            fp=0,
-            failure=type(exc).__name__,
-        )
+        return EstimatorOutcome(error=None, tp=0, fp=0, failure=type(exc).__name__)
     malicious = trial.topology.malicious
     eliminated = est.eliminated
     return EstimatorOutcome(
         error=float(np.linalg.norm(est.position - trial.topology.target)),
-        n_eliminated=len(eliminated),
         tp=len(eliminated & malicious),
         fp=len(eliminated - malicious),
         failure=None if est.converged else "non-convergence",

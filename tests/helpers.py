@@ -88,7 +88,11 @@ def _rssi_residuals(t, anchors, rssi, params):
 def grad_desc_reference(measurements, anchors, params, step=0.4, max_iters=200,
                         keep_fraction=0.5, init=None, callback=None):
     """Grad-Desc as a plain loop: every step forms the full N x P residual
-    matrix and ranks anchors by its row means."""
+    matrix and ranks anchors by its row means.  Unlike the library, it also
+    takes a start point ``init`` (default: the anchors' centroid) and
+    ``callback(iteration, position, kept_indices, cost)``, called once per
+    step with the mean squared residual over the kept packets, for the
+    tests of the iteration itself."""
     if step <= 0:
         raise DomainError("step must be positive")
     if not 0.0 < keep_fraction <= 1.0:

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 
 import pytest
 
+import secloc
 from secloc import load_config
 from secloc.cli import main
 
@@ -284,6 +288,26 @@ class TestErrorPaths:
         )
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "swls" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("command", ["simulate", "crlb"])
+    def test_area_too_small_for_the_separation(self, tmp_path, command):
+        # Every point of a 1 m square lies within MIN_SEPARATION (1 m) of its
+        # centre, so no anchor draw can ever succeed.  A subprocess with a
+        # timeout, so that a draw loop that never ends fails the test.
+        path = tmp_path / "tiny.cfg"
+        path.write_text("area = 1\ntarget = 0.5 0.5\ntrials = 2\nestimators = ls\n")
+        src = os.path.dirname(os.path.dirname(secloc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "secloc.cli", command, "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "configuration error: no point of the 1 m area" in proc.stderr
 
 
 class TestDeskEdgeCases:

@@ -6,6 +6,7 @@ import pytest
 from secloc import (
     DegenerateInformationError,
     DomainError,
+    ExperimentConfig,
     Fim,
     PathLossParams,
     Topology,
@@ -13,6 +14,7 @@ from secloc import (
     fim_coordinated,
     fim_uncoordinated,
     random_topology,
+    run_monte_carlo,
     select_malicious,
 )
 
@@ -180,3 +182,22 @@ class TestScoreCovariance:
         topo = random_attacked(seed=8)
         t_att = topo.target + 12.0
         self.check(topo, "coordinated", fim_coordinated(topo, P, t_att, 10), t_att=t_att)
+
+
+class TestBoundHoldsInSimulation:
+    """With no attack, no estimator the bound covers beats it by more than
+    Monte-Carlo error."""
+
+    @pytest.mark.parametrize("packets", [2, 10, 50])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rmse_at_least_crlb(self, seed, packets):
+        # The sample RMSE over n trials has a relative standard error of
+        # about 1/sqrt(2 n), so 3 of them is the margin.  ML reports only
+        # its converged trials, up to 33 of 200 fewer here.
+        cfg = ExperimentConfig(
+            trials=200, master_seed=seed, packets=packets, estimators=("ls", "wls", "ml")
+        )
+        summary = run_monte_carlo(cfg)
+        for name, est in summary.per_estimator.items():
+            floor = (1.0 - 3.0 / math.sqrt(2.0 * est.trials_ok)) * summary.crlb
+            assert est.rmse >= floor, (name, est.rmse, summary.crlb)

@@ -324,10 +324,12 @@ class TestLmds:
 
 
 class TestGradDesc:
+    # The start and per-step hooks live on the reference loop only;
+    # TestGradDescParity ties its paths to the library's.
     def test_zero_noise_stays_at_truth(self):
         topo = random_topology(10, 100.0, seed=22)
         meas = exact_measurements(topo, P0)
-        est = grad_desc_estimate(
+        est = grad_desc_reference(
             meas, topo.anchors, P0, keep_fraction=1.0, init=topo.target
         )
         np.testing.assert_allclose(est.position, topo.target, atol=1e-12)
@@ -339,7 +341,7 @@ class TestGradDesc:
         for seed in (23, 24, 25):
             topo, meas, params = noisy_setup(seed=seed, n_anchors=16)
             costs, kept_sets = [], []
-            grad_desc_estimate(
+            grad_desc_reference(
                 meas,
                 topo.anchors,
                 params,
@@ -582,8 +584,9 @@ class TestGradDescParity:
             (dict(), {"cap", "move", "box"}),
             (dict(step=1e12), {"box"}),
             (dict(max_iters=1), {"cap", "box"}),
+            (dict(step=0.05, max_iters=80), {"cap", "box"}),
         ],
-        ids=["default", "all-leave-box", "one-step"],
+        ids=["default", "all-leave-box", "one-step", "small-step"],
     )
     def test_batch_same_paths_as_reference(self, settings, stops):
         # one lock-step batch of trials that stop at different steps: on a
@@ -617,29 +620,10 @@ class TestGradDescParity:
                 seen.add("cap" if est.iterations == max_iters else "move")
         assert seen == stops
 
-    @pytest.mark.parametrize("kind", ATTACK_KINDS)
-    def test_callback_same_kept_sets_and_costs(self, kind):
-        params, trials = _attacked_trials(kind, seed=42, count=3, n_anchors=16)
-        for meas, anchors, _ in trials:
-            seen = {"reference": [], "estimate": []}
-            for name, fn in (("reference", grad_desc_reference), ("estimate", grad_desc_estimate)):
-                fn(
-                    meas, anchors, params, step=0.05, max_iters=80,
-                    callback=lambda it, pos, kept, cost, log=seen[name]: log.append(
-                        (it, tuple(kept), cost)
-                    ),
-                )
-            ref, new = seen["reference"], seen["estimate"]
-            assert [(it, kept) for it, kept, _ in new] == [(it, kept) for it, kept, _ in ref]
-            np.testing.assert_allclose(
-                [c for *_, c in new], [c for *_, c in ref], rtol=1e-9, atol=0
-            )
-
 
 class TestGradDescMemo:
     """A fit memoized on a ``MeasurementMatrix`` is returned only for its own
-    anchors, params and settings, and never to a call with ``init`` or
-    ``callback``."""
+    anchors, params and settings."""
 
     def batch(self):
         params, trials = _attacked_trials("uncoordinated", seed=48, count=3)
@@ -658,32 +642,24 @@ class TestGradDescMemo:
             (again,) = grad_desc_fits([meas], anchors[None], params)
             assert again is fit
 
-    @pytest.mark.parametrize("change", ["max_iters", "layout", "p0", "init", "callback"])
+    @pytest.mark.parametrize("change", ["max_iters", "layout", "p0"])
     def test_other_inputs_recompute(self, change):
         params, trials, fits = self.batch()
         for (meas, anchors), fit in zip(trials, fits):
-            calls = []
             args, kwargs = (meas, anchors, params), {}
             if change == "max_iters":
                 kwargs = dict(max_iters=50)
             elif change == "layout":
                 args = (meas, anchors + np.array([3.0, -2.0]), params)
-            elif change == "p0":
-                args = (meas, anchors, replace(params, p0=params.p0 + 1.0))
-            elif change == "init":
-                kwargs = dict(init=anchors.mean(axis=0) + np.array([5.0, -5.0]))
             else:
-                kwargs = dict(callback=lambda it, *_: calls.append(it))
+                args = (meas, anchors, replace(params, p0=params.p0 + 1.0))
             est = grad_desc_estimate(*args, **kwargs)
-            kwargs.pop("callback", None)
             expected = grad_desc_reference(*args, **kwargs)
             assert est is not fit
             assert est.iterations == expected.iterations
             assert est.converged == expected.converged
             assert est.eliminated == expected.eliminated
             np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
-            if change == "callback":
-                assert calls == list(range(1, est.iterations + 1))
             # the batch's own fit is still the one returned for its inputs
             assert grad_desc_estimate(meas, anchors, params) is fit
 
@@ -772,9 +748,11 @@ class TestLmdsParity:
 
 
 class TestCollinearAnchors:
-    """ML and Grad-Desc fit the RSSI matrix, not the squared-range system, so
-    anchors on (or near) one line leave them no rank test to fail; these
-    pin what they return there.  Any numpy warning fails the suite."""
+    """ML fits the RSSI matrix, not the squared-range system, so anchors on
+    (or near) one line leave it no rank test to fail; Grad-Desc, which
+    starts at the anchors' centroid, tests the rank of the anchors
+    themselves.  These pin what both return there.  Any numpy warning fails
+    the suite."""
 
     TARGET = np.array([50.0, 50.0])
 
@@ -794,11 +772,13 @@ class TestCollinearAnchors:
     def test_exactly_collinear(self):
         # 12 anchors on y = 20, beyond what Topology accepts, so the RSSI
         # matrix is built here: the squared-range estimators see a
-        # rank-deficient A, while ML and Grad-Desc still return an estimate.
-        # Their cost is symmetric about the line, and Grad-Desc starts at the
-        # anchors' centroid, on the line, so it never leaves it.
+        # rank-deficient A, while ML still returns an estimate.  Grad-Desc's
+        # cost is symmetric about the line and its start, the anchors'
+        # centroid, lies on it, so it would never leave the line: it raises
+        # instead, and in a batch the other rows run as they do alone.
         anchors = np.column_stack([np.arange(12) * 8.0 + 6.0, np.full(12, 20.0)])
         d = np.linalg.norm(anchors - self.TARGET, axis=1)
+        params, trials = _attacked_trials("none", seed=49, count=2, n_anchors=12)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             rssi = mean_rssi(P, d)[:, None] + rng.normal(0.0, 2.0, (12, 10))
@@ -808,16 +788,22 @@ class TestCollinearAnchors:
                 lambda: ls_estimate(system),
                 lambda: lmds_estimate(system, anchors, seed=seed),
                 lambda: ln1_estimate(system),
+                lambda: grad_desc_estimate(meas, anchors, P),
             ):
                 with pytest.raises(DegenerateGeometryError):
                     fn()
             ml = ml_estimate(meas, anchors, P, init=self.TARGET)
-            gd = grad_desc_estimate(meas, anchors, P)
-            for est in (ml, gd):
-                assert est.converged and np.all(np.isfinite(est.position))
-                assert est.iterations >= 1
+            assert ml.converged and ml.iterations >= 1
             assert np.linalg.norm(ml.position - self.TARGET) < 2.0
-            assert gd.position[1] == 20.0
+        (m0, a0, _), (m1, a1, _) = trials
+        fits = grad_desc_fits([m0, m1, meas], np.stack([a0, a1, anchors]), params)
+        assert isinstance(fits[2], DegenerateGeometryError)
+        assert not meas.memo
+        for fit, (m, a) in zip(fits[:2], ((m0, a0), (m1, a1))):
+            expected = grad_desc_reference(m, a, params)
+            assert (fit.iterations, fit.converged) == (expected.iterations, expected.converged)
+            assert fit.eliminated == expected.eliminated
+            np.testing.assert_allclose(fit.position, expected.position, rtol=1e-9, atol=0)
 
 
 class TestLeastSquaresKernel:

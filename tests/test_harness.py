@@ -71,10 +71,13 @@ class TestRunTrial:
 
     def test_detection_counts(self):
         cfg = attack_config(trials=1, packets=1000)
-        res = run_trial(cfg, 0)
+        trial = harness.prepare_trial(cfg, 0, harness.base_topology(cfg))
+        eliminated = harness.ESTIMATORS["swls"].run(trial).eliminated
+        res = run_trial(cfg, 0, trial)
         swls = res.outcomes["swls"]
         assert res.n_malicious == 8
-        assert swls.tp + swls.fp == swls.n_eliminated
+        assert swls.tp == len(eliminated & trial.topology.malicious) > 0
+        assert swls.fp == len(eliminated - trial.topology.malicious)
         assert swls.tp <= res.n_malicious
 
     def test_estimator_failure_recorded_not_raised(self):
