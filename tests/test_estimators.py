@@ -41,7 +41,7 @@ from secloc.estimators import (
     rank_deficient,
 )
 
-from helpers import grad_desc_reference, lmds_reference
+from helpers import _rssi_residuals, grad_desc_reference, lmds_reference
 
 P = PathLossParams(-10.0, 4.0, 2.0)
 P0 = PathLossParams(-10.0, 4.0, 0.0)
@@ -619,6 +619,45 @@ class TestGradDescParity:
             else:
                 seen.add("cap" if est.iterations == max_iters else "move")
         assert seen == stops
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_callback_same_kept_sets_and_costs(self, kind):
+        # the library has no per-step hook, so its state after step k is read
+        # by stopping it there (max_iters=k): the anchors it keeps at step k
+        # and its cost at step k, the mean squared residual over those
+        # anchors' packets at its position after k - 1 steps, match what the
+        # reference loop's callback sees at step k
+        params, trials = _attacked_trials(kind, seed=42, count=3, n_anchors=16)
+        matrices = [meas for meas, _, _ in trials]
+        stacked = np.stack([anchors for _, anchors, _ in trials])
+        logs = []
+        for meas, anchors, _ in trials:
+            log = []
+            grad_desc_reference(
+                meas, anchors, params, step=0.05, max_iters=80,
+                callback=lambda it, pos, kept, cost, log=log: log.append(
+                    (it, tuple(kept), cost)
+                ),
+            )
+            logs.append(log)
+        stopped = [
+            grad_desc_fits(matrices, stacked, params, step=0.05, max_iters=k)
+            for k in range(1, 81)
+        ]
+        for row, ((meas, anchors, _), log) in enumerate(zip(trials, logs)):
+            n, packets = meas.rssi.shape
+            steps = []
+            for it, _, _ in log:
+                fit = stopped[it - 1][row]
+                before = stopped[it - 2][row].position if it > 1 else anchors.mean(axis=0)
+                kept = tuple(i for i in range(n) if i not in fit.eliminated)
+                _, _, err = _rssi_residuals(before, anchors, meas.rssi, params)
+                cost = float(np.sum(err[list(kept)] ** 2)) / (len(kept) * packets)
+                steps.append((it, kept, cost))
+            assert [(it, kept) for it, kept, _ in steps] == [(it, kept) for it, kept, _ in log]
+            np.testing.assert_allclose(
+                [c for *_, c in steps], [c for *_, c in log], rtol=1e-9, atol=0
+            )
 
 
 class TestGradDescMemo:
