@@ -53,7 +53,6 @@ from .estimators import (
 )
 from .planefit import (
     AdmmParams,
-    KmeansResult,
     admm_l1_plane,
     admm_l1_planes,
     kmeans_1d,
@@ -61,7 +60,7 @@ from .planefit import (
     ln1e_estimate,
     point_plane_residual,
 )
-from .crlb import Fim, crlb_bound, fim_coordinated, fim_uncoordinated
+from .crlb import crlb_bound, fim_coordinated, fim_uncoordinated
 from .config import (
     ExperimentConfig,
     apply_axis,

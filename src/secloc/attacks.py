@@ -11,7 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,13 +113,12 @@ class AttackSpec:
 class MeasurementMatrix:
     """N x P grid of received powers (dBm), one row per anchor.
 
-    ``memo`` holds results computed from the matrix, under keys owned and
-    documented by the module that fills it (Grad-Desc's fits: see
-    ``estimators``), so ``rssi`` must not be mutated after construction.
+    A trial's matrix travels in its ``estimators.LinearSystem``, whose memo
+    holds what is computed from it, so ``rssi`` must not be mutated after
+    construction.
     """
 
     rssi: np.ndarray
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rssi = np.atleast_2d(np.asarray(self.rssi, dtype=float))

@@ -12,6 +12,7 @@ Attack keys follow ``attack.kind``: ``uncoordinated`` takes
 ``attack.sigma_att`` (>= 0) alone, ``coordinated`` exactly one of
 ``attack.t_att`` and ``attack.distance`` (the decoy then lies that far from
 the target, diagonally), and ``none`` none of them.  A mix fails at load.
+``topology.file`` fixes the layout, so it excludes ``topology.per_trial``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"zeta must be positive and finite, got {self.zeta!r}")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ConfigError("malicious fraction must be in [0, 1]")
+        if self.topology_file is not None and self.topology_per_trial:
+            raise ConfigError("topology.file and topology.per_trial exclude each other")
         # The one attack rule AttackSpec cannot see: how the decoy is given.
         coordinated = self.attack_kind == "coordinated"
         if (self.t_att is not None) + (self.attack_distance is not None) != coordinated:

@@ -15,25 +15,12 @@ benchmarks what an unbiased estimator could achieve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathLossParams
 from .attacks import Topology
 from .exceptions import DegenerateInformationError, DomainError
-
-
-@dataclass(frozen=True)
-class Fim:
-    """Symmetric 2x2 Fisher information matrix (units 1/m^2)."""
-
-    f_xx: float
-    f_xy: float
-    f_yy: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.f_xx, self.f_xy], [self.f_xy, self.f_yy]])
 
 
 def _check_common(params: PathLossParams, packets: int) -> None:
@@ -43,22 +30,21 @@ def _check_common(params: PathLossParams, packets: int) -> None:
         raise DomainError("the bound needs sigma > 0")
 
 
-def _fisher_sum(anchors: np.ndarray, refs, weights, prefactor: float) -> Fim:
+def _fisher_sum(anchors: np.ndarray, refs, weights, prefactor: float) -> np.ndarray:
     """prefactor * sum over anchors i of w_i (a_i - r_i)(a_i - r_i)^T /
     ||a_i - r_i||^4, with each anchor's own reference point r_i (``refs``,
     (N, 2) or one (2,) point for all) and weight w_i (``weights``, (N,) or
-    one scalar)."""
+    one scalar): the symmetric 2x2 Fisher information matrix (1/m^2)."""
     diff = anchors - refs
     d2 = np.einsum("ij,ij->i", diff, diff)
     if np.any(d2 == 0.0):
         raise DomainError("a node coincides with the evaluation point")
-    (f_xx, f_xy), (_, f_yy) = prefactor * ((diff * (weights / (d2 * d2))[:, None]).T @ diff)
-    return Fim(float(f_xx), float(f_xy), float(f_yy))
+    return prefactor * ((diff * (weights / (d2 * d2))[:, None]).T @ diff)
 
 
 def fim_uncoordinated(
     topology: Topology, params: PathLossParams, sigma_att: float, packets: int
-) -> Fim:
+) -> np.ndarray:
     """Information matrix when malicious anchors add independent power jitter
     of standard deviation ``sigma_att``; sigma_att = 0 recovers the no-attack
     matrix."""
@@ -72,7 +58,7 @@ def fim_uncoordinated(
 
 def fim_coordinated(
     topology: Topology, params: PathLossParams, t_att, packets: int
-) -> Fim:
+) -> np.ndarray:
     """Information matrix under a coordinated attack: malicious geometry terms
     are taken about the decoy position ``t_att``."""
     _check_common(params, packets)
@@ -85,9 +71,11 @@ def fim_coordinated(
     return _fisher_sum(topology.anchors, refs, 1.0, prefactor)
 
 
-def crlb_bound(fim: Fim) -> float:
-    """RMSE lower bound sqrt(trace(F^{-1})) via the closed-form 2x2 inverse."""
-    det = fim.f_xx * fim.f_yy - fim.f_xy**2
+def crlb_bound(fim: np.ndarray) -> float:
+    """RMSE lower bound sqrt(trace(F^{-1})) of a 2x2 information matrix, via
+    the closed-form 2x2 inverse."""
+    (f_xx, f_xy), (_, f_yy) = np.asarray(fim, dtype=float).tolist()
+    det = f_xx * f_yy - f_xy**2
     if det <= 1e-15:
         raise DegenerateInformationError("Fisher information matrix is singular")
-    return math.sqrt((fim.f_xx + fim.f_yy) / det)
+    return math.sqrt((f_xx + f_yy) / det)

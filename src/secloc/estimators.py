@@ -1,22 +1,25 @@
 """Position estimators built on the shared squared-range linear system.
 
-Averaging each anchor's RSSI row gives a range estimate d_i; squaring the
-range equations and subtracting the common quadratic term yields a linear
-system A u = b in u = (t_x, t_y, t_x^2 + t_y^2).  The ranges are inverted
-once per trial, when the system is built, and travel with it: LS solves the
-system unweighted, WLS weights its rows by the inverse variance of the
-squared range, SWLS first eliminates anchors whose per-packet range variance
-implies an inflated noise level, and LMdS scores its candidates against the
-same ranges.  Every linear least-squares solve, theirs and LN-1/LN-1E's in
-``planefit``, goes through one kernel, ``_least_squares``: one SVD per
-system, and ``rank_deficient`` as its only rank test.  ML and Grad-Desc fit
-the RSSI matrix directly, through one squared-range model of the mean RSSI
-(``_rssi_model``, which reads the channel's ``mean_rssi_sq`` and
-``PathLossParams.slope``).  Grad-Desc has one loop, ``grad_desc_fits``: it
-steps many trials in lock step, each from its anchors' centroid (anchors on
-one line fail ``rank_deficient`` there too), and memoizes each fit on its
-trial's ``MeasurementMatrix``; ``grad_desc_estimate`` is a batch of one and
-takes no start point or per-step callback.
+Every estimator takes one trial's ``LinearSystem`` first.  Averaging each
+anchor's RSSI row gives a range estimate d_i; squaring the range equations
+and subtracting the common quadratic term yields a linear system A u = b in
+u = (t_x, t_y, t_x^2 + t_y^2).  The ranges are inverted once per trial, when
+the system is built, and travel with it, as do the trial's RSSI matrix and,
+read back off A, its anchors: LS solves the system unweighted, WLS weights
+its rows by the inverse variance of the squared range, SWLS first eliminates
+anchors whose per-packet range variance implies an inflated noise level, and
+LMdS scores its candidates against the same ranges.  Every linear
+least-squares solve, theirs and LN-1/LN-1E's in ``planefit``, goes through
+one kernel, ``_least_squares``: one SVD per system, and ``rank_deficient``
+as its only rank test.  ML and Grad-Desc fit the RSSI matrix directly,
+through one squared-range model of the mean RSSI (``_rssi_model``, which
+reads the channel's ``mean_rssi_sq`` and ``PathLossParams.slope``).
+Grad-Desc has one loop, ``grad_desc_fits``: it steps many trials in lock
+step, each from its anchors' centroid (anchors on one line fail
+``rank_deficient`` there too), and memoizes each fit on its trial's system,
+the one place a batched fit is kept (``planefit`` keeps its plane fits
+there too); ``grad_desc_estimate`` is a batch of one and takes no start
+point or per-step callback.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -59,21 +62,28 @@ def rank_deficient(svals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The (A, b) pair shared by every least-squares style estimator.
+    """One trial's measurements as the (A, b) pair, the one input of every
+    estimator.
 
-    Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2.
-    ``ranges`` holds the d_i when the system was built from ranges (see
-    ``build_linear_system``); the estimators that need ranges read them from
-    here, so a trial inverts its mean RSSI once.  ``subset`` keeps them row for row.
+    Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2, so
+    ``anchors`` reads the anchor positions back off A exactly.  ``ranges``
+    holds the d_i when the system was built from ranges, and
+    ``measurements`` the trial's RSSI matrix, one row per row of A (see
+    ``build_linear_system``); the estimators that need them read them from
+    here, so a trial inverts its mean RSSI once.  Both are optional, so a
+    plane fit can run on a hand-built (A, b); an estimator that needs one
+    raises ``DomainError`` without it.  ``subset`` keeps them row for row.
 
     ``memo`` holds results computed from the system, under keys owned and
-    documented by the module that fills it, so A, b and ranges must not be
-    mutated after construction.  A subset starts with an empty memo.
+    documented by the module that fills it, so A, b, ranges and measurements
+    must not be mutated after construction.  A subset starts with an empty
+    memo.
     """
 
     A: np.ndarray
     b: np.ndarray
     ranges: np.ndarray | None = None
+    measurements: MeasurementMatrix | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,21 +99,37 @@ class LinearSystem:
             raise InsufficientAnchorsError(f"need at least 3 rows, got {A.shape[0]}")
         if self.ranges is not None and np.shape(self.ranges) != b.shape:
             raise DomainError("ranges and b row counts differ")
+        if self.measurements is not None and self.measurements.n_anchors != b.shape[0]:
+            raise DomainError("measurement and system row counts differ")
 
     @property
     def n_rows(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def anchors(self) -> np.ndarray:
+        """The anchor positions, (N, 2): A's first two columns are -2 a_i."""
+        return -0.5 * self.A[:, :2]
+
     def subset(self, indices) -> "LinearSystem":
         idx = np.asarray(sorted(indices), dtype=int)
         ranges = None if self.ranges is None else self.ranges[idx]
-        return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges)
+        matrix = None
+        if self.measurements is not None:
+            matrix = MeasurementMatrix(self.measurements.rssi[idx])
+        return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges, measurements=matrix)
 
     def range_estimates(self) -> np.ndarray:
         """The ranges the system was built from."""
         if self.ranges is None:
             raise DomainError("the system carries no ranges; use build_linear_system")
         return self.ranges
+
+    def measurement_matrix(self) -> MeasurementMatrix:
+        """The RSSI matrix the system was built from."""
+        if self.measurements is None:
+            raise DomainError("the system carries no measurements; use build_linear_system")
+        return self.measurements
 
 
 @dataclass(frozen=True)
@@ -131,11 +157,13 @@ class Estimate:
             raise DomainError("a converged estimate must be finite")
 
 
-def build_linear_system(anchors, mean_distances) -> LinearSystem:
+def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSystem:
     """Assemble (A, b) from anchor positions and P-averaged range estimates.
 
     The ranges must come from the row-mean RSSI (one inversion per anchor),
-    not from averaging per-packet ranges.
+    not from averaging per-packet ranges.  ``measurements``, the trial's
+    RSSI matrix, travels with the system for the estimators that read it
+    (SWLS, ML, Grad-Desc).
     """
     a = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = np.asarray(mean_distances, dtype=float).ravel()
@@ -148,7 +176,7 @@ def build_linear_system(anchors, mean_distances) -> LinearSystem:
         raise DomainError(f"range {top:g} m is out of range: its square is not finite")
     A = np.column_stack([-2.0 * a[:, 0], -2.0 * a[:, 1], np.ones(a.shape[0])])
     b = d**2 - a[:, 0] ** 2 - a[:, 1] ** 2
-    return LinearSystem(A=A, b=b, ranges=d)
+    return LinearSystem(A=A, b=b, ranges=d, measurements=measurements)
 
 
 def _least_squares(A: np.ndarray, b: np.ndarray | None = None) -> tuple:
@@ -197,25 +225,20 @@ def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     return Estimate(position=sol[:2], auxiliary=float(sol[2]))
 
 
-def swls_estimate(
-    system: LinearSystem,
-    measurements: MeasurementMatrix,
-    params: PathLossParams,
-    zeta: float = 1.5,
-) -> Estimate:
+def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.5) -> Estimate:
     """WLS preceded by malicious-anchor elimination.
 
-    Each anchor's per-packet range samples give a sample variance; inverting
-    the range-variance law at the system's (mean-RSSI) range turns it into a
-    noise-level estimate, and anchors whose estimate reaches zeta * sigma are
-    dropped before the WLS solve on the remaining rows.
+    Each anchor's per-packet range samples (from the system's RSSI matrix)
+    give a sample variance; inverting the range-variance law at the system's
+    (mean-RSSI) range turns it into a noise-level estimate, and anchors whose
+    estimate reaches zeta * sigma are dropped before the WLS solve on the
+    remaining rows.
     """
     if not 0.0 < zeta < math.inf:
         raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
+    measurements = system.measurement_matrix()
     if measurements.packets < 2:
         raise DomainError("sample variance needs at least 2 packets")
-    if measurements.n_anchors != system.n_rows:
-        raise DomainError("measurement and system row counts differ")
     per_packet_d = distance_from_rssi(params, measurements.rssi)
     sample_var = np.var(per_packet_d, axis=1, ddof=1)
     sigma_est = estimate_noise_sigma(params, sample_var, system.range_estimates())
@@ -252,17 +275,16 @@ def _rssi_cost_grad(t, anchors, rssi, params):
     return cost, grad
 
 
-def ml_estimate(
-    measurements: MeasurementMatrix, anchors, params: PathLossParams, init
-) -> Estimate:
-    """Quasi-Newton local minimizer of the RSSI log-likelihood cost.
+def ml_estimate(system: LinearSystem, params: PathLossParams, init) -> Estimate:
+    """Quasi-Newton local minimizer of the RSSI log-likelihood cost of the
+    system's RSSI matrix.
 
     BFGS with Armijo backtracking; steps landing within 1e-9 m of an anchor
     are damped.  Stops when the gradient norm drops below ``ML_GTOL`` or after
     ``ML_MAX_ITERS`` iterations (then converged=False).
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    rssi = measurements.rssi
+    rssi = system.measurement_matrix().rssi
+    anchors = system.anchors
     t = np.asarray(init, dtype=float).reshape(2).copy()
     if not np.all(np.isfinite(t)):
         raise DomainError("init must be finite")
@@ -333,7 +355,6 @@ class LmdsParams:
 
 def lmds_estimate(
     system: LinearSystem,
-    anchors,
     n_subsets: int = LmdsParams.n_subsets,
     subset_size: int = LmdsParams.subset_size,
     seed=None,
@@ -350,10 +371,7 @@ def lmds_estimate(
     retries spent are those of drawing and solving one subset at a time.
     """
     LmdsParams(n_subsets, subset_size)
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    n = anchors.shape[0]
-    if n != system.n_rows:
-        raise DomainError("anchor and system row counts differ")
+    n = system.n_rows
     if subset_size > n:
         raise DomainError("subset_size exceeds the anchor count")
     ranges = system.range_estimates()
@@ -379,7 +397,7 @@ def lmds_estimate(
     if produced == 0:
         raise DegenerateGeometryError("every candidate subset was rank deficient")
     sols = np.concatenate(solutions)
-    offsets = sols[:, None, :2] - anchors
+    offsets = sols[:, None, :2] - system.anchors
     residuals = (ranges - np.linalg.norm(offsets, axis=2)) ** 2
     best = sols[int(np.argmin(np.median(residuals, axis=1)))]
     return Estimate(position=best[:2], auxiliary=float(best[2]), iterations=produced)
@@ -401,32 +419,29 @@ class GradDescParams:
 
 
 def grad_desc_fits(
-    measurements,
-    anchors,
+    systems,
     params: PathLossParams,
     step: float = GradDescParams.step,
     max_iters: int = GradDescParams.max_iters,
     keep_fraction: float = GradDescParams.keep_fraction,
 ) -> list:
-    """Grad-Desc on T trials in lock step, one row per trial, each from its
-    anchors' centroid: ``measurements`` are the T matrices and ``anchors``
-    their layouts stacked as (T, N, 2) (a fixed topology repeats one).
-    Returns one entry per trial: its ``Estimate``, memoized on its matrix
+    """Grad-Desc on T trials' systems in lock step, one row per trial, each
+    from its anchors' centroid.  The systems must have one row count.
+    Returns one entry per trial: its ``Estimate``, memoized on its system
     (see ``grad_desc_estimate``; a memoized trial is not run again), or, for
     anchors on one line, a ``DegenerateGeometryError``, which is not memoized
     and does not stop the others."""
     settings = GradDescParams(step, max_iters, keep_fraction)
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 3 or anchors.shape[0] != len(measurements) or anchors.shape[2] != 2:
-        raise DomainError("anchors must be stacked as (T, N, 2) for T matrices")
-    n = anchors.shape[1]
-    if any(m.n_anchors != n for m in measurements):
-        raise DomainError("anchor and measurement row counts differ")
-    keys = [("grad_desc", a.tobytes(), params, settings) for a in anchors]
-    out = [m.memo.get(key) for m, key in zip(measurements, keys)]
+    if len({system.n_rows for system in systems}) > 1:
+        raise DomainError("the systems of a Grad-Desc batch must have one row count")
+    key = ("grad_desc", params, settings)
+    out = [system.memo.get(key) for system in systems]
     # batch row -> trial
     rows = np.array([i for i, fit in enumerate(out) if fit is None], dtype=int)
-    anchors = anchors[rows]
+    if not rows.size:
+        return out
+    n = systems[0].n_rows
+    anchors = np.array([systems[i].anchors for i in rows])
     t = anchors.mean(axis=1)
     # The cost is symmetric about a line holding every anchor, so from their
     # centroid every step would stay on it.
@@ -436,7 +451,7 @@ def grad_desc_fits(
     rows, anchors, t = rows[~on_line], anchors[~on_line], t[~on_line]
     n_keep = max(3, math.ceil(keep_fraction * n))
     gain = 2.0 * params.slope / n_keep
-    rssi_mean = np.array([measurements[i].rssi.mean(axis=1) for i in rows])
+    rssi_mean = np.array([systems[i].measurement_matrix().rssi.mean(axis=1) for i in rows])
     # kept + row_start indexes the kept entries of the flattened (rows, N)
     # arrays: one np.take per gather, cheaper than np.take_along_axis
     row_start = np.arange(rows.size)[:, None] * n
@@ -460,7 +475,7 @@ def grad_desc_fits(
         if stop.any():
             for j in np.flatnonzero(stop):
                 i = rows[j]
-                measurements[i].memo[keys[i]] = out[i] = Estimate(
+                systems[i].memo[key] = out[i] = Estimate(
                     position=t_new[j] if inside[j] else t[j],
                     eliminated=np.setdiff1d(np.arange(n), kept[j]),
                     iterations=iterations,
@@ -475,15 +490,14 @@ def grad_desc_fits(
 
 
 def grad_desc_estimate(
-    measurements: MeasurementMatrix,
-    anchors,
+    system: LinearSystem,
     params: PathLossParams,
     step: float = GradDescParams.step,
     max_iters: int = GradDescParams.max_iters,
     keep_fraction: float = GradDescParams.keep_fraction,
 ) -> Estimate:
-    """Constant-step gradient descent on the RSSI cost with residual pruning,
-    from the anchors' centroid.
+    """Constant-step gradient descent on the RSSI cost of the system's RSSI
+    matrix with residual pruning, from the anchors' centroid.
 
     Each iteration keeps the ceil(keep_fraction * N) anchors with the
     smallest absolute mean RSSI residual at the current iterate and descends
@@ -505,14 +519,13 @@ def grad_desc_estimate(
     in lock step, one row per trial, each stopping at its own step (a step
     is a handful of numpy calls on vectors of N entries, so its cost is call
     overhead); this call is a batch of one.  ``grad_desc_fits`` memoizes each
-    fit on its trial's ``MeasurementMatrix`` under ``("grad_desc",
-    anchors.tobytes(), params, GradDescParams(step, max_iters,
-    keep_fraction))``, anchors as float64, so this call returns the fit a
-    batch left for the same inputs.  The batch's sums may round the last
-    bits differently from a lone trial's.
+    fit on its trial's system, which fixes both the anchors and the RSSI,
+    under ``("grad_desc", params, GradDescParams(step, max_iters,
+    keep_fraction))``, so this call returns the fit a batch left for the
+    same inputs.  The batch's sums may round the last bits differently from
+    a lone trial's.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    (fit,) = grad_desc_fits([measurements], anchors[None], params, step, max_iters, keep_fraction)
+    (fit,) = grad_desc_fits([system], params, step, max_iters, keep_fraction)
     if isinstance(fit, DegenerateGeometryError):
         raise fit
     return fit

@@ -2,7 +2,8 @@
 
 Every trial derives its own random streams from (master_seed, trial index),
 so results are bit-identical regardless of execution order.  Within a trial
-all enabled estimators see the same measurement matrix, making the comparison
+all enabled estimators read the same ``LinearSystem``, which carries the
+trial's anchors, ranges and measurement matrix, making the comparison
 paired.  Estimator failures (eliminations leaving too few anchors,
 non-convergence) are counted per estimator and never abort a trial.
 
@@ -11,11 +12,10 @@ trial (``prepare_trial``: labels, measurements, range inversion, linear
 system), then calls the ``batch`` step of each enabled ``ESTIMATORS`` row
 that has one, in ``config.estimators`` order, with the chunk's trials, and
 only then runs each trial (``run_trial``).  A batch step may compute, for the
-whole chunk at once, what its row's ``run`` needs, and leave it in a memo on
-the trial's inputs (as LN-1 and LN-1E leave their fits on the
-``LinearSystem``, see ``planefit``, and Grad-Desc its fits on the
-``MeasurementMatrix``, see ``estimators``), so that ``run`` reads it inside
-the trial.  What fails in a batch is left for the trial's own ``run`` to
+whole chunk at once, what its row's ``run`` needs, and leave it in the memo
+of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave their fits, see
+``planefit``, and Grad-Desc its fits, see ``estimators``), so that ``run``
+reads it inside the trial.  What fails in a batch is left for the trial's own ``run`` to
 raise, so failures stay per trial.  A batch needs every trial of a chunk in
 memory at once, which is what bounds ``CHUNK``: peak RSS grows with it
 while the gain in trials/s levels off.  When no enabled row has a batch step
@@ -35,7 +35,6 @@ import numpy as np
 from . import crlb as crlb_mod
 from .attacks import (
     ATTACK_KINDS,
-    MeasurementMatrix,
     Topology,
     load_topology,
     random_topology,
@@ -191,8 +190,7 @@ class Trial:
     config: ExperimentConfig
     index: int
     topology: Topology  # labelled
-    measurements: MeasurementMatrix
-    system: LinearSystem
+    system: LinearSystem  # with the trial's measurement matrix
     params: PathLossParams
 
 
@@ -226,15 +224,13 @@ ESTIMATORS = {
     # SWLS keys on per-packet power variance, absent in a coordinated attack.
     "swls": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: swls_estimate(t.system, t.measurements, t.params, zeta=t.config.zeta),
+        lambda t: swls_estimate(t.system, t.params, zeta=t.config.zeta),
         detector=True,
     ),
     # ML is initialized at the truth; only compared under the uncoordinated attack.
     "ml": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: ml_estimate(
-            t.measurements, t.topology.anchors, t.params, init=t.topology.target
-        ),
+        lambda t: ml_estimate(t.system, t.params, init=t.topology.target),
     ),
     # The settings' fields are passed as the estimators' keywords, so
     # secbench/tracing.py reads max_iters= off the Grad-Desc call.  LMdS
@@ -243,24 +239,17 @@ ESTIMATORS = {
         _ALL_ATTACKS,
         lambda t: lmds_estimate(
             t.system,
-            t.topology.anchors,
             seed=_trial_rng(t.config.master_seed, t.index, _STREAM_LMDS),
             **vars(t.config.lmds),
         ),
     ),
     # Grad-Desc, LN-1 and LN-1E read the fits their batch steps memoized on
-    # the trials' measurement matrices (see estimators) and systems (see
-    # planefit).
+    # the trials' systems (see estimators and planefit).
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
-        lambda t: grad_desc_estimate(
-            t.measurements, t.topology.anchors, t.params, **vars(t.config.grad_desc)
-        ),
+        lambda t: grad_desc_estimate(t.system, t.params, **vars(t.config.grad_desc)),
         batch=lambda ts: grad_desc_fits(
-            [t.measurements for t in ts],
-            np.stack([t.topology.anchors for t in ts]),
-            ts[0].params,
-            **vars(ts[0].config.grad_desc),
+            [t.system for t in ts], ts[0].params, **vars(ts[0].config.grad_desc)
         ),
     ),
     "ln1": EstimatorSpec(
@@ -296,8 +285,9 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
 
 def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) -> Trial:
     """Draw one trial's labels and measurements and build its linear system
-    (the trial's one mean-RSSI inversion: the estimators that need ranges
-    read them off the system).  ``base`` is the shared topology."""
+    (the trial's one mean-RSSI inversion: the estimators that need ranges,
+    or the matrix, read them off the system).  ``base`` is the shared
+    topology."""
     topo = trial_topology(config, trial_index, base)
     params = config.params()
     measurements = simulate_measurements(
@@ -312,8 +302,7 @@ def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) ->
         config=config,
         index=trial_index,
         topology=topo,
-        measurements=measurements,
-        system=build_linear_system(topo.anchors, mean_d),
+        system=build_linear_system(topo.anchors, mean_d, measurements),
         params=params,
     )
 
@@ -321,7 +310,7 @@ def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) ->
 def run_trial(
     config: ExperimentConfig, trial_index: int, trial: Trial | None = None
 ) -> TrialResult:
-    """Run every enabled estimator on one trial's measurement matrix.
+    """Run every enabled estimator on one trial's linear system.
 
     ``trial`` may carry the trial as ``prepare_trial`` made it; when omitted
     it is prepared here from the config, so the call is self-contained and

@@ -87,12 +87,6 @@ class AdmmParams:
             raise DomainError("max_iters must be an integer of at least 1")
 
 
-class KmeansResult(NamedTuple):
-    labels: np.ndarray  # 0 = near-plane cluster, 1 = far cluster
-    centroids: np.ndarray  # ascending
-    degenerate: bool
-
-
 def _halves(state: np.ndarray, width: int) -> tuple:
     """A sweep state [z | w] and views of its z and w."""
     return state, state[:, :width], state[:, width:]
@@ -224,14 +218,17 @@ def point_plane_residual(system: LinearSystem, fit: Estimate) -> np.ndarray:
     return np.abs(system.b - system.A @ np.array([*fit.position, fit.auxiliary]))
 
 
-def kmeans_1d(values) -> KmeansResult:
+def kmeans_1d(values) -> np.ndarray:
     """Two-cluster K-means on scalars: Lloyd's method started at (min, max).
 
-    Deterministic.  Identical values collapse to a single cluster: everything
-    is labeled near-plane and the result is flagged degenerate.  Lloyd's
-    method stops at the first split that no longer moves, which can have a
-    higher within-cluster sum of squares than the optimal two-means split of
-    the sorted values.
+    Returns the labels, 0 for the low (near-plane) cluster and 1 for the
+    high (far) one.  Deterministic.  Identical values collapse to a single
+    cluster: every label is 0.  Otherwise the maximum is labeled 1: a 1-D
+    Lloyd step from (min, max) keeps the low centroid at or below the
+    midpoint of the two and the high one above it.  Lloyd's method stops at
+    the first split that no longer moves, which can have a higher
+    within-cluster sum of squares than the optimal two-means split of the
+    sorted values.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
@@ -240,7 +237,7 @@ def kmeans_1d(values) -> KmeansResult:
         raise DomainError("values must be finite")
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
-        return KmeansResult(np.zeros(v.size, dtype=int), np.array([lo, lo]), True)
+        return np.zeros(v.size, dtype=int)
     centroids = np.array([lo, hi])
     labels = (np.abs(v - centroids[0]) > np.abs(v - centroids[1])).astype(int)
     for _ in range(200):
@@ -252,10 +249,7 @@ def kmeans_1d(values) -> KmeansResult:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    if centroids[0] > centroids[1]:  # keep the near-plane cluster first
-        centroids = centroids[::-1].copy()
-        labels = 1 - labels
-    return KmeansResult(labels, centroids, False)
+    return labels
 
 
 def ln1_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
@@ -285,14 +279,14 @@ def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
         residuals = point_plane_residual(system, fit)
         scale = 1.0 + float(np.abs(system.b).max())
         if float(residuals.max()) > ON_PLANE_RTOL * scale:
-            clusters = kmeans_1d(residuals)
-            if not clusters.degenerate:
-                near = np.flatnonzero(clusters.labels == 0)
+            labels = kmeans_1d(residuals)
+            if labels.any():
+                near = np.flatnonzero(labels == 0)
                 if near.size < 3:
                     raise InsufficientSurvivorsError(
                         f"near-plane cluster has {near.size} points, need at least 3"
                     )
-                far = frozenset(int(i) for i in np.flatnonzero(clusters.labels == 1))
+                far = frozenset(int(i) for i in np.flatnonzero(labels == 1))
                 split = _Ln1eSplit(system.subset(near), far)
     system.memo["split", params] = split
     return split
@@ -303,8 +297,9 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
 
     Fits all rows, splits the residuals into two clusters, drops the far
     cluster (the attacked rows) and refits on the remainder.  When every
-    residual is negligible relative to the data scale, or the clusters are
-    degenerate, all rows are kept and the first fit is returned unchanged.
+    residual is negligible relative to the data scale, or every residual is
+    equal (one cluster), all rows are kept and the first fit is returned
+    unchanged.
     So is a first fit that stopped at the iteration cap: its residuals are no
     basis for elimination, and the estimate is non-converged whatever a refit
     would give.

@@ -289,6 +289,21 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "swls" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["simulate", "detect", "crlb"])
+    def test_topology_file_excludes_per_trial(self, tmp_path, capsys, command):
+        # A new random layout every trial would silently replace the file's
+        # anchors and labels, so the pair is a configuration error.
+        topo = tmp_path / "topo.txt"
+        topo.write_text("5 5\n95 5 m\n5 95\n95 95\n50 8\n30 70\ntarget 40 60\n")
+        cfg = tmp_path / "filecfg.cfg"
+        cfg.write_text(
+            "attack.kind = uncoordinated\nattack.sigma_att = 8\nestimators = ls, swls\n"
+            f"trials = 3\ntopology.file = {topo}\ntopology.per_trial = true\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: topology.file and topology.per_trial" in err
+
 
     @pytest.mark.parametrize("command", ["simulate", "crlb"])
     def test_area_too_small_for_the_separation(self, tmp_path, command):

@@ -92,7 +92,6 @@ class TestParse:
         grad_desc.max_iters = 150
         grad_desc.keep_fraction = 0.75
         topology.file = anchors.txt
-        topology.per_trial = true
         """
         expected = ExperimentConfig(
             area=80.0,
@@ -112,7 +111,6 @@ class TestParse:
             lmds=LmdsParams(n_subsets=12, subset_size=5),
             grad_desc=GradDescParams(step=0.2, max_iters=150, keep_fraction=0.75),
             topology_file="anchors.txt",
-            topology_per_trial=True,
             **attack_fields,
         )
         assert parse_config(text) == expected

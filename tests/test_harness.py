@@ -17,7 +17,7 @@ from secloc import (
     summary_rows,
     sweep,
 )
-from secloc import harness
+from secloc import harness, planefit
 from secloc.harness import CSV_HEADER, CHUNK
 
 
@@ -176,6 +176,61 @@ class TestMonteCarlo:
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert got.eliminated == want.eliminated
             np.testing.assert_allclose(got.position, want.position, rtol=0, atol=1e-12)
+
+    def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
+        # LN-1E refits on the near cluster only when it keeps at least 3
+        # rows.  No simulated trial leaves fewer, so kmeans_1d is patched to
+        # keep 2 rows for one chosen system of a chunk and a one-trial tail:
+        # the batch step skips that system's refit and its trial alone fails
+        cfg = ExperimentConfig(
+            attack_kind="coordinated",
+            t_att=(75.0, 75.0),
+            malicious_fraction=0.28,
+            estimators=("wls", "ln1", "ln1e"),
+            trials=CHUNK + 1,
+            master_seed=20260810,
+        )
+        trials, results = [], []
+
+        def recording(fn, into):
+            def call(*args):
+                into.append(fn(*args))
+                return into[-1]
+
+            return call
+
+        monkeypatch.setattr(harness, "prepare_trial", recording(harness.prepare_trial, trials))
+        monkeypatch.setattr(harness, "run_trial", recording(harness.run_trial, results))
+        run_monte_carlo(cfg)
+        plain = [res.outcomes for res in results]
+        # the first trial whose LN-1E refit eliminated rows
+        chosen = next(
+            i for i, t in enumerate(trials) if plain[i]["ln1e"].ok and plain[i]["ln1e"].tp
+        )
+        system = trials[chosen].system
+        residuals = planefit.point_plane_residual(system, system.memo["fit", cfg.admm])
+        kmeans = planefit.kmeans_1d
+
+        def two_near_rows(values):
+            labels = kmeans(values)
+            if np.array_equal(values, residuals):
+                labels = np.ones_like(labels)
+                labels[np.argsort(values)[:2]] = 0
+            return labels
+
+        monkeypatch.setattr(planefit, "kmeans_1d", two_near_rows)
+        trials.clear()
+        results.clear()
+        run_monte_carlo(cfg)
+        assert len(results) == cfg.trials
+        for i, res in enumerate(results):
+            expected = dict(plain[i])
+            if i == chosen:
+                expected["ln1e"] = replace(
+                    expected["ln1e"], error=None, tp=0, fp=0,
+                    failure="InsufficientSurvivorsError",
+                )
+            assert res.outcomes == expected, i
 
     def test_all_failures_reported_absent(self):
         cfg = attack_config(
