@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,12 +26,12 @@ PLACEMENT_KINDS = ("anywhere", "within_radius", "beyond_radius")
 MIN_SEPARATION = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Anchor positions, the true target position, and the malicious labels.
 
     Indices are 0-based.  At least 3 anchors, not all collinear, and no anchor
-    may coincide with the target.
+    may coincide with the target.  Topologies compare by identity.
     """
 
     anchors: np.ndarray
@@ -76,7 +77,7 @@ class Topology:
         return replace(self, malicious=frozenset(int(i) for i in indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackSpec:
     """What the malicious anchors do: nothing (kind ``none``, no fields),
     per-packet power jitter of standard deviation ``sigma_att`` >= 0 dB and no
@@ -109,32 +110,19 @@ class AttackSpec:
             raise ConfigError("attack kind 'none' takes no parameters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """N x P grid of received powers (dBm), one row per anchor.
-
-    A trial's matrix travels in its ``estimators.LinearSystem``, whose memo
-    holds what is computed from it, so ``rssi`` must not be mutated after
-    construction.
-    """
+    """N x P grid of received powers (dBm), one row per anchor: what
+    ``simulate_measurements`` returns.  The estimators never see it: a
+    trial's ``estimators.LinearSystem`` carries its ``rssi`` array."""
 
     rssi: np.ndarray
 
     def __post_init__(self) -> None:
         rssi = np.atleast_2d(np.asarray(self.rssi, dtype=float))
         object.__setattr__(self, "rssi", rssi)
-        if rssi.shape[1] < 1:
-            raise ConfigError("need at least one packet")
-        if not np.all(np.isfinite(rssi)):
-            raise ConfigError("RSSI entries must be finite")
-
-    @property
-    def n_anchors(self) -> int:
-        return self.rssi.shape[0]
-
-    @property
-    def packets(self) -> int:
-        return self.rssi.shape[1]
+        if rssi.shape[1] < 1 or not np.isfinite(rssi).all():
+            raise ConfigError("RSSI needs at least one packet, and finite entries")
 
 
 def simulate_measurements(
@@ -222,14 +210,13 @@ def select_malicious(n_anchors: int, fraction: float, seed, eligible=None) -> fr
 def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
     """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
     ``MIN_SEPARATION`` to the target (defaults to the area center).  An area
-    with no point that far from the target is a ``ConfigError``."""
+    with no point that far from the target is a ``ConfigError``, as is an
+    anchor count that is not an integer of at least 3."""
+    if not isinstance(n_anchors, numbers.Integral) or n_anchors < 3:
+        raise ConfigError(f"need an integer count of at least 3 anchors, got {n_anchors!r}")
     if not (math.isfinite(area) and area > 0):
         raise ConfigError("area must be positive and finite")
-    t = (
-        np.asarray(target, dtype=float).reshape(2)
-        if target is not None
-        else np.array([area / 2.0, area / 2.0])
-    )
+    t = np.asarray((area / 2.0, area / 2.0) if target is None else target, dtype=float).reshape(2)
     if not np.all(np.isfinite(t)):
         raise ConfigError("target must be finite")  # never clears the separation test
     farthest_corner = math.hypot(max(t[0], area - t[0]), max(t[1], area - t[1]))

@@ -97,7 +97,7 @@ def _cmd_crlb(args) -> int:
         if bound is not None:
             bounds.append(bound)
     if not bounds:
-        print("crlb: n/a (singular information)")
+        print("crlb: n/a (singular or overflowing information)")
         return 3
     mean = sum(bounds) / len(bounds)
     print(f"crlb_mean_m: {mean:.6f}")

@@ -1,11 +1,13 @@
 """Position estimators built on the shared squared-range linear system.
 
-Every estimator takes one trial's ``LinearSystem`` first.  Averaging each
+Every estimator takes one trial's ``LinearSystem`` first, and that system
+holds what the target node measured, as plain arrays: the anchors' positions
+and the N x P RSSI matrix, never which anchors lie.  Averaging each
 anchor's RSSI row gives a range estimate d_i; squaring the range equations
 and subtracting the common quadratic term yields a linear system A u = b in
 u = (t_x, t_y, t_x^2 + t_y^2).  The ranges are inverted once per trial, when
-the system is built, and travel with it, as do the trial's RSSI matrix and,
-read back off A, its anchors: LS solves the system unweighted, WLS weights
+the system is built, and travel with it, as does the RSSI matrix; the
+anchors are read back off A.  LS solves the system unweighted, WLS weights
 its rows by the inverse variance of the squared range, SWLS first eliminates
 anchors whose per-packet range variance implies an inflated noise level, and
 LMdS scores its candidates against the same ranges.  Every linear
@@ -18,8 +20,7 @@ Grad-Desc has one loop, ``grad_desc_fits``: it steps many trials in lock
 step, each from its anchors' centroid (anchors on one line fail
 ``rank_deficient`` there too), and memoizes each fit on its trial's system,
 the one place a batched fit is kept (``planefit`` keeps its plane fits
-there too); ``grad_desc_estimate`` is a batch of one and takes no start
-point or per-step callback.
+there too); ``grad_desc_estimate`` is a batch of one.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -40,7 +41,6 @@ from .channel import (
     estimate_noise_sigma,
     mean_rssi_sq,
 )
-from .attacks import MeasurementMatrix
 from .exceptions import (
     DegenerateGeometryError,
     DomainError,
@@ -60,7 +60,7 @@ def rank_deficient(svals: np.ndarray) -> np.ndarray:
     return svals[..., -1] <= svals[..., 0] / COND_LIMIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """One trial's measurements as the (A, b) pair, the one input of every
     estimator.
@@ -68,23 +68,26 @@ class LinearSystem:
     Row i of A is (-2*a_i_x, -2*a_i_y, 1); b_i = d_i^2 - ||a_i||^2, so
     ``anchors`` reads the anchor positions back off A exactly.  ``ranges``
     holds the d_i when the system was built from ranges, and
-    ``measurements`` the trial's RSSI matrix, one row per row of A (see
-    ``build_linear_system``); the estimators that need them read them from
-    here, so a trial inverts its mean RSSI once.  Both are optional, so a
-    plane fit can run on a hand-built (A, b); an estimator that needs one
-    raises ``DomainError`` without it.  ``subset`` keeps them row for row.
+    ``measurements`` the trial's (N, P) RSSI array in dBm, one row per row
+    of A, checked once here: two dimensions, at least one packet, every
+    entry finite (see ``build_linear_system``).  The estimators that need
+    them read them from here, so a trial inverts its mean RSSI once.  Both
+    are optional, so a plane fit can run on a hand-built (A, b); an
+    estimator that needs one raises ``DomainError`` without it.  ``subset``
+    slices them row for row.
 
     ``memo`` holds results computed from the system, under keys owned and
     documented by the module that fills it, so A, b, ranges and measurements
     must not be mutated after construction.  A subset starts with an empty
-    memo.
+    memo.  Systems compare by identity (``eq=False``), as every type that
+    holds arrays does, so ``==`` never compares arrays and a system hashes.
     """
 
     A: np.ndarray
     b: np.ndarray
     ranges: np.ndarray | None = None
-    measurements: MeasurementMatrix | None = None
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    measurements: np.ndarray | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -99,8 +102,13 @@ class LinearSystem:
             raise InsufficientAnchorsError(f"need at least 3 rows, got {A.shape[0]}")
         if self.ranges is not None and np.shape(self.ranges) != b.shape:
             raise DomainError("ranges and b row counts differ")
-        if self.measurements is not None and self.measurements.n_anchors != b.shape[0]:
-            raise DomainError("measurement and system row counts differ")
+        if self.measurements is not None:
+            rssi = np.asarray(self.measurements, dtype=float)
+            object.__setattr__(self, "measurements", rssi)
+            if rssi.ndim != 2 or rssi.shape[1] < 1 or not np.isfinite(rssi).all():
+                raise DomainError("measurements must be a finite (N, P) array with P >= 1")
+            if rssi.shape[0] != b.shape[0]:
+                raise DomainError("measurement and system row counts differ")
 
     @property
     def n_rows(self) -> int:
@@ -114,10 +122,8 @@ class LinearSystem:
     def subset(self, indices) -> "LinearSystem":
         idx = np.asarray(sorted(indices), dtype=int)
         ranges = None if self.ranges is None else self.ranges[idx]
-        matrix = None
-        if self.measurements is not None:
-            matrix = MeasurementMatrix(self.measurements.rssi[idx])
-        return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges, measurements=matrix)
+        rssi = None if self.measurements is None else self.measurements[idx]
+        return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges, measurements=rssi)
 
     def range_estimates(self) -> np.ndarray:
         """The ranges the system was built from."""
@@ -125,14 +131,14 @@ class LinearSystem:
             raise DomainError("the system carries no ranges; use build_linear_system")
         return self.ranges
 
-    def measurement_matrix(self) -> MeasurementMatrix:
-        """The RSSI matrix the system was built from."""
+    def measurement_matrix(self) -> np.ndarray:
+        """The (N, P) RSSI array the system was built from."""
         if self.measurements is None:
             raise DomainError("the system carries no measurements; use build_linear_system")
         return self.measurements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """A 2-D position plus per-estimator diagnostics.
 
@@ -140,7 +146,7 @@ class Estimate:
     ``planefit``.  ``auxiliary`` is gamma, the third unknown of the
     squared-range system u = (t_x, t_y, gamma), where the estimator solves
     for it (LS, WLS, SWLS, LMdS, LN-1, LN-1E; gamma estimates ||t||^2), and
-    None for ML and Grad-Desc.
+    None for ML and Grad-Desc.  Estimates compare by identity.
     """
 
     position: np.ndarray
@@ -162,8 +168,8 @@ def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSys
 
     The ranges must come from the row-mean RSSI (one inversion per anchor),
     not from averaging per-packet ranges.  ``measurements``, the trial's
-    RSSI matrix, travels with the system for the estimators that read it
-    (SWLS, ML, Grad-Desc).
+    (N, P) RSSI array, travels with the system for the estimators that read
+    it (SWLS, ML, Grad-Desc).
     """
     a = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = np.asarray(mean_distances, dtype=float).ravel()
@@ -217,11 +223,12 @@ def ls_estimate(system: LinearSystem) -> Estimate:
 
 def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     """Weighted least squares with rows weighted by 1/Var(d^2), which favors
-    anchors close to the target.  Unweighted when sigma = 0: the system is
-    then exactly consistent and any weighting gives the same solution."""
-    ranges = system.range_estimates()
-    weights = None if params.sigma == 0 else 1.0 / distance_sq_variance(params, ranges)
-    sol = _solve_rows(system.A, system.b, weights)
+    anchors close to the target.  Unweighted when a variance is 0, as at
+    sigma = 0 or at a sigma so small that it underflows: the system is then
+    (numerically) exactly consistent and any weighting gives the same
+    solution."""
+    var = distance_sq_variance(params, system.range_estimates())
+    sol = _solve_rows(system.A, system.b, 1.0 / var if var.all() else None)
     return Estimate(position=sol[:2], auxiliary=float(sol[2]))
 
 
@@ -236,11 +243,10 @@ def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.
     """
     if not 0.0 < zeta < math.inf:
         raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
-    measurements = system.measurement_matrix()
-    if measurements.packets < 2:
+    rssi = system.measurement_matrix()
+    if rssi.shape[1] < 2:
         raise DomainError("sample variance needs at least 2 packets")
-    per_packet_d = distance_from_rssi(params, measurements.rssi)
-    sample_var = np.var(per_packet_d, axis=1, ddof=1)
+    sample_var = np.var(distance_from_rssi(params, rssi), axis=1, ddof=1)
     sigma_est = estimate_noise_sigma(params, sample_var, system.range_estimates())
     threshold = zeta * params.sigma
     kept = sigma_est < threshold
@@ -283,7 +289,7 @@ def ml_estimate(system: LinearSystem, params: PathLossParams, init) -> Estimate:
     are damped.  Stops when the gradient norm drops below ``ML_GTOL`` or after
     ``ML_MAX_ITERS`` iterations (then converged=False).
     """
-    rssi = system.measurement_matrix().rssi
+    rssi = system.measurement_matrix()
     anchors = system.anchors
     t = np.asarray(init, dtype=float).reshape(2).copy()
     if not np.all(np.isfinite(t)):
@@ -414,8 +420,10 @@ class GradDescParams:
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, numbers.Integral):
             raise DomainError(f"max_iters must be an integer: {self}")
-        if self.step <= 0 or self.max_iters < 1 or not 0.0 < self.keep_fraction <= 1.0:
-            raise DomainError(f"need step > 0, max_iters >= 1, keep_fraction in (0, 1]: {self}")
+        if not 0 < self.step < math.inf or self.max_iters < 1 or not 0 < self.keep_fraction <= 1:
+            raise DomainError(
+                f"need 0 < step < inf, max_iters >= 1, keep_fraction in (0, 1]: {self}"
+            )
 
 
 def grad_desc_fits(
@@ -451,7 +459,7 @@ def grad_desc_fits(
     rows, anchors, t = rows[~on_line], anchors[~on_line], t[~on_line]
     n_keep = max(3, math.ceil(keep_fraction * n))
     gain = 2.0 * params.slope / n_keep
-    rssi_mean = np.array([systems[i].measurement_matrix().rssi.mean(axis=1) for i in rows])
+    rssi_mean = np.array([systems[i].measurement_matrix().mean(axis=1) for i in rows])
     # kept + row_start indexes the kept entries of the flattened (rows, N)
     # arrays: one np.take per gather, cheaper than np.take_along_axis
     row_start = np.arange(rows.size)[:, None] * n

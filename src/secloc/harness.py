@@ -3,9 +3,10 @@
 Every trial derives its own random streams from (master_seed, trial index),
 so results are bit-identical regardless of execution order.  Within a trial
 all enabled estimators read the same ``LinearSystem``, which carries the
-trial's anchors, ranges and measurement matrix, making the comparison
-paired.  Estimator failures (eliminations leaving too few anchors,
-non-convergence) are counted per estimator and never abort a trial.
+trial's anchors, ranges and RSSI array, making the comparison paired; none
+of them reads the malicious labels, which only score the outcomes.
+Estimator failures (eliminations leaving too few anchors, non-convergence)
+are counted per estimator and never abort a trial.
 
 ``run_monte_carlo`` runs the trials in chunks.  Per chunk it prepares every
 trial (``prepare_trial``: labels, measurements, range inversion, linear
@@ -168,7 +169,7 @@ def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -
 
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
     """The error bound for one labelled topology; None when the information
-    matrix is singular or undefined."""
+    matrix is singular, overflows or is undefined."""
     attack = config.attack_spec(topology.target)
     params = config.params()
     try:
@@ -183,14 +184,17 @@ def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trial:
-    """Everything the estimators of one trial share."""
+    """One trial as ``prepare_trial`` made it.  The estimators read only
+    ``system`` (anchors, ranges and the RSSI array), ``params`` and the
+    config's settings; the labelled ``topology`` is for scoring, and its
+    target for ML's start.  Trials compare by identity."""
 
     config: ExperimentConfig
     index: int
     topology: Topology  # labelled
-    system: LinearSystem  # with the trial's measurement matrix
+    system: LinearSystem  # with the trial's RSSI array
     params: PathLossParams
 
 
@@ -302,7 +306,7 @@ def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) ->
         config=config,
         index=trial_index,
         topology=topo,
-        system=build_linear_system(topo.anchors, mean_d, measurements),
+        system=build_linear_system(topo.anchors, mean_d, measurements.rssi),
         params=params,
     )
 

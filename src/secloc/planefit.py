@@ -79,10 +79,10 @@ class AdmmParams:
     max_iters: int = 5000
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise DomainError("rho must be positive")
-        if self.conv_tol <= 0:
-            raise DomainError("conv_tol must be positive")
+        if not 0 < self.rho < np.inf:
+            raise DomainError(f"rho must be positive and finite, got {self.rho!r}")
+        if not 0 < self.conv_tol < np.inf:
+            raise DomainError(f"conv_tol must be positive and finite, got {self.conv_tol!r}")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise DomainError("max_iters must be an integer of at least 1")
 

@@ -74,7 +74,7 @@ class TestSimulateMeasurements:
         m = simulate_measurements(topo, P0, AttackSpec("none"), 7, seed=1)
         expected = mean_rssi(P0, topo.distances())
         assert np.allclose(m.rssi, expected[:, None], atol=0, rtol=0)
-        assert m.packets == 7 and m.n_anchors == 4
+        assert m.rssi.shape == (4, 7)
 
     def test_decoy_at_target_matches_no_attack(self):
         topo = square_topology(malicious={0, 2})
@@ -184,6 +184,12 @@ class TestRandomTopology:
         a = random_topology(20, 100.0, seed=12)
         b = random_topology(20, 100.0, seed=12)
         assert np.array_equal(a.anchors, b.anchors)
+
+    # -1 reached numpy's ValueError in np.empty, 2.5 a TypeError
+    @pytest.mark.parametrize("n_anchors", [-1, 2, 2.5])
+    def test_anchor_count_is_config_error(self, n_anchors):
+        with pytest.raises(ConfigError, match="at least 3 anchors"):
+            random_topology(n_anchors, 100.0, seed=12)
 
     @pytest.mark.parametrize(
         "area, target",

@@ -256,6 +256,38 @@ class TestErrorPaths:
             assert main(["simulate", "--config", path]) == 3
         assert "error: range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n = 1e200\nestimators = ls, wls\n",
+            "n = 1e100\nestimators = ls, wls\n",
+            "sigma = 1e-155\nestimators = ls, wls\n",
+            "sigma = 1e-155\nattack.kind = uncoordinated\nattack.sigma_att = 8\n"
+            "malicious.fraction = 0.28\nestimators = ls, wls, swls\n",
+            "sigma = 1e-155\nattack.kind = coordinated\nattack.t_att = 75 75\n"
+            "malicious.fraction = 0.28\nestimators = wls\n",
+        ],
+        ids=["n-1e200", "n-1e100", "sigma-1e-155", "uncoord-sigma-1e-155", "coord-sigma-1e-155"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "crlb"])
+    def test_overflowing_bound_is_n_a(self, tmp_path, capsys, text, command):
+        # Valid but extreme channels: the bound's information (slope^2 at
+        # n = 1e200, its determinant at n = 1e100, 1/sigma^2 at sigma =
+        # 1e-155) overflows, so there is no bound, and at sigma = 1e-155
+        # WLS's squared-range variances underflow to 0, so it runs unweighted.
+        # Before, these ended in an OverflowError, a LinAlgError or a nan.
+        path = tmp_path / "extreme.cfg"
+        path.write_text(text + "trials = 3\n")
+        if command == "crlb":
+            assert main(["crlb", "--config", str(path)]) == 3
+        else:
+            out_csv = tmp_path / "out.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out_csv)]) == 0
+            rows = csv_rows(out_csv)
+            assert rows["crlb"]["crlb_m"] == "" and rows["wls"]["trials_ok"] == "3"
+        out, err = capsys.readouterr()
+        assert "n/a" in out and "nan" not in out and err == ""
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

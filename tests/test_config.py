@@ -310,6 +310,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(master_seed=-1)
 
+    # A non-finite solver setting ran ADMM to its cap on every fit (rho = nan),
+    # stopped every fit after one sweep as converged (conv_tol = inf), or left
+    # every Grad-Desc trial non-converged (step = nan).
+    @pytest.mark.parametrize(
+        "settings, field, value",
+        [
+            (AdmmParams, "rho", math.nan),
+            (AdmmParams, "conv_tol", math.inf),
+            (GradDescParams, "step", math.nan),
+        ],
+    )
+    def test_non_finite_solver_settings_rejected(self, settings, field, value):
+        with pytest.raises(DomainError, match=field):
+            settings(**{field: value})
+
     @pytest.mark.parametrize(
         "settings, field",
         [

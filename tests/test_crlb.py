@@ -161,6 +161,47 @@ class TestCrlbBound:
         with pytest.raises(DegenerateInformationError):
             crlb_bound(np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "fim",
+        [
+            [[1e200, 0.0], [0.0, 1e200]],
+            [[1.0, 1e160], [1e160, 1.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+        ],
+        ids=["det-overflows", "off-diagonal", "inf", "nan"],
+    )
+    def test_overflowing_information_rejected(self, fim):
+        # a determinant that overflows gave 0 or nan, and f_xy**2 an OverflowError
+        with pytest.raises(DegenerateInformationError, match="overflows"):
+            crlb_bound(fim)
+
+    @pytest.mark.parametrize(
+        "params, fim",
+        [
+            (PathLossParams(-10.0, 1e200, 2.0), lambda t, p: fim_uncoordinated(t, p, 0.0, 10)),
+            (PathLossParams(-10.0, 4.0, 1e-155), lambda t, p: fim_uncoordinated(t, p, 8.0, 10)),
+            (PathLossParams(-10.0, 4.0, 1e-155), lambda t, p: fim_coordinated(t, p, (75, 75), 10)),
+        ],
+        ids=["n-1e200", "uncoord-sigma-1e-155", "coord-sigma-1e-155"],
+    )
+    def test_overflowing_channel_has_no_bound(self, params, fim):
+        # the squares overflowed in Python floats (OverflowError) or 1/sigma^2
+        # in numpy (a nan bound); now the matrix is inf and the bound rejects it
+        topo = random_attacked(seed=3)
+        with pytest.raises(DegenerateInformationError):
+            crlb_bound(fim(topo, params))
+
+    def test_overflowing_jitter_gives_no_weight(self):
+        # sigma_att = 1e200 squares to inf, so the malicious anchors carry no
+        # information: the bound is the honest anchors' (an OverflowError before)
+        topo = random_attacked(seed=4)
+        honest = sorted(set(range(topo.n_anchors)) - topo.malicious)
+        alone = Topology(topo.anchors[honest], topo.target)
+        np.testing.assert_allclose(
+            fim_uncoordinated(topo, P, 1e200, 10), fim_uncoordinated(alone, P, 0.0, 10), rtol=1e-12
+        )
+
 
 class TestScoreCovariance:
     # reduced-draw versions; the full 1e6-draw gate lives in the acceptance suite

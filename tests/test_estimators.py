@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from secloc import (
     AttackSpec,
     DegenerateGeometryError,
     DomainError,
+    Estimate,
     InsufficientAnchorsError,
     InsufficientSurvivorsError,
     LinearSystem,
@@ -40,6 +41,7 @@ from secloc.estimators import (
     _solve_rows,
     rank_deficient,
 )
+from secloc.harness import Trial
 
 from helpers import _rssi_residuals, grad_desc_reference, lmds_reference
 
@@ -55,7 +57,7 @@ def mean_system(anchors, meas, params):
     """The trial's system: ranges inverted once from the row-mean RSSI, and
     the matrix itself."""
     return build_linear_system(
-        anchors, distance_from_rssi(params, meas.rssi.mean(axis=1)), meas
+        anchors, distance_from_rssi(params, meas.rssi.mean(axis=1)), meas.rssi
     )
 
 
@@ -106,9 +108,9 @@ class TestBuildLinearSystem:
         system = mean_system(topo.anchors, meas, params)
         # A's columns are -2 a, so reading the anchors back is exact
         np.testing.assert_array_equal(system.anchors, topo.anchors)
-        assert system.measurement_matrix() is meas
+        assert system.measurement_matrix() is meas.rssi
         sub = system.subset([6, 1, 4])
-        np.testing.assert_array_equal(sub.measurement_matrix().rssi, meas.rssi[[1, 4, 6]])
+        np.testing.assert_array_equal(sub.measurement_matrix(), meas.rssi[[1, 4, 6]])
         np.testing.assert_array_equal(sub.anchors, topo.anchors[[1, 4, 6]])
         assert LinearSystem(A=system.A, b=system.b).subset([0, 1, 2]).measurements is None
 
@@ -119,10 +121,10 @@ class TestBuildLinearSystem:
         topo, meas, params = noisy_setup(seed=14, n_anchors=6)
         d = distance_from_rssi(params, meas.rssi.mean(axis=1))
         with pytest.raises(DomainError, match="row counts differ"):
-            build_linear_system(topo.anchors[:-1], d[:-1], meas)
+            build_linear_system(topo.anchors[:-1], d[:-1], meas.rssi)
         system = mean_system(topo.anchors, meas, params)
         with pytest.raises(DomainError, match="row counts differ"):
-            LinearSystem(A=system.A[:-1], b=system.b[:-1], measurements=meas)
+            LinearSystem(A=system.A[:-1], b=system.b[:-1], measurements=meas.rssi)
 
     def test_matrix_readers_need_the_matrix(self):
         # SWLS, ML and Grad-Desc read the RSSI matrix, which a system built
@@ -140,17 +142,37 @@ class TestBuildLinearSystem:
                 call()
         assert not system.memo
 
-    def test_equality_and_repr_ignore_the_memo(self):
-        # the memo is a cache: a system with a memoized fit prints as a fresh
-        # one does, and compares on the same fields
+    @pytest.mark.parametrize(
+        "rssi",
+        [
+            np.full((5, 3), np.nan),
+            np.full((5, 3), np.inf),
+            np.full(5, -40.0),
+            np.empty((5, 0)),
+            np.full((4, 3), -40.0),
+        ],
+        ids=["nan", "inf", "1-d", "no-packets", "wrong-rows"],
+    )
+    def test_rssi_is_checked_at_construction(self, rssi):
+        anchors = random_topology(5, 100.0, seed=17).anchors
+        with pytest.raises(DomainError):
+            build_linear_system(anchors, np.full(5, 30.0), rssi)
+
+    def test_compares_by_identity(self):
+        # systems and estimates hold arrays, so == is identity: it never
+        # compares arrays (which would raise), and a system hashes.  The memo
+        # is a cache: a system with a memoized fit prints as a fresh one does
         topo, meas, params = noisy_setup(seed=16)
         system = mean_system(topo.anchors, meas, params)
         grad_desc_estimate(system, params)
         fresh = replace(system)
         assert system.memo and not fresh.memo
         assert repr(fresh) == repr(system) and "memo" not in repr(system)
-        compared = [f.name for f in fields(LinearSystem) if f.compare]
-        assert compared == ["A", "b", "ranges", "measurements"]
+        assert fresh != system and system == system
+        assert hash(system) == hash(system) != hash(fresh)
+        assert (Estimate([1.0, 2.0]) == Estimate([1.0, 2.0])) is False
+        array_types = (AttackSpec, Estimate, LinearSystem, MeasurementMatrix, Topology, Trial)
+        assert all(t.__eq__ is object.__eq__ for t in array_types)
 
 
 class TestLs:
@@ -651,7 +673,7 @@ class TestGradDescParity:
         loud = []
         for meas, anchors, system in trials[:3]:
             meas = MeasurementMatrix(meas.rssi + 1e8)
-            loud.append((meas, anchors, replace(system, measurements=meas)))
+            loud.append((meas, anchors, replace(system, measurements=meas.rssi)))
         trials[3:3] = loud
         fits = grad_desc_fits([system for *_, system in trials], params, **settings)
         max_iters = settings.get("max_iters", 200)

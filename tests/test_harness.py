@@ -9,6 +9,8 @@ from secloc import (
     AdmmParams,
     ConfigError,
     ExperimentConfig,
+    LinearSystem,
+    SecLocError,
     emit_csv,
     load_config,
     run_monte_carlo,
@@ -18,6 +20,7 @@ from secloc import (
     sweep,
 )
 from secloc import harness, planefit
+from secloc.attacks import ATTACK_KINDS
 from secloc.harness import CSV_HEADER, CHUNK
 
 
@@ -109,6 +112,42 @@ class TestRunTrial:
         res = run_trial(cfg, 0)
         assert all(outcome.ok for outcome in res.outcomes.values())
         assert calls == [(cfg.n_anchors, cfg.packets)]
+
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_estimators_are_blind_to_the_labels(self, kind):
+        # The estimators see measurements, never which anchors lie: the same
+        # trial with other malicious labels and a fresh system built from the
+        # same A, b, ranges and RSSI (so no memo is shared) gives every
+        # estimator the same result; only the scoring (tp, fp) may change.
+        names = tuple(n for n, spec in harness.ESTIMATORS.items() if kind in spec.attacks)
+        attack = {
+            "none": dict(),
+            "uncoordinated": dict(sigma_att=8.0, malicious_fraction=0.28),
+            "coordinated": dict(t_att=(75.0, 75.0), malicious_fraction=0.28),
+        }[kind]
+        cfg = ExperimentConfig(attack_kind=kind, estimators=names, trials=1, **attack)
+        trial = harness.prepare_trial(cfg, 0, harness.base_topology(cfg))
+        topo, system = trial.topology, trial.system
+        labels = frozenset(range(topo.n_anchors)) - topo.malicious
+        fresh = LinearSystem(system.A, system.b, system.ranges, system.measurements)
+        relabelled = replace(trial, topology=topo.with_malicious(labels), system=fresh)
+        assert relabelled.topology.malicious != topo.malicious
+
+        def run(spec, t):
+            if spec.batch:
+                spec.batch([t])
+            try:
+                est = spec.run(t)
+            except SecLocError as exc:
+                return type(exc)
+            return est.position.tolist(), est.eliminated, est.iterations, est.converged
+
+        for name in names:
+            spec = harness.ESTIMATORS[name]
+            assert run(spec, trial) == run(spec, relabelled), name
+            a, b = harness._outcome(spec, trial), harness._outcome(spec, relabelled)
+            assert (a.error, a.failure) == (b.error, b.failure), name
 
 
 class TestMonteCarlo:
