@@ -30,8 +30,9 @@ MIN_SEPARATION = 1.0
 class Topology:
     """Anchor positions, the true target position, and the malicious labels.
 
-    Indices are 0-based.  At least 3 anchors, not all collinear, and no anchor
-    may coincide with the target.  Topologies compare by identity.
+    Indices are 0-based.  At least 3 anchors, not all collinear, and every
+    anchor at a positive, finite distance from the target.  Topologies compare
+    by identity.
     """
 
     anchors: np.ndarray
@@ -53,7 +54,11 @@ class Topology:
             raise ConfigError(f"need at least 3 anchors, got {n}")
         if any(i < 0 or i >= n for i in self.malicious):
             raise ConfigError("malicious indices out of range")
-        if np.any(np.linalg.norm(anchors - target, axis=1) == 0):
+        with np.errstate(over="ignore"):
+            distances = np.linalg.norm(anchors - target, axis=1)
+        if not math.isfinite(distances.max()):
+            raise ConfigError("the anchors lie so far from the target that a distance overflows")
+        if np.any(distances == 0):
             raise ConfigError("an anchor coincides with the target")
         svals = np.linalg.svd(anchors - anchors.mean(axis=0), compute_uv=False)
         if svals[1] <= 1e-9 * max(svals[0], 1.0):
@@ -77,37 +82,54 @@ class Topology:
         return replace(self, malicious=frozenset(int(i) for i in indices))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AttackSpec:
-    """What the malicious anchors do: nothing (kind ``none``, no fields),
-    per-packet power jitter of standard deviation ``sigma_att`` >= 0 dB and no
-    ``t_att`` (``uncoordinated``), or a rescaling that makes their ranges meet
-    at a finite ``t_att``, with no ``sigma_att`` (``coordinated``).  Every
-    config builds one at load, so its attack keys obey this rule."""
+    """What the malicious anchors do, and every rule its fields obey.
+
+    Kind ``none`` takes no other field.  ``uncoordinated`` is per-packet power
+    jitter of standard deviation ``sigma_att`` >= 0 dB, and takes no decoy.
+    ``coordinated`` rescales the malicious anchors' power so that their
+    ranges meet at a decoy, given as exactly one of a fixed, finite
+    position ``t_att`` and a finite ``distance`` from the target (the decoy
+    then lies that far from it, diagonally: see ``decoy``), and takes no
+    ``sigma_att``.  The config's ``attack`` section is one, so its
+    ``attack.*`` keys obey these rules.  ``t_att`` is kept as a pair of
+    floats, so specs compare and print by value."""
 
     kind: str = "none"
     sigma_att: float | None = None
-    t_att: np.ndarray | None = None
+    t_att: tuple | None = None
+    distance: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r}")
+        decoys = (self.t_att is not None) + (self.distance is not None)
         if self.kind == "uncoordinated":
             if self.sigma_att is None or not math.isfinite(self.sigma_att) or self.sigma_att < 0:
                 raise ConfigError("uncoordinated attack needs sigma_att >= 0")
-            if self.t_att is not None:
-                raise ConfigError("t_att is only valid for a coordinated attack")
+            if decoys:
+                raise ConfigError("t_att and distance are only valid for a coordinated attack")
         elif self.kind == "coordinated":
-            if self.t_att is None:
-                raise ConfigError("coordinated attack needs t_att")
+            if decoys != 1:
+                raise ConfigError("coordinated attack takes exactly one of t_att and distance")
             if self.sigma_att is not None:
                 raise ConfigError("sigma_att is only valid for an uncoordinated attack")
-            t_att = np.asarray(self.t_att, dtype=float).reshape(2)
-            if not np.all(np.isfinite(t_att)):
-                raise ConfigError("t_att must be finite")
-            object.__setattr__(self, "t_att", t_att)
-        elif self.sigma_att is not None or self.t_att is not None:
+            if self.t_att is not None:
+                if np.shape(self.t_att) != (2,) or not np.all(np.isfinite(self.t_att)):
+                    raise ConfigError(f"t_att must be two finite coordinates, got {self.t_att!r}")
+                object.__setattr__(self, "t_att", tuple(float(v) for v in self.t_att))
+            elif not math.isfinite(self.distance):
+                raise ConfigError(f"attack distance must be finite, got {self.distance!r}")
+        elif self.sigma_att is not None or decoys:
             raise ConfigError("attack kind 'none' takes no parameters")
+
+    def decoy(self, target) -> np.ndarray:
+        """The decoy of a coordinated attack on a node at ``target``: t_att,
+        or the target shifted by distance / sqrt(2) along both axes."""
+        if self.distance is not None:
+            return np.asarray(target, dtype=float) + self.distance / math.sqrt(2.0)
+        return np.asarray(self.t_att, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +159,9 @@ def simulate_measurements(
     Honest rows are mean_rssi(d_i) + N(0, sigma^2) noise per packet.  Under an
     uncoordinated attack each malicious row gains independent per-packet
     N(0, sigma_att^2) jitter; under a coordinated attack the malicious mean is
-    mean_rssi at the decoy range ||t_att - a_i||, so the noise-free row
-    inverts to that distance.
+    mean_rssi at the decoy range ||attack.decoy(target) - a_i||, so the
+    noise-free row inverts to that distance; a decoy on an anchor, or so far
+    away that its ranges overflow, is a ``ConfigError``.
     The same seed yields a bit-identical matrix.
     """
     if packets < 1:
@@ -147,9 +170,12 @@ def simulate_measurements(
     mean = mean_rssi(params, topology.distances())
     mal = sorted(topology.malicious)
     if attack.kind == "coordinated" and mal:
-        decoy = np.linalg.norm(topology.anchors - attack.t_att, axis=1)
+        with np.errstate(over="ignore"):
+            decoy = np.linalg.norm(topology.anchors - attack.decoy(topology.target), axis=1)
+        if not math.isfinite(decoy.max()):
+            raise ConfigError("the decoy lies so far from the anchors that its ranges overflow")
         if np.any(decoy == 0.0):
-            raise ConfigError("t_att coincides with an anchor position")
+            raise ConfigError("the decoy coincides with an anchor position")
         mean[mal] = mean_rssi(params, decoy[mal])
     rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
     if attack.kind == "uncoordinated" and mal:
@@ -183,7 +209,8 @@ class Placement:
         center = np.asarray(
             self.center if self.center is not None else default_center, dtype=float
         ).reshape(2)
-        dist = np.linalg.norm(anchors - center, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is inf: beyond any radius
+            dist = np.linalg.norm(anchors - center, axis=1)
         if self.kind == "within_radius":
             return np.flatnonzero(dist <= self.radius)
         return np.flatnonzero(dist > self.radius)
@@ -210,8 +237,9 @@ def select_malicious(n_anchors: int, fraction: float, seed, eligible=None) -> fr
 def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
     """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
     ``MIN_SEPARATION`` to the target (defaults to the area center).  An area
-    with no point that far from the target is a ``ConfigError``, as is an
-    anchor count that is not an integer of at least 3."""
+    with no point that far from the target is a ``ConfigError``, as are an
+    anchor count that is not an integer of at least 3 and an area so large
+    that a distance overflows."""
     if not isinstance(n_anchors, numbers.Integral) or n_anchors < 3:
         raise ConfigError(f"need an integer count of at least 3 anchors, got {n_anchors!r}")
     if not (math.isfinite(area) and area > 0):
@@ -227,7 +255,8 @@ def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topo
     filled = 0
     while filled < n_anchors:
         cand = rng.uniform(0.0, area, size=(n_anchors - filled, 2))
-        ok = np.linalg.norm(cand - t, axis=1) >= MIN_SEPARATION
+        with np.errstate(over="ignore"):  # an overflow is Topology's to reject
+            ok = np.linalg.norm(cand - t, axis=1) >= MIN_SEPARATION
         kept = cand[ok]
         anchors[filled : filled + kept.shape[0]] = kept
         filled += kept.shape[0]

@@ -8,11 +8,15 @@ Python to the same rules: a non-finite number, or an estimator listed twice,
 fails there too.
 Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 (5000 trials); ``load_config`` resolves those names as well as paths.
-Attack keys follow ``attack.kind``: ``uncoordinated`` takes
+Each layer's settings are one section of the config, a value of that layer's
+own checked type: ``channel`` (``PathLossParams``: keys ``p0``, ``n``,
+``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys), ``placement``,
+``admm``, ``lmds`` and ``grad_desc``.  The type holds the section's rules; the
+attack-key rules, for one, are ``AttackSpec``'s: ``uncoordinated`` takes
 ``attack.sigma_att`` (>= 0) alone, ``coordinated`` exactly one of
-``attack.t_att`` and ``attack.distance`` (the decoy then lies that far from
-the target, diagonally), and ``none`` none of them.  A mix fails at load.
-``topology.file`` fixes the layout, so it excludes ``topology.per_trial``.
+``attack.t_att`` and ``attack.distance``, and ``none`` none of them.  A mix
+fails at load.  ``topology.file`` fixes the layout, so it excludes
+``topology.per_trial``.
 """
 
 from __future__ import annotations
@@ -41,16 +45,11 @@ class ExperimentConfig:
     area: float = 100.0
     n_anchors: int = 29
     target: tuple = (50.0, 50.0)
-    p0: float = -10.0
-    n: float = 4.0
-    sigma: float = 2.0
+    channel: PathLossParams = PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
     packets: int = 10
     trials: int = 5000
     master_seed: int = 1
-    attack_kind: str = "none"
-    sigma_att: float | None = None
-    t_att: tuple | None = None
-    attack_distance: float | None = None
+    attack: AttackSpec = AttackSpec()
     malicious_fraction: float = 0.0
     placement: Placement = Placement()
     estimators: tuple = ("ls", "wls")
@@ -83,15 +82,6 @@ class ExperimentConfig:
             raise ConfigError("malicious fraction must be in [0, 1]")
         if self.topology_file is not None and self.topology_per_trial:
             raise ConfigError("topology.file and topology.per_trial exclude each other")
-        # The one attack rule AttackSpec cannot see: how the decoy is given.
-        coordinated = self.attack_kind == "coordinated"
-        if (self.t_att is not None) + (self.attack_distance is not None) != coordinated:
-            count = "exactly one" if coordinated else "neither"
-            raise ConfigError(
-                f"attack kind {self.attack_kind!r} takes {count} of attack.t_att and "
-                "attack.distance"
-            )
-        self.attack_spec(self.target)  # AttackSpec checks everything else
         if not self.estimators:
             raise ConfigError("no estimators enabled")
         # harness imports this module, so its estimator table is read here.
@@ -102,26 +92,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown estimator {name!r}")
             if name in self.estimators[:i]:
                 raise ConfigError(f"estimator {name!r} is listed more than once")
-            if self.attack_kind not in ESTIMATORS[name].attacks:
+            if self.attack.kind not in ESTIMATORS[name].attacks:
                 raise ConfigError(
                     f"estimator {name!r} is not applicable under a "
-                    f"{self.attack_kind} attack"
+                    f"{self.attack.kind} attack"
                 )
-        try:
-            self.params()
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def params(self) -> PathLossParams:
-        return PathLossParams(p0=self.p0, n=self.n, sigma=self.sigma)
-
-    def attack_spec(self, target) -> AttackSpec:
-        """The attack on a trial whose true position is ``target``.  The decoy
-        is t_att, or the target shifted diagonally by attack_distance."""
-        t_att = self.t_att
-        if self.attack_distance is not None:
-            t_att = np.asarray(target, dtype=float) + self.attack_distance / math.sqrt(2.0)
-        return AttackSpec(kind=self.attack_kind, sigma_att=self.sigma_att, t_att=t_att)
 
 
 def parse_number(key: str, text: str) -> float:
@@ -168,12 +143,13 @@ def _parse_text(key: str, text: str) -> str:
 
 # Every accepted key: (section, field, parser).  A row without a section sets
 # that ExperimentConfig field; the rows of a section replace fields of that
-# section's default (placement, admm, lmds, grad_desc), which checks them.
+# section's default (channel, attack, placement, admm, lmds, grad_desc),
+# which checks them.
 _KEYS = {
     "area": (None, "area", parse_number),
-    "p0": (None, "p0", parse_number),
-    "n": (None, "n", parse_number),
-    "sigma": (None, "sigma", parse_number),
+    "p0": ("channel", "p0", parse_number),
+    "n": ("channel", "n", parse_number),
+    "sigma": ("channel", "sigma", parse_number),
     "zeta": (None, "zeta", parse_number),
     "malicious.fraction": (None, "malicious_fraction", parse_number),
     "n_anchors": (None, "n_anchors", _parse_int),
@@ -181,10 +157,10 @@ _KEYS = {
     "trials": (None, "trials", _parse_int),
     "master_seed": (None, "master_seed", _parse_int),
     "target": (None, "target", _parse_vector),
-    "attack.kind": (None, "attack_kind", _parse_text),
-    "attack.sigma_att": (None, "sigma_att", parse_number),
-    "attack.t_att": (None, "t_att", _parse_vector),
-    "attack.distance": (None, "attack_distance", parse_number),
+    "attack.kind": ("attack", "kind", _parse_text),
+    "attack.sigma_att": ("attack", "sigma_att", parse_number),
+    "attack.t_att": ("attack", "t_att", _parse_vector),
+    "attack.distance": ("attack", "distance", parse_number),
     "malicious.placement": ("placement", "kind", _parse_text),
     "malicious.radius": ("placement", "radius", parse_number),
     "malicious.center": ("placement", "center", _parse_vector),
@@ -259,6 +235,9 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         if packets != value or packets < 1:
             raise ConfigError(f"packets must be a positive integer, got {value!r}")
         return replace(config, packets=packets)
+    if axis == "sigma_att":
+        return replace(config, attack=replace(config.attack, sigma_att=float(value)))
     if axis == "attack_distance":
-        return replace(config, attack_distance=float(value), t_att=None)
-    return replace(config, **{axis: float(value)})
+        attack = replace(config.attack, t_att=None, distance=float(value))
+        return replace(config, attack=attack)
+    return replace(config, malicious_fraction=float(value))

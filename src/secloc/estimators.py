@@ -167,7 +167,9 @@ def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSys
     """Assemble (A, b) from anchor positions and P-averaged range estimates.
 
     The ranges must come from the row-mean RSSI (one inversion per anchor),
-    not from averaging per-packet ranges.  ``measurements``, the trial's
+    not from averaging per-packet ranges.  A range must be positive and its
+    square finite: one that underflowed to 0 (or overflowed) in the
+    inversion is a ``DomainError``.  ``measurements``, the trial's
     (N, P) RSSI array, travels with the system for the estimators that read
     it (SWLS, ML, Grad-Desc).
     """
@@ -180,6 +182,9 @@ def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSys
     top = float(np.abs(d).max())
     if not math.isfinite(top * top):
         raise DomainError(f"range {top:g} m is out of range: its square is not finite")
+    low = float(d.min())
+    if not low > 0:
+        raise DomainError(f"range {low:g} m is out of range: it is not positive")
     A = np.column_stack([-2.0 * a[:, 0], -2.0 * a[:, 1], np.ones(a.shape[0])])
     b = d**2 - a[:, 0] ** 2 - a[:, 1] ** 2
     return LinearSystem(A=A, b=b, ranges=d, measurements=measurements)

@@ -42,7 +42,7 @@ from .attacks import (
     select_malicious,
     simulate_measurements,
 )
-from .channel import PathLossParams, distance_from_rssi
+from .channel import distance_from_rssi
 from .config import ExperimentConfig, apply_axis
 from .estimators import (
     Estimate,
@@ -170,11 +170,11 @@ def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
     """The error bound for one labelled topology; None when the information
     matrix is singular, overflows or is undefined."""
-    attack = config.attack_spec(topology.target)
-    params = config.params()
+    attack, params = config.attack, config.channel
     try:
         if attack.kind == "coordinated":
-            fim = crlb_mod.fim_coordinated(topology, params, attack.t_att, config.packets)
+            decoy = attack.decoy(topology.target)
+            fim = crlb_mod.fim_coordinated(topology, params, decoy, config.packets)
         else:  # with no attack, the uncoordinated bound at sigma_att = 0
             fim = crlb_mod.fim_uncoordinated(
                 topology, params, attack.sigma_att or 0.0, config.packets
@@ -187,15 +187,14 @@ def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
 @dataclass(frozen=True, eq=False)
 class Trial:
     """One trial as ``prepare_trial`` made it.  The estimators read only
-    ``system`` (anchors, ranges and the RSSI array), ``params`` and the
-    config's settings; the labelled ``topology`` is for scoring, and its
-    target for ML's start.  Trials compare by identity."""
+    ``system`` (anchors, ranges and the RSSI array) and the config's channel
+    and settings; the labelled ``topology`` is for scoring, and its target
+    for ML's start.  Trials compare by identity."""
 
     config: ExperimentConfig
     index: int
     topology: Topology  # labelled
     system: LinearSystem  # with the trial's RSSI array
-    params: PathLossParams
 
 
 @dataclass(frozen=True)
@@ -224,17 +223,17 @@ _NOT_UNCOORDINATED = frozenset(("none", "coordinated"))
 ESTIMATORS = {
     # Plain LS is only compared under the uncoordinated attack.
     "ls": EstimatorSpec(_NOT_COORDINATED, lambda t: ls_estimate(t.system)),
-    "wls": EstimatorSpec(_ALL_ATTACKS, lambda t: wls_estimate(t.system, t.params)),
+    "wls": EstimatorSpec(_ALL_ATTACKS, lambda t: wls_estimate(t.system, t.config.channel)),
     # SWLS keys on per-packet power variance, absent in a coordinated attack.
     "swls": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: swls_estimate(t.system, t.params, zeta=t.config.zeta),
+        lambda t: swls_estimate(t.system, t.config.channel, zeta=t.config.zeta),
         detector=True,
     ),
     # ML is initialized at the truth; only compared under the uncoordinated attack.
     "ml": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: ml_estimate(t.system, t.params, init=t.topology.target),
+        lambda t: ml_estimate(t.system, t.config.channel, init=t.topology.target),
     ),
     # The settings' fields are passed as the estimators' keywords, so
     # secbench/tracing.py reads max_iters= off the Grad-Desc call.  LMdS
@@ -251,9 +250,9 @@ ESTIMATORS = {
     # the trials' systems (see estimators and planefit).
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
-        lambda t: grad_desc_estimate(t.system, t.params, **vars(t.config.grad_desc)),
+        lambda t: grad_desc_estimate(t.system, t.config.channel, **vars(t.config.grad_desc)),
         batch=lambda ts: grad_desc_fits(
-            [t.system for t in ts], ts[0].params, **vars(ts[0].config.grad_desc)
+            [t.system for t in ts], ts[0].config.channel, **vars(ts[0].config.grad_desc)
         ),
     ),
     "ln1": EstimatorSpec(
@@ -293,21 +292,19 @@ def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) ->
     or the matrix, read them off the system).  ``base`` is the shared
     topology."""
     topo = trial_topology(config, trial_index, base)
-    params = config.params()
     measurements = simulate_measurements(
         topo,
-        params,
-        config.attack_spec(topo.target),
+        config.channel,
+        config.attack,
         config.packets,
         seed=_trial_rng(config.master_seed, trial_index, _STREAM_NOISE),
     )
-    mean_d = distance_from_rssi(params, measurements.rssi.mean(axis=1))
+    mean_d = distance_from_rssi(config.channel, measurements.rssi.mean(axis=1))
     return Trial(
         config=config,
         index=trial_index,
         topology=topo,
         system=build_linear_system(topo.anchors, mean_d, measurements.rssi),
-        params=params,
     )
 
 

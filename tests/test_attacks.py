@@ -1,11 +1,15 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secloc import (
     AttackSpec,
     ConfigError,
+    ExperimentConfig,
     MeasurementMatrix,
     PathLossParams,
     Placement,
@@ -17,6 +21,7 @@ from secloc import (
     select_malicious,
     simulate_measurements,
 )
+from secloc.attacks import ATTACK_KINDS
 
 P = PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
 P0 = PathLossParams(p0=-10.0, n=4.0, sigma=0.0)
@@ -39,6 +44,16 @@ class TestTopology:
         collinear = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
         with pytest.raises(ConfigError):
             Topology(anchors=collinear, target=[5.0, 5.0])
+
+    def test_overflowing_distance_rejected(self):
+        # Coordinates of 1e154 or more square to inf inside the norm: a typed
+        # error, with no numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="distance overflows"):
+                Topology(anchors=SQUARE, target=[5e299, 5e299])
+            with pytest.raises(ConfigError, match="distance overflows"):
+                random_topology(5, 1e300, target=(5e299, 5e299), seed=1)
 
     def test_distances_and_mask(self):
         topo = square_topology(malicious={1, 3})
@@ -66,6 +81,43 @@ class TestAttackSpec:
             AttackSpec("none", sigma_att=1.0)
         with pytest.raises(ConfigError):
             AttackSpec("jamming")
+        with pytest.raises(ConfigError, match="exactly one of t_att and distance"):
+            AttackSpec("coordinated", t_att=(60.0, 60.0), distance=5.0)
+        with pytest.raises(ConfigError, match="only valid for a coordinated attack"):
+            AttackSpec("uncoordinated", sigma_att=6.0, distance=5.0)
+        with pytest.raises(ConfigError, match="two finite coordinates"):
+            AttackSpec("coordinated", t_att=(1.0, 2.0, 3.0))
+        with pytest.raises(ConfigError, match="distance must be finite"):
+            AttackSpec("coordinated", distance=math.inf)
+
+    def test_compares_and_prints_by_value(self):
+        spec = AttackSpec("coordinated", t_att=np.array([75, 75]))
+        assert spec.t_att == (75.0, 75.0) and type(spec.t_att[0]) is float
+        assert spec == AttackSpec("coordinated", t_att=(75.0, 75.0))
+        assert hash(spec) == hash(AttackSpec("coordinated", t_att=(75.0, 75.0)))
+        assert spec != AttackSpec("coordinated", distance=35.36)
+        assert repr(spec) == (
+            "AttackSpec(kind='coordinated', sigma_att=None, t_att=(75.0, 75.0), distance=None)"
+        )
+
+    def test_resolve_t_att_diagonal(self):
+        t_att = AttackSpec("coordinated", distance=16.97).decoy(np.array([50.0, 50.0]))
+        assert np.linalg.norm(t_att - [50.0, 50.0]) == pytest.approx(16.97, rel=1e-12)
+        np.testing.assert_allclose(t_att, [62.0, 62.0], atol=0.01)
+        fixed = AttackSpec("coordinated", t_att=(70.0, 20.0)).decoy([50.0, 50.0])
+        assert fixed.dtype == float and fixed.tolist() == [70.0, 20.0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        target=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        distance=st.floats(-1e6, 1e6),
+    )
+    def test_decoy_is_the_diagonal_formula_bit_for_bit(self, target, distance):
+        # The formula the config used to apply before building the spec; the
+        # coordinated reference rows rest on these exact bits.
+        got = AttackSpec("coordinated", distance=distance).decoy(target)
+        want = np.asarray(target, dtype=float) + distance / math.sqrt(2.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSimulateMeasurements:
@@ -132,6 +184,21 @@ class TestSimulateMeasurements:
                 topo, P0, AttackSpec("coordinated", t_att=SQUARE[2]), 3, seed=1
             )
 
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackSpec("coordinated", t_att=(1e300, 1e300)),
+            AttackSpec("coordinated", distance=1e300),
+        ],
+        ids=["t_att", "distance"],
+    )
+    def test_overflowing_decoy_rejected(self, attack):
+        topo = square_topology(malicious={1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="ranges overflow"):
+                simulate_measurements(topo, P0, attack, 3, seed=1)
+
     def test_packet_count_validated(self):
         with pytest.raises(ConfigError):
             simulate_measurements(square_topology(), P, AttackSpec("none"), 0, seed=1)
@@ -170,6 +237,11 @@ class TestSelectMalicious:
         assert list(Placement().eligible(anchors, center)) == [0, 1, 2]
         with pytest.raises(ConfigError):
             Placement("within_radius", radius=0.0)
+        far = (1e300, 1e300)  # its distances square to inf, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(replace(beyond, center=far).eligible(anchors, center)) == [0, 1, 2]
+            assert list(replace(within, center=far).eligible(anchors, center)) == []
 
 
 class TestRandomTopology:
@@ -232,3 +304,30 @@ class TestTopologyFile:
             parse_topology("0 0\n1 0\n0 1\ntarget 1 1\ntarget 2 2\n")
         with pytest.raises(ConfigError):
             parse_topology("0 0\nzero one\n0 1\ntarget 5 5")
+
+
+_OPTIONAL_NUMBER = (
+    st.none() | st.floats(-1e6, 1e6) | st.sampled_from([float("nan"), float("inf")])
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(ATTACK_KINDS),
+    sigma_att=_OPTIONAL_NUMBER,
+    t_att=st.none() | st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    distance=_OPTIONAL_NUMBER,
+)
+def test_attack_fields_rejected_or_kept(kind, sigma_att, t_att, distance):
+    """An attack either fails to build, or it obeys the kind's rule and keeps
+    every field it was given, as does a config that holds it."""
+    try:
+        spec = AttackSpec(kind, sigma_att, t_att, distance)
+    except ConfigError:
+        return
+    assert (spec.kind, spec.sigma_att, spec.distance) == (kind, sigma_att, distance)
+    assert spec.t_att == (None if t_att is None else tuple(map(float, t_att)))
+    assert (sigma_att is not None) == (kind == "uncoordinated")
+    decoys = (t_att is not None) + (distance is not None)
+    assert decoys == (kind == "coordinated")
+    assert ExperimentConfig(attack=spec, estimators=("wls",)).attack == spec

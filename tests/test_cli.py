@@ -257,6 +257,39 @@ class TestErrorPaths:
         assert "error: range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            (
+                "attack.kind = coordinated\nattack.t_att = 1e300 1e300\n"
+                "malicious.fraction = 0.28\nestimators = wls\n",
+                2,
+                "configuration error: the decoy lies so far from the anchors",
+            ),
+            (
+                "area = 1e300\ntarget = 5e299 5e299\nestimators = ls\n",
+                2,
+                "configuration error: the anchors lie so far from the target",
+            ),
+            ("p0 = 1e300\nestimators = ls\n", 3, "error: range 0 m is out of range"),
+        ],
+        ids=["t_att-1e300", "area-1e300", "p0-1e300"],
+    )
+    def test_extreme_scale_is_typed_error(self, tmp_path, capsys, text, code, message):
+        # Distances of 1e154 m or more square to inf in the norm, and at
+        # p0 = 1e300 every range inverts to 0.  Before, the first two ended
+        # in a numpy RuntimeWarning and exit 3, and the third reported LS ok
+        # with a 6 m error.  Numpy warnings are errors here, so a warning
+        # fails the run instead of printing.
+        path = tmp_path / "extreme.cfg"
+        path.write_text(text + "trials = 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
         "text",
         [
             "n = 1e200\nestimators = ls, wls\n",

@@ -5,22 +5,21 @@ import pytest
 
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
-
 from secloc import (
     ESTIMATORS,
     AdmmParams,
+    AttackSpec,
     ConfigError,
     DomainError,
     ExperimentConfig,
     GradDescParams,
     LmdsParams,
+    PathLossParams,
     Placement,
     apply_axis,
     load_config,
     parse_config,
 )
-from secloc.attacks import ATTACK_KINDS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
 
@@ -37,7 +36,7 @@ class TestParse:
     def test_defaults_cover_standard_scenario(self):
         cfg = parse_config(MINIMAL)
         assert cfg.area == 100.0 and cfg.n_anchors == 29
-        assert cfg.p0 == -10.0 and cfg.n == 4.0 and cfg.sigma == 2.0
+        assert cfg.channel == PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
         assert cfg.packets == 10 and cfg.zeta == 1.5
         assert cfg.admm.rho == 0.2 and cfg.admm.conv_tol == 1e-6
         assert cfg.admm.max_iters == 5000
@@ -49,24 +48,24 @@ class TestParse:
     def test_full_file_round_trip(self):
         # every accepted key set to a non-default value; the three attack
         # variants between them cover the four attack.* keys
-        for attack_lines, attack_fields in (
+        for attack_lines, attack in (
             (
                 "attack.kind = coordinated\nattack.t_att = 70 65\n",
-                dict(attack_kind="coordinated", t_att=(70.0, 65.0)),
+                AttackSpec("coordinated", t_att=(70.0, 65.0)),
             ),
             (
                 "attack.kind = coordinated\nattack.distance = 12.5\n",
-                dict(attack_kind="coordinated", attack_distance=12.5),
+                AttackSpec("coordinated", distance=12.5),
             ),
             (
                 "attack.kind = uncoordinated\nattack.sigma_att = 6\n",
-                dict(attack_kind="uncoordinated", sigma_att=6.0),
+                AttackSpec("uncoordinated", sigma_att=6.0),
             ),
         ):
-            self.check_full_file(attack_lines, attack_fields)
+            self.check_full_file(attack_lines, attack)
 
     @staticmethod
-    def check_full_file(attack_lines, attack_fields):
+    def check_full_file(attack_lines, attack):
         text = attack_lines + """
         area = 80
         n_anchors = 17
@@ -97,9 +96,7 @@ class TestParse:
             area=80.0,
             n_anchors=17,
             target=(10.0, 60.0),
-            p0=-12.5,
-            n=3.5,
-            sigma=1.5,
+            channel=PathLossParams(p0=-12.5, n=3.5, sigma=1.5),
             packets=4,
             trials=33,
             master_seed=77,
@@ -111,7 +108,7 @@ class TestParse:
             lmds=LmdsParams(n_subsets=12, subset_size=5),
             grad_desc=GradDescParams(step=0.2, max_iters=150, keep_fraction=0.75),
             topology_file="anchors.txt",
-            **attack_fields,
+            attack=attack,
         )
         assert parse_config(text) == expected
         assert repr(parse_config(text)) == repr(expected)
@@ -150,6 +147,8 @@ class TestParse:
             ("target = 1 2 3", "target: expected two coordinates, got '1 2 3'"),
             ("topology.per_trial = maybe", "topology.per_trial: expected a boolean, got 'maybe'"),
             ("admm.max_iters = x", "admm.max_iters: expected a number, got 'x'"),
+            ("n = 0", "channel: path-loss exponent must be > 0, got 0.0"),
+            ("attack.kind = jamming", "unknown attack kind 'jamming'"),
             ("area 100", "line 1: expected 'key = value'"),
             ("area =", "line 1: empty key or value"),
         ],
@@ -164,24 +163,21 @@ GOLDEN = {
     "desk": ExperimentConfig(
         trials=500,
         master_seed=20260810,
-        attack_kind="uncoordinated",
-        sigma_att=8.0,
+        attack=AttackSpec("uncoordinated", sigma_att=8.0),
         malicious_fraction=0.28,
         estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
     ),
     "paper": ExperimentConfig(
         trials=5000,
         master_seed=20260810,
-        attack_kind="uncoordinated",
-        sigma_att=8.0,
+        attack=AttackSpec("uncoordinated", sigma_att=8.0),
         malicious_fraction=0.28,
         estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
     ),
     "coord-fixed.cfg": ExperimentConfig(
         trials=100,
         master_seed=20260810,
-        attack_kind="coordinated",
-        t_att=(75.0, 75.0),
+        attack=AttackSpec("coordinated", t_att=(75.0, 75.0)),
         malicious_fraction=0.28,
         estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
     ),
@@ -189,8 +185,7 @@ GOLDEN = {
         trials=100,
         master_seed=20260810,
         topology_per_trial=True,
-        attack_kind="uncoordinated",
-        sigma_att=8.0,
+        attack=AttackSpec("uncoordinated", sigma_att=8.0),
         malicious_fraction=0.28,
         estimators=("ls", "wls", "swls"),
     ),
@@ -208,36 +203,29 @@ def test_shipped_configs_parse_to_golden_values(name):
 class TestValidation:
     def test_attack_parameter_pairing(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(attack_kind="uncoordinated", estimators=("ls",))
+            ExperimentConfig(attack=AttackSpec("uncoordinated"), estimators=("ls",))
         with pytest.raises(ConfigError):
-            ExperimentConfig(attack_kind="coordinated", estimators=("wls",))
-        with pytest.raises(ConfigError):
+            ExperimentConfig(attack=AttackSpec("coordinated"), estimators=("wls",))
+        with pytest.raises(ConfigError, match="exactly one of t_att and distance"):
             ExperimentConfig(
-                attack_kind="coordinated",
+                attack=AttackSpec("coordinated", t_att=(60.0, 60.0), distance=5.0),
                 estimators=("wls",),
-                t_att=(60.0, 60.0),
-                attack_distance=5.0,
             )
 
     def test_applicability_matrix_enforced(self):
+        coordinated = AttackSpec("coordinated", distance=10.0)
         with pytest.raises(ConfigError):  # SWLS keys on power variance
-            ExperimentConfig(
-                attack_kind="coordinated", attack_distance=10.0, estimators=("swls",)
-            )
+            ExperimentConfig(attack=coordinated, estimators=("swls",))
         with pytest.raises(ConfigError):  # ML only compared under uncoordinated
-            ExperimentConfig(
-                attack_kind="coordinated", attack_distance=10.0, estimators=("ml",)
-            )
+            ExperimentConfig(attack=coordinated, estimators=("ml",))
         with pytest.raises(ConfigError):  # LN-1E needs the second plane
             ExperimentConfig(
-                attack_kind="uncoordinated", sigma_att=4.0, estimators=("ln1e",)
+                attack=AttackSpec("uncoordinated", sigma_att=4.0), estimators=("ln1e",)
             )
         with pytest.raises(ConfigError):  # LS only compared under uncoordinated
-            ExperimentConfig(
-                attack_kind="coordinated", attack_distance=10.0, estimators=("ls",)
-            )
+            ExperimentConfig(attack=coordinated, estimators=("ls",))
         # every estimator is allowed when there is no attack
-        ExperimentConfig(attack_kind="none", estimators=("ls", "swls", "ml", "ln1e"))
+        ExperimentConfig(attack=AttackSpec("none"), estimators=("ls", "swls", "ml", "ln1e"))
 
     @pytest.mark.parametrize("attack_kind", ["none", "uncoordinated", "coordinated"])
     @pytest.mark.parametrize(
@@ -250,15 +238,15 @@ class TestValidation:
             "coordinated": {"wls", "lmds", "grad_desc", "ln1", "ln1e"},
         }
         attack = {
-            "none": {},
-            "uncoordinated": {"sigma_att": 4.0},
-            "coordinated": {"attack_distance": 10.0},
+            "none": AttackSpec(),
+            "uncoordinated": AttackSpec("uncoordinated", sigma_att=4.0),
+            "coordinated": AttackSpec("coordinated", distance=10.0),
         }[attack_kind]
         if name in accepted[attack_kind]:
-            ExperimentConfig(attack_kind=attack_kind, estimators=(name,), **attack)
+            ExperimentConfig(attack=attack, estimators=(name,))
         else:
             with pytest.raises(ConfigError, match="not applicable"):
-                ExperimentConfig(attack_kind=attack_kind, estimators=(name,), **attack)
+                ExperimentConfig(attack=attack, estimators=(name,))
         assert ESTIMATORS[name].detector == (name in ("swls", "ln1e"))
 
     def test_unknown_estimator(self):
@@ -345,7 +333,7 @@ class TestProfilesAndAxis:
         desk = load_config("desk")
         paper = load_config("paper")
         assert desk.trials == 500 and paper.trials == 5000
-        assert desk.attack_kind == "uncoordinated"
+        assert desk.attack.kind == "uncoordinated"
         assert desk.admm.max_iters == 5000
 
     def test_missing_file(self):
@@ -354,7 +342,7 @@ class TestProfilesAndAxis:
 
     def test_apply_axis(self):
         cfg = parse_config(MINIMAL)
-        assert apply_axis(cfg, "sigma_att", 12.0).sigma_att == 12.0
+        assert apply_axis(cfg, "sigma_att", 12.0).attack.sigma_att == 12.0
         assert apply_axis(cfg, "packets", 2).packets == 2
         assert apply_axis(cfg, "malicious_fraction", 0.5).malicious_fraction == 0.5
 
@@ -363,11 +351,12 @@ class TestProfilesAndAxis:
         with pytest.raises(ConfigError):
             apply_axis(cfg, "attack_distance", 10.0)
         coord = ExperimentConfig(
-            attack_kind="coordinated", attack_distance=10.0, estimators=("wls", "ln1e")
+            attack=AttackSpec("coordinated", t_att=(60.0, 60.0)), estimators=("wls", "ln1e")
         )
         with pytest.raises(ConfigError):
             apply_axis(coord, "sigma_att", 4.0)
-        assert apply_axis(coord, "attack_distance", 16.97).attack_distance == 16.97
+        swept = apply_axis(coord, "attack_distance", 16.97)
+        assert swept.attack == AttackSpec("coordinated", distance=16.97)
         with pytest.raises(ConfigError):
             apply_axis(cfg, "packets", 2.5)
         for value in (float("nan"), float("inf")):
@@ -375,43 +364,3 @@ class TestProfilesAndAxis:
                 apply_axis(cfg, "packets", value)
         with pytest.raises(ConfigError):
             apply_axis(cfg, "voltage", 1.0)
-
-    def test_resolve_t_att_diagonal(self):
-        import numpy as np
-
-        coord = ExperimentConfig(
-            attack_kind="coordinated", attack_distance=16.97, estimators=("wls",)
-        )
-        t_att = coord.attack_spec(np.array([50.0, 50.0])).t_att
-        assert np.linalg.norm(t_att - [50.0, 50.0]) == pytest.approx(16.97, rel=1e-12)
-        np.testing.assert_allclose(t_att, [62.0, 62.0], atol=0.01)
-
-
-_OPTIONAL_NUMBER = (
-    st.none() | st.floats(-1e6, 1e6) | st.sampled_from([float("nan"), float("inf")])
-)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(
-    attack_kind=st.sampled_from(ATTACK_KINDS),
-    sigma_att=_OPTIONAL_NUMBER,
-    t_att=st.none() | st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-    attack_distance=_OPTIONAL_NUMBER,
-)
-def test_attack_fields_rejected_or_kept(attack_kind, sigma_att, t_att, attack_distance):
-    """A config either fails to load or its attack keeps every field it set."""
-    try:
-        cfg = ExperimentConfig(
-            attack_kind=attack_kind,
-            sigma_att=sigma_att,
-            t_att=t_att,
-            attack_distance=attack_distance,
-            estimators=("wls",),
-        )
-    except ConfigError:
-        return
-    spec = cfg.attack_spec(cfg.target)
-    assert spec.kind == attack_kind
-    assert spec.sigma_att == cfg.sigma_att
-    assert (spec.t_att is None) == (t_att is None and attack_distance is None)

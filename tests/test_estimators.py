@@ -95,6 +95,18 @@ class TestBuildLinearSystem:
             with pytest.raises(DomainError, match=r"range 1e\+200 m"):
                 build_linear_system(anchors, [5.0, 1e200, 5.0])
 
+    @pytest.mark.parametrize("low", [0.0, -1.0, 5e-324])
+    def test_non_positive_range_is_domain_error(self, low):
+        # A range that underflowed to 0 in the inversion (p0 = 1e300, say)
+        # would pass as an anchor the target sits on; the smallest
+        # subnormal is still a range.
+        anchors = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+        if low > 0:
+            assert build_linear_system(anchors, [5.0, low, 5.0]).ranges[1] == low
+            return
+        with pytest.raises(DomainError, match=f"range {low:g} m is out of range: it is not"):
+            build_linear_system(anchors, [5.0, low, 5.0])
+
     def test_ranges_travel_with_subsets(self):
         anchors = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
         system = build_linear_system(anchors, [5.0, 6.0, 7.0, 8.0])
@@ -171,7 +183,7 @@ class TestBuildLinearSystem:
         assert fresh != system and system == system
         assert hash(system) == hash(system) != hash(fresh)
         assert (Estimate([1.0, 2.0]) == Estimate([1.0, 2.0])) is False
-        array_types = (AttackSpec, Estimate, LinearSystem, MeasurementMatrix, Topology, Trial)
+        array_types = (Estimate, LinearSystem, MeasurementMatrix, Topology, Trial)
         assert all(t.__eq__ is object.__eq__ for t in array_types)
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from secloc import (
     AdmmParams,
+    AttackSpec,
     ConfigError,
     ExperimentConfig,
     LinearSystem,
+    PathLossParams,
     SecLocError,
     emit_csv,
     load_config,
@@ -24,10 +26,12 @@ from secloc.attacks import ATTACK_KINDS
 from secloc.harness import CSV_HEADER, CHUNK
 
 
+COORDINATED = AttackSpec("coordinated", t_att=(75.0, 75.0))
+
+
 def quiet_config(**kw):
     base = dict(
-        attack_kind="none",
-        sigma=0.0,
+        channel=PathLossParams(p0=-10.0, n=4.0, sigma=0.0),
         malicious_fraction=0.0,
         estimators=("ls", "wls", "swls", "ml", "lmds", "ln1", "ln1e"),
         trials=1,
@@ -38,10 +42,9 @@ def quiet_config(**kw):
     return ExperimentConfig(**base)
 
 
-def attack_config(**kw):
+def attack_config(sigma_att=8.0, **kw):
     base = dict(
-        attack_kind="uncoordinated",
-        sigma_att=8.0,
+        attack=AttackSpec("uncoordinated", sigma_att=sigma_att),
         malicious_fraction=0.28,
         estimators=("ls", "wls", "swls"),
         trials=60,
@@ -114,6 +117,33 @@ class TestRunTrial:
         assert calls == [(cfg.n_anchors, cfg.packets)]
 
 
+    @pytest.mark.parametrize(
+        "attack",
+        [AttackSpec("uncoordinated", sigma_att=8.0), AttackSpec("coordinated", distance=12.0)],
+        ids=["uncoordinated", "coordinated-distance"],
+    )
+    def test_trials_read_the_config_channel_and_attack(self, attack, monkeypatch):
+        # The channel and the attack are built and checked once, with the
+        # config; the trials read them as they are, and each trial places a
+        # distance-given decoy from its own target.
+        built = []
+        for cls in (PathLossParams, AttackSpec):
+            original = cls.__post_init__
+
+            def counting(self, original=original):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        names = tuple(n for n, spec in harness.ESTIMATORS.items() if attack.kind in spec.attacks)
+        cfg = ExperimentConfig(
+            attack=attack, malicious_fraction=0.28, estimators=names, trials=3, n_anchors=12
+        )
+        built.clear()
+        summary = run_monte_carlo(cfg)
+        assert built == []
+        assert all(est.trials_ok for est in summary.per_estimator.values())
+
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_estimators_are_blind_to_the_labels(self, kind):
         # The estimators see measurements, never which anchors lie: the same
@@ -122,11 +152,14 @@ class TestRunTrial:
         # estimator the same result; only the scoring (tp, fp) may change.
         names = tuple(n for n, spec in harness.ESTIMATORS.items() if kind in spec.attacks)
         attack = {
-            "none": dict(),
-            "uncoordinated": dict(sigma_att=8.0, malicious_fraction=0.28),
-            "coordinated": dict(t_att=(75.0, 75.0), malicious_fraction=0.28),
+            "none": AttackSpec(),
+            "uncoordinated": AttackSpec("uncoordinated", sigma_att=8.0),
+            "coordinated": COORDINATED,
         }[kind]
-        cfg = ExperimentConfig(attack_kind=kind, estimators=names, trials=1, **attack)
+        fraction = 0.0 if kind == "none" else 0.28
+        cfg = ExperimentConfig(
+            attack=attack, malicious_fraction=fraction, estimators=names, trials=1
+        )
         trial = harness.prepare_trial(cfg, 0, harness.base_topology(cfg))
         topo, system = trial.topology, trial.system
         labels = frozenset(range(topo.n_anchors)) - topo.malicious
@@ -171,8 +204,7 @@ class TestMonteCarlo:
         "cfg",
         [
             ExperimentConfig(
-                attack_kind="coordinated",
-                t_att=(75.0, 75.0),
+                attack=COORDINATED,
                 malicious_fraction=0.28,
                 estimators=("wls", "grad_desc", "ln1", "ln1e"),
                 admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
@@ -222,8 +254,7 @@ class TestMonteCarlo:
         # keep 2 rows for one chosen system of a chunk and a one-trial tail:
         # the batch step skips that system's refit and its trial alone fails
         cfg = ExperimentConfig(
-            attack_kind="coordinated",
-            t_att=(75.0, 75.0),
+            attack=COORDINATED,
             malicious_fraction=0.28,
             estimators=("wls", "ln1", "ln1e"),
             trials=CHUNK + 1,
@@ -336,8 +367,7 @@ class TestSweepAndCsv:
         # run alone it fits that plane itself, to the same result
         def ln1e_row(estimators):
             cfg = ExperimentConfig(
-                attack_kind="coordinated",
-                t_att=(75.0, 75.0),
+                attack=COORDINATED,
                 malicious_fraction=0.28,
                 estimators=estimators,
                 trials=4,
@@ -359,8 +389,7 @@ class TestSweepAndCsv:
                 trials=CHUNK + 1,
             ),
             ExperimentConfig(
-                attack_kind="coordinated",
-                t_att=(75.0, 75.0),
+                attack=COORDINATED,
                 malicious_fraction=0.28,
                 estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
                 admm=AdmmParams(max_iters=1500),

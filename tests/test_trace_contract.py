@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from secloc import ESTIMATORS, AdmmParams, ExperimentConfig, run_monte_carlo
+from secloc import ESTIMATORS, AdmmParams, AttackSpec, ExperimentConfig, run_monte_carlo
+
+COORDINATED = AttackSpec("coordinated", t_att=(75.0, 75.0))
 
 SECBENCH = Path(__file__).resolve().parent.parent / "secbench"
 
@@ -42,8 +44,7 @@ def test_l1_estimates_read_their_fits_inside_their_spans(tracing):
     # benchmark checks that an LN-1/LN-1E non-convergence is exactly a capped
     # ADMM fit among the estimator span's children
     cfg = ExperimentConfig(
-        attack_kind="coordinated",
-        t_att=(75.0, 75.0),
+        attack=COORDINATED,
         malicious_fraction=0.28,
         estimators=("ln1", "ln1e"),
         admm=AdmmParams(max_iters=800),
@@ -76,8 +77,7 @@ def test_grad_desc_reads_its_fit_inside_its_span(tracing):
     # its own span, with the config's max_iters=, because the benchmark's
     # grad_desc_iters_p50 and grad_desc_cap_share read that call's span
     cfg = ExperimentConfig(
-        attack_kind="coordinated",
-        t_att=(75.0, 75.0),
+        attack=COORDINATED,
         malicious_fraction=0.28,
         estimators=("wls", "grad_desc"),
         trials=6,
@@ -100,11 +100,9 @@ def test_grad_desc_reads_its_fit_inside_its_span(tracing):
 @pytest.mark.parametrize(
     "attack",
     [
-        dict(attack_kind="uncoordinated", sigma_att=8.0),
+        dict(attack=AttackSpec("uncoordinated", sigma_att=8.0)),
         # a cap low enough that some LN-1/LN-1E fits stop at it
-        dict(
-            attack_kind="coordinated", t_att=(75.0, 75.0), admm=AdmmParams(max_iters=800)
-        ),
+        dict(attack=COORDINATED, admm=AdmmParams(max_iters=800)),
     ],
     ids=["uncoordinated", "coordinated"],
 )
@@ -112,7 +110,7 @@ def test_spans_read_iterations_and_converged(tracing, attack):
     # the tracer reads a result's iterations and converged with getattr and a
     # None default, so a result type without them would trace as None spans
     # instead of failing; every estimator applicable under the attack runs
-    kind = attack["attack_kind"]
+    kind = attack["attack"].kind
     estimators = tuple(name for name, spec in ESTIMATORS.items() if kind in spec.attacks)
     cfg = ExperimentConfig(
         **attack, malicious_fraction=0.28, estimators=estimators, trials=4, master_seed=5
