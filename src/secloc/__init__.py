@@ -48,6 +48,7 @@ from .estimators import (
     lmds_estimate,
     ls_estimate,
     ml_estimate,
+    ml_fits,
     swls_estimate,
     wls_estimate,
 )

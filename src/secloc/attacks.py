@@ -10,9 +10,10 @@ reproducible.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +79,15 @@ class Topology:
         return mask
 
     def with_malicious(self, indices) -> "Topology":
-        """Same geometry with a different malicious label set."""
-        return replace(self, malicious=frozenset(int(i) for i in indices))
+        """Same geometry with a different malicious label set.  The new
+        topology shares this one's checked anchors and target, so only the
+        labels are checked again."""
+        malicious = frozenset(int(i) for i in indices)
+        if any(i < 0 or i >= self.n_anchors for i in malicious):
+            raise ConfigError("malicious indices out of range")
+        relabelled = copy.copy(self)  # no __post_init__: the geometry is checked
+        object.__setattr__(relabelled, "malicious", malicious)
+        return relabelled
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,20 @@ class AttackSpec:
             return np.asarray(target, dtype=float) + self.distance / math.sqrt(2.0)
         return np.asarray(self.t_att, dtype=float)
 
+    def decoy_ranges(self, topology: Topology) -> np.ndarray:
+        """Each anchor's distance to the decoy of this coordinated attack on
+        ``topology``'s target.  A decoy on an anchor, or so far away that a
+        distance overflows, is a ``ConfigError``.  The simulation reads the
+        ranges, and ``harness.trial_topology`` checks them for every trial
+        of every subcommand."""
+        with np.errstate(over="ignore"):
+            ranges = np.linalg.norm(topology.anchors - self.decoy(topology.target), axis=1)
+        if not math.isfinite(ranges.max()):
+            raise ConfigError("the decoy lies so far from the anchors that its ranges overflow")
+        if np.any(ranges == 0.0):
+            raise ConfigError("the decoy coincides with an anchor position")
+        return ranges
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
@@ -161,7 +183,8 @@ def simulate_measurements(
     N(0, sigma_att^2) jitter; under a coordinated attack the malicious mean is
     mean_rssi at the decoy range ||attack.decoy(target) - a_i||, so the
     noise-free row inverts to that distance; a decoy on an anchor, or so far
-    away that its ranges overflow, is a ``ConfigError``.
+    away that its ranges overflow, is a ``ConfigError``
+    (``AttackSpec.decoy_ranges``).
     The same seed yields a bit-identical matrix.
     """
     if packets < 1:
@@ -170,13 +193,7 @@ def simulate_measurements(
     mean = mean_rssi(params, topology.distances())
     mal = sorted(topology.malicious)
     if attack.kind == "coordinated" and mal:
-        with np.errstate(over="ignore"):
-            decoy = np.linalg.norm(topology.anchors - attack.decoy(topology.target), axis=1)
-        if not math.isfinite(decoy.max()):
-            raise ConfigError("the decoy lies so far from the anchors that its ranges overflow")
-        if np.any(decoy == 0.0):
-            raise ConfigError("the decoy coincides with an anchor position")
-        mean[mal] = mean_rssi(params, decoy[mal])
+        mean[mal] = mean_rssi(params, attack.decoy_ranges(topology)[mal])
     rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
     if attack.kind == "uncoordinated" and mal:
         rssi[mal] += rng.normal(0.0, attack.sigma_att, size=(len(mal), packets))

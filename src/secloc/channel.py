@@ -60,6 +60,21 @@ class PathLossParams:
         estimate is lognormal with shape sigma / slope."""
         return 10.0 * self.n / LN10
 
+    def check_resolution(self) -> None:
+        """A ``DomainError`` when an RSSI one float step above p0 already
+        inverts to a range of 0 m (at ``p0 = 1e300``, say): the step then
+        outweighs any path loss, so the received powers carry no range, and
+        a trial's mean RSSI that rounds one step above p0 inverts to 0 m.
+        A run checks it before its first trial (``harness.base_topology``),
+        so every subcommand rejects such a channel alike."""
+        step = float(np.spacing(abs(self.p0)))
+        low = distance_from_rssi(self, self.p0 + step)
+        if not low > 0:
+            raise DomainError(
+                f"range {low:g} m is out of range: an RSSI one step ({step:g} dB) "
+                f"above p0 = {self.p0:g} dBm inverts to it"
+            )
+
 
 def _ret(x: np.ndarray):
     """Return a Python float for scalar input, an ndarray otherwise."""

@@ -16,11 +16,15 @@ one kernel, ``_least_squares``: one SVD per system, and ``rank_deficient``
 as its only rank test.  ML and Grad-Desc fit the RSSI matrix directly,
 through one squared-range model of the mean RSSI (``_rssi_model``, which
 reads the channel's ``mean_rssi_sq`` and ``PathLossParams.slope``).
-Grad-Desc has one loop, ``grad_desc_fits``: it steps many trials in lock
-step, each from its anchors' centroid (anchors on one line fail
-``rank_deficient`` there too), and memoizes each fit on its trial's system,
-the one place a batched fit is kept (``planefit`` keeps its plane fits
-there too); ``grad_desc_estimate`` is a batch of one.
+Each has one loop that runs many trials in lock step and memoizes each fit
+on its trial's system, the one place a batched fit is kept (``planefit``
+keeps its plane fits there too); ``ml_estimate`` and
+``grad_desc_estimate`` are batches of one.  ML's loop, ``ml_fits``, is
+BFGS from the given start, bit-identical to one trial at a time; its memo
+key is ``("ml", params, init)``, init as a tuple of two floats.
+Grad-Desc's, ``grad_desc_fits``, steps each trial from its anchors'
+centroid (anchors on one line fail ``rank_deficient`` there too); its key
+is ``("grad_desc", params, GradDescParams(...))``.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -278,75 +282,169 @@ def _rssi_model(t, anchors, params):
 
 
 def _rssi_cost_grad(t, anchors, rssi, params):
-    """Sum of squared RSSI residuals over all packets, and its gradient."""
+    """Sum of squared RSSI residuals over all packets, and its gradient.
+    Leading axes broadcast as in ``_rssi_model``: t of shape (T, 1, 2)
+    against (T, N, 2) anchors and a (T, N, P) RSSI array gives T costs and
+    (T, 2) gradients, each summed as a lone trial's is: the cost over its
+    N x P block, the gradient by a (1, N) @ (N, 2) matrix product."""
     diff, d2, model = _rssi_model(t, anchors, params)
-    err = rssi - model[:, None]
-    cost = float(np.sum(err * err))
-    grad = 2.0 * params.slope * ((err.sum(axis=1) / d2) @ diff)
-    return cost, grad
+    err = rssi - model[..., None]
+    cost = np.sum(err * err, axis=(-2, -1))
+    weights = (err.sum(axis=-1) / d2)[..., None, :]
+    return cost, 2.0 * params.slope * np.matmul(weights, diff)[..., 0, :]
+
+
+def _dots(a, b):
+    """Row-wise dot products of two (T, k) stacks, each a (1, k) @ (k, 1)
+    matrix product: the BLAS dot of a lone ``a @ b`` on vectors, and of
+    ``np.linalg.norm`` on one."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _backtrack(t, f, g, p, descent, anchors, rssi, params):
+    """ML's Armijo backtracking on every row of a batch: the first step
+    t + alpha p, alpha = 1, 1/2, ... (60 at most), that lands at least 1e-9 m
+    from every anchor (closer steps are damped) and lowers the cost by at
+    least 1e-4 alpha ``descent``.  The rows still searching share alpha.
+    Returns which rows found a step, and the rows' new t, f and g, which a
+    row that found none keeps."""
+    t_new, f_new, g_new = t.copy(), f.copy(), g.copy()
+    accepted = np.zeros(t.shape[0], dtype=bool)
+    search = np.arange(t.shape[0])
+    alpha = 1.0
+    for _ in range(60):
+        steps = t + alpha * p
+        # the nearest anchor as np.linalg.norm measures it (the min of the
+        # roots is the root of the min); a damped step's cost is computed
+        # and dropped, on squared ranges floored above 0
+        diff = steps[:, None, :] - anchors
+        near = np.sqrt(np.add.reduce(diff * diff, axis=-1).min(axis=-1)) < 1e-9
+        f_try, g_try = _rssi_cost_grad(steps[:, None, :], anchors, rssi, params)
+        ok = ~near & (f_try <= f + 1e-4 * alpha * descent)
+        if ok.any():
+            done = search[ok]
+            t_new[done], f_new[done], g_new[done] = steps[ok], f_try[ok], g_try[ok]
+            accepted[done] = True
+            rest = ~ok
+            search = search[rest]
+            if not search.size:
+                break
+            t, f, p, descent, anchors, rssi = (
+                a[rest] for a in (t, f, p, descent, anchors, rssi)
+            )
+        alpha *= 0.5
+    return accepted, t_new, f_new, g_new
+
+
+def ml_fits(systems, params: PathLossParams, inits) -> list:
+    """ML's BFGS on T trials' systems in lock step, one row per trial,
+    trial i from ``inits[i]``.  The systems' RSSI arrays must have one
+    shape.  Returns one entry per trial: its ``Estimate``, memoized on its
+    system (see ``ml_estimate``; a memoized trial is not run again), or, for
+    a system without measurements or a non-finite init, a ``DomainError``,
+    which is not memoized and does not stop the others.
+
+    The state is t (T, 2), the cost f (T), the gradient g (T, 2) and the
+    inverse Hessian (T, 2, 2).  Every row keeps its own Armijo step, its own
+    collision damping and its own stall count, and leaves at its own stop.
+    Each product and sum runs on the kernel and core shape of the lone
+    trial's (stacked ``np.matmul`` for its ``@``, see ``_dots``), so a row
+    takes its trial's path bit for bit, whichever rows share its batch.
+    """
+    out, keys = [], []
+    for system, init in zip(systems, inits):
+        key = None
+        try:
+            system.measurement_matrix()
+            start = np.asarray(init, dtype=float).reshape(2)
+            if not np.all(np.isfinite(start)):
+                raise DomainError("init must be finite")
+            key = ("ml", params, tuple(start.tolist()))
+            out.append(system.memo.get(key))
+        except DomainError as exc:
+            out.append(exc)
+        keys.append(key)
+    # batch row -> trial
+    rows = np.array([i for i, fit in enumerate(out) if fit is None], dtype=int)
+    if not rows.size:
+        return out
+    if len({systems[i].measurements.shape for i in rows}) > 1:
+        raise DomainError("the systems of an ML batch must have one RSSI shape")
+    rssi = np.array([systems[i].measurements for i in rows])
+    anchors = np.array([systems[i].anchors for i in rows])
+    t = np.array([keys[i][2] for i in rows])
+    f, g = _rssi_cost_grad(t[:, None, :], anchors, rssi, params)
+    gnorm = np.sqrt(_dots(g, g))
+    eye = np.eye(2)
+    hess_inv = np.tile(eye, (rows.size, 1, 1))
+    stalled = np.zeros(rows.size, dtype=int)
+    iterations = 0
+    converged = gnorm < ML_GTOL
+    stop = converged | (iterations >= ML_MAX_ITERS)
+    while True:
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                i = rows[j]
+                systems[i].memo[keys[i]] = out[i] = Estimate(
+                    position=t[j], iterations=iterations, converged=bool(converged[j])
+                )
+            go = ~stop
+            rows, rssi, anchors, t, f, g, gnorm, hess_inv, stalled = (
+                a[go] for a in (rows, rssi, anchors, t, f, g, gnorm, hess_inv, stalled)
+            )
+        if not rows.size:
+            return out
+        iterations += 1
+        p = np.matmul(-hess_inv, g[:, :, None])[:, :, 0]
+        uphill = _dots(p, g) >= 0.0  # safeguard against a non-descent direction
+        if uphill.any():
+            hess_inv[uphill] = eye
+            p[uphill] = -g[uphill]
+        accepted, t_new, f_new, g_new = _backtrack(
+            t, f, g, p, _dots(g, p), anchors, rssi, params
+        )
+        stalled = np.where(np.abs(f_new - f) <= 1e-14 * (1.0 + np.abs(f)), stalled + 1, 0)
+        s, y = t_new - t, g_new - g
+        sy = _dots(s, y)
+        curved = sy > 1e-12 * np.sqrt(_dots(s, s)) * np.sqrt(_dots(y, y))
+        next_inv = np.tile(eye, (rows.size, 1, 1))
+        if curved.any():
+            rho = (1.0 / sy[curved])[:, None, None]
+            s, y = s[curved], y[curved]
+            left = eye - rho * (s[:, :, None] * y[:, None, :])
+            next_inv[curved] = np.matmul(
+                np.matmul(left, hess_inv[curved]), left.transpose(0, 2, 1)
+            ) + rho * (s[:, :, None] * s[:, None, :])
+        t, f, g, hess_inv = t_new, f_new, g_new, next_inv
+        gnorm = np.sqrt(_dots(g, g))
+        converged = gnorm < ML_GTOL
+        # Persistent collision, no representable decrease along p, or three
+        # stalled steps.  The summed cost resolves objective changes only
+        # down to ~eps*f, so a vanishing-gradient stop below that resolution
+        # counts as converged.
+        settled = ~accepted | (stalled >= 3)
+        converged |= settled & (gnorm <= 1e-9 * (1.0 + np.abs(f)))
+        stop = converged | settled | (iterations >= ML_MAX_ITERS)
 
 
 def ml_estimate(system: LinearSystem, params: PathLossParams, init) -> Estimate:
     """Quasi-Newton local minimizer of the RSSI log-likelihood cost of the
-    system's RSSI matrix.
+    system's RSSI matrix, from ``init``.
 
     BFGS with Armijo backtracking; steps landing within 1e-9 m of an anchor
     are damped.  Stops when the gradient norm drops below ``ML_GTOL`` or after
     ``ML_MAX_ITERS`` iterations (then converged=False).
+
+    There is one BFGS loop, ``ml_fits``, which runs many trials in lock step
+    and is bit-identical to running each alone; this call is a batch of one.
+    ``ml_fits`` memoizes each fit on its trial's system under ``("ml",
+    params, init)``, with init as a tuple of two floats, so this call returns
+    the fit a batch left for the same inputs.
     """
-    rssi = system.measurement_matrix()
-    anchors = system.anchors
-    t = np.asarray(init, dtype=float).reshape(2).copy()
-    if not np.all(np.isfinite(t)):
-        raise DomainError("init must be finite")
-    f, g = _rssi_cost_grad(t, anchors, rssi, params)
-    hess_inv = np.eye(2)
-    iterations = 0
-    stalled = 0
-    converged = float(np.linalg.norm(g)) < ML_GTOL
-
-    def at_noise_floor() -> bool:
-        # The summed cost resolves objective changes only down to ~eps*f, so
-        # a vanishing-gradient stop below that resolution counts as converged.
-        return float(np.linalg.norm(g)) <= 1e-9 * (1.0 + abs(f))
-
-    while not converged and iterations < ML_MAX_ITERS:
-        iterations += 1
-        p = -hess_inv @ g
-        if p @ g >= 0.0:  # safeguard against a non-descent direction
-            hess_inv = np.eye(2)
-            p = -g
-        alpha, accepted = 1.0, False
-        for _ in range(60):
-            t_new = t + alpha * p
-            if np.min(np.linalg.norm(t_new - anchors, axis=1)) < 1e-9:
-                alpha *= 0.5  # damp steps that collide with an anchor
-                continue
-            f_new, g_new = _rssi_cost_grad(t_new, anchors, rssi, params)
-            if f_new <= f + 1e-4 * alpha * float(g @ p):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            # Persistent collision, or no representable decrease along p.
-            converged = at_noise_floor()
-            break
-        stalled = stalled + 1 if abs(f_new - f) <= 1e-14 * (1.0 + abs(f)) else 0
-        s = t_new - t
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            left = np.eye(2) - rho * np.outer(s, y)
-            hess_inv = left @ hess_inv @ left.T + rho * np.outer(s, s)
-        else:
-            hess_inv = np.eye(2)
-        t, f, g = t_new, f_new, g_new
-        converged = float(np.linalg.norm(g)) < ML_GTOL
-        if not converged and stalled >= 3:
-            converged = at_noise_floor()
-            break
-    return Estimate(position=t, iterations=iterations, converged=converged)
+    (fit,) = ml_fits([system], params, [init])
+    if isinstance(fit, DomainError):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,15 @@ that has one, in ``config.estimators`` order, with the chunk's trials, and
 only then runs each trial (``run_trial``).  A batch step may compute, for the
 whole chunk at once, what its row's ``run`` needs, and leave it in the memo
 of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave their fits, see
-``planefit``, and Grad-Desc its fits, see ``estimators``), so that ``run``
-reads it inside the trial.  What fails in a batch is left for the trial's own ``run`` to
-raise, so failures stay per trial.  A batch needs every trial of a chunk in
-memory at once, which is what bounds ``CHUNK``: peak RSS grows with it
-while the gain in trials/s levels off.  When no enabled row has a batch step
-a chunk is one trial.  A batched result may round its last bits differently
-from the trial's own computation; it is the same whichever other rows run.
+``planefit``, and ML and Grad-Desc theirs, see ``estimators``), so that
+``run`` reads it inside the trial.  What fails in a batch is left for the
+trial's own ``run`` to raise, so failures stay per trial.  A batch needs
+every trial of a chunk in memory at once, which is what bounds ``CHUNK``:
+peak RSS grows with it while the gain in trials/s levels off.  When no
+enabled row has a batch step a chunk is one trial.  ML's batch does not
+round differently from the trial's own computation; the others' batched
+results may round their last bits differently.  Every batched result is the
+same whichever other rows run.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .estimators import (
     lmds_estimate,
     ls_estimate,
     ml_estimate,
+    ml_fits,
     swls_estimate,
     wls_estimate,
 )
@@ -78,13 +81,13 @@ _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
 # Trials per chunk when an enabled estimator has a batch step (the LN-1 and
-# LN-1E plane fits, the Grad-Desc steps).  With LN-1 and LN-1E on the
-# benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and 48 trials ran
-# 123, 145 and 152 trials/s in one round (a chunk of 1 about half as fast as
-# 32) and added 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc batched too,
-# on uncoord-fixed (the desk profile), chunks of 16, 32, 48 and 64 ran
-# 120-124, 147-159, 156-171 and 161-171 trials/s in two rounds, at 41.7,
-# 42.0, 42.4 and 42.8 MB peak RSS.
+# LN-1E plane fits, the ML and Grad-Desc iterations).  With LN-1 and LN-1E
+# on the benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and 48
+# trials ran 123, 145 and 152 trials/s in one round (a chunk of 1 about half
+# as fast as 32) and added 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc
+# batched too, on uncoord-fixed (the desk profile), chunks of 16, 32, 48 and
+# 64 ran 120-124, 147-159, 156-171 and 161-171 trials/s in two rounds, at
+# 41.7, 42.0, 42.4 and 42.8 MB peak RSS.
 CHUNK = 32
 
 
@@ -136,7 +139,11 @@ def _trial_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Gen
 
 
 def base_topology(config: ExperimentConfig) -> Topology:
-    """The topology shared by all trials (ignoring per-trial regeneration)."""
+    """The topology shared by all trials (ignoring per-trial regeneration).
+    Every subcommand starts here, so here its channel is checked
+    (``PathLossParams.check_resolution``): a channel under which ranges
+    invert to 0 m fails the bound as it fails the simulation."""
+    config.channel.check_resolution()
     if config.topology_file is not None:
         return load_topology(config.topology_file)
     seed = np.random.SeedSequence(config.master_seed, spawn_key=(1,))
@@ -145,7 +152,10 @@ def base_topology(config: ExperimentConfig) -> Topology:
 
 def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
     """The labelled topology of one trial: ``base`` (or a fresh layout when
-    topologies are drawn per trial) with this trial's malicious anchors."""
+    topologies are drawn per trial) with this trial's malicious anchors.
+    Every subcommand labels its trials here, so here a coordinated attack's
+    decoy is checked against them (``AttackSpec.decoy_ranges``): a decoy
+    the simulation rejects fails the bound alike."""
     topology = base
     if config.topology_per_trial:
         topology = random_topology(
@@ -154,17 +164,19 @@ def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -
             target=config.target,
             seed=_trial_rng(config.master_seed, trial_index, _STREAM_TOPOLOGY),
         )
-    if config.topology_file is not None and config.malicious_fraction == 0.0:
-        return topology  # labels fixed by the file
-    eligible = config.placement.eligible(topology.anchors, topology.target)
-    return topology.with_malicious(
-        select_malicious(
-            topology.n_anchors,
-            config.malicious_fraction,
-            seed=_trial_rng(config.master_seed, trial_index, _STREAM_MALICIOUS),
-            eligible=eligible,
+    if config.topology_file is None or config.malicious_fraction != 0.0:  # else the file's labels
+        eligible = config.placement.eligible(topology.anchors, topology.target)
+        topology = topology.with_malicious(
+            select_malicious(
+                topology.n_anchors,
+                config.malicious_fraction,
+                seed=_trial_rng(config.master_seed, trial_index, _STREAM_MALICIOUS),
+                eligible=eligible,
+            )
         )
-    )
+    if config.attack.kind == "coordinated" and topology.malicious:
+        config.attack.decoy_ranges(topology)
+    return topology
 
 
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
@@ -230,10 +242,17 @@ ESTIMATORS = {
         lambda t: swls_estimate(t.system, t.config.channel, zeta=t.config.zeta),
         detector=True,
     ),
-    # ML is initialized at the truth; only compared under the uncoordinated attack.
+    # ML is initialized at the truth; only compared under the uncoordinated
+    # attack.  ML, Grad-Desc, LN-1 and LN-1E read the fits their batch steps
+    # memoized on the trials' systems (see estimators and planefit).  ML's
+    # batch rounds as its one-trial call does; the others may round their
+    # last bits differently.
     "ml": EstimatorSpec(
         _NOT_COORDINATED,
         lambda t: ml_estimate(t.system, t.config.channel, init=t.topology.target),
+        batch=lambda ts: ml_fits(
+            [t.system for t in ts], ts[0].config.channel, [t.topology.target for t in ts]
+        ),
     ),
     # The settings' fields are passed as the estimators' keywords, so
     # secbench/tracing.py reads max_iters= off the Grad-Desc call.  LMdS
@@ -246,8 +265,6 @@ ESTIMATORS = {
             **vars(t.config.lmds),
         ),
     ),
-    # Grad-Desc, LN-1 and LN-1E read the fits their batch steps memoized on
-    # the trials' systems (see estimators and planefit).
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: grad_desc_estimate(t.system, t.config.channel, **vars(t.config.grad_desc)),

@@ -3,10 +3,10 @@
 Everything here deliberately avoids the library's own solution paths: the l1
 oracle is a linear program, the information-matrix oracle simulates score
 vectors, and the clustering oracle scans all sorted splits.  The exceptions
-are the reference loops ``admm_l1_plane_reference``, ``grad_desc_reference``
-and ``lmds_reference``: the plain, one-step-at-a-time forms of the library's
-iterative estimators, kept to pin the iteration-for-iteration behaviour of
-their faster versions.
+are the reference loops ``admm_l1_plane_reference``, ``grad_desc_reference``,
+``ml_reference`` and ``lmds_reference``: the plain, one-trial-at-a-time
+forms of the library's iterative estimators, kept to pin the
+iteration-for-iteration behaviour of their faster versions.
 """
 
 import math
@@ -28,7 +28,8 @@ from secloc import (
     select_malicious,
     simulate_measurements,
 )
-from secloc.estimators import COND_LIMIT
+from secloc.channel import mean_rssi_sq
+from secloc.estimators import COND_LIMIT, ML_GTOL
 
 LN10 = np.log(10.0)
 
@@ -128,6 +129,72 @@ def grad_desc_reference(measurements, anchors, params, step=0.4, max_iters=200,
     return Estimate(
         position=t, eliminated=eliminated, iterations=iterations, converged=converged
     )
+
+
+def _ml_cost_grad(t, anchors, rssi, params):
+    diff = t - anchors
+    d2 = np.maximum(np.einsum("...j,...j->...", diff, diff), 1e-24)
+    err = rssi - mean_rssi_sq(params, d2)[:, None]
+    cost = float(np.sum(err * err))
+    grad = 2.0 * params.slope * ((err.sum(axis=1) / d2) @ diff)
+    return cost, grad
+
+
+def ml_reference(system, params, init, max_iters=500):
+    """ML's BFGS as a plain loop on one trial: the library's per-trial loop
+    before it ran trials in lock step, every dot product, matrix product and
+    sum on the kernel and core shape the batch must reproduce.  ``max_iters``
+    stands for the library's ``ML_MAX_ITERS``."""
+    rssi = system.measurement_matrix()
+    anchors = system.anchors
+    t = np.asarray(init, dtype=float).reshape(2).copy()
+    if not np.all(np.isfinite(t)):
+        raise DomainError("init must be finite")
+    f, g = _ml_cost_grad(t, anchors, rssi, params)
+    hess_inv = np.eye(2)
+    iterations = 0
+    stalled = 0
+    converged = float(np.linalg.norm(g)) < ML_GTOL
+
+    def at_noise_floor() -> bool:
+        return float(np.linalg.norm(g)) <= 1e-9 * (1.0 + abs(f))
+
+    while not converged and iterations < max_iters:
+        iterations += 1
+        p = -hess_inv @ g
+        if p @ g >= 0.0:
+            hess_inv = np.eye(2)
+            p = -g
+        alpha, accepted = 1.0, False
+        for _ in range(60):
+            t_new = t + alpha * p
+            if np.min(np.linalg.norm(t_new - anchors, axis=1)) < 1e-9:
+                alpha *= 0.5
+                continue
+            f_new, g_new = _ml_cost_grad(t_new, anchors, rssi, params)
+            if f_new <= f + 1e-4 * alpha * float(g @ p):
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            converged = at_noise_floor()
+            break
+        stalled = stalled + 1 if abs(f_new - f) <= 1e-14 * (1.0 + abs(f)) else 0
+        s = t_new - t
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho = 1.0 / sy
+            left = np.eye(2) - rho * np.outer(s, y)
+            hess_inv = left @ hess_inv @ left.T + rho * np.outer(s, s)
+        else:
+            hess_inv = np.eye(2)
+        t, f, g = t_new, f_new, g_new
+        converged = float(np.linalg.norm(g)) < ML_GTOL
+        if not converged and stalled >= 3:
+            converged = at_noise_floor()
+            break
+    return Estimate(position=t, iterations=iterations, converged=converged)
 
 
 def _solve_rows(A, b):

@@ -63,6 +63,24 @@ class TestTopology:
         assert list(topo.malicious_mask()) == [False, True, False, True]
         assert topo.with_malicious({0}).malicious == frozenset({0})
 
+    def test_relabel_shares_the_checked_geometry(self, monkeypatch):
+        # Relabelling checks only the labels: the anchors and target were
+        # checked when the topology was made, so no SVD runs again.
+        topo = square_topology(malicious={1})
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("relabelling re-checked the geometry")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        relabelled = topo.with_malicious(np.array([0, 3]))
+        assert relabelled.malicious == frozenset({0, 3})
+        assert all(type(i) is int for i in relabelled.malicious)
+        assert relabelled.anchors is topo.anchors and relabelled.target is topo.target
+        assert topo.malicious == frozenset({1})
+        for bad in ({4}, {-1}, {0, 7}):
+            with pytest.raises(ConfigError, match="out of range"):
+                topo.with_malicious(bad)
+
 
 class TestAttackSpec:
     def test_kind_field_consistency(self):

@@ -290,6 +290,38 @@ class TestErrorPaths:
         assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize(
+        "text, code",
+        [
+            (
+                "attack.kind = coordinated\nattack.t_att = 1e300 1e300\n"
+                "malicious.fraction = 0.28\nestimators = wls, ln1e\n",
+                2,
+            ),
+            ("p0 = 1e300\nestimators = ls, swls\n", 3),
+        ],
+        ids=["t_att-1e300", "p0-1e300"],
+    )
+    def test_every_subcommand_rejects_alike(self, tmp_path, capsys, text, code):
+        # A far decoy and a channel whose ranges invert to 0 m are checked
+        # where every subcommand passes, so crlb, which draws no
+        # measurements, exits as simulate, sweep and detect do.
+        path = tmp_path / "extreme.cfg"
+        path.write_text(text + "trials = 3\n")
+        commands = (
+            ["simulate"],
+            ["sweep", "--axis", "packets", "--values", "10", "--out", str(tmp_path / "s.csv")],
+            ["detect"],
+            ["crlb"],
+        )
+        messages = set()
+        for command in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command[0], "--config", str(path), *command[1:]]) == code
+            messages.add(capsys.readouterr().err)
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize(
         "text",
         [
             "n = 1e200\nestimators = ls, wls\n",

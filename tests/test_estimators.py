@@ -11,6 +11,7 @@ from secloc import (
     DegenerateGeometryError,
     DomainError,
     Estimate,
+    ExperimentConfig,
     InsufficientAnchorsError,
     InsufficientSurvivorsError,
     LinearSystem,
@@ -27,6 +28,7 @@ from secloc import (
     ln1_estimate,
     ln1e_estimate,
     ls_estimate,
+    load_config,
     mean_rssi,
     ml_estimate,
     random_topology,
@@ -35,15 +37,25 @@ from secloc import (
     swls_estimate,
     wls_estimate,
 )
+from secloc import estimators, harness
+from secloc.channel import mean_rssi_sq
 from secloc.estimators import (
+    ML_GTOL,
     _least_squares,
     _rssi_cost_grad,
     _solve_rows,
+    ml_fits,
     rank_deficient,
 )
 from secloc.harness import Trial
 
-from helpers import _rssi_residuals, grad_desc_reference, lmds_reference
+from helpers import (
+    _ml_cost_grad,
+    _rssi_residuals,
+    grad_desc_reference,
+    lmds_reference,
+    ml_reference,
+)
 
 P = PathLossParams(-10.0, 4.0, 2.0)
 P0 = PathLossParams(-10.0, 4.0, 0.0)
@@ -781,6 +793,150 @@ class TestGradDescMemo:
             assert grad_desc_estimate(system, params) is fit
 
 
+def _prepared_trials(config):
+    """The trials of a config as the harness prepares them."""
+    base = harness.base_topology(config)
+    return [harness.prepare_trial(config, i, base) for i in range(config.trials)]
+
+
+def _assert_same_ml(fit, expected):
+    assert (fit.iterations, fit.converged) == (expected.iterations, expected.converged)
+    assert np.array_equal(fit.position, expected.position)
+
+
+def _ml_stop(fit, system, params, max_iters):
+    """Why an ML run stopped: the gradient test, the noise floor (a
+    converged stop with the gradient above ``ML_GTOL``), the iteration cap,
+    or a failed line search above the noise floor."""
+    _, g = _ml_cost_grad(fit.position, system.anchors, system.measurements, params)
+    if float(np.linalg.norm(g)) < ML_GTOL:
+        return "gradient"
+    if fit.converged:
+        return "noise floor"
+    return "cap" if fit.iterations == max_iters else "failed"
+
+
+class TestMlParity:
+    """ML's lock-step batch takes each trial's own BFGS path bit for bit:
+    every position, iteration count and converged flag equals
+    ``ml_reference``, the one-trial loop, whichever trials share its batch."""
+
+    @pytest.mark.parametrize(
+        "config, failed",
+        [
+            (replace(load_config("desk"), master_seed=20260810), 12),
+            (replace(load_config("desk"), master_seed=20260811), 2),
+            # the README's no-attack population: 24 of 200 stop non-converged
+            (ExperimentConfig(estimators=("ml",), trials=200, master_seed=3), 24),
+        ],
+        ids=["desk-20260810", "desk-20260811", "no-attack"],
+    )
+    def test_chunks_match_reference(self, config, failed):
+        trials = _prepared_trials(config)
+        fits = []
+        for start in range(0, len(trials), harness.CHUNK):
+            chunk = trials[start : start + harness.CHUNK]
+            fits += ml_fits(
+                [t.system for t in chunk], config.channel, [t.topology.target for t in chunk]
+            )
+        for trial, fit in zip(trials, fits):
+            expected = ml_reference(trial.system, config.channel, trial.topology.target)
+            _assert_same_ml(fit, expected)
+        assert sum(not fit.converged for fit in fits) == failed
+
+    def test_dots_run_on_the_lone_kernel(self):
+        # The batch's dot products and norms are stacked (1, 2) @ (2, 1)
+        # products, the BLAS dot of the one-trial loop's ``s @ y`` and
+        # ``np.linalg.norm``; an einsum there moved one desk trial by an
+        # iteration.  Pinned on the pairs a desk batch meets.
+        rng = np.random.default_rng(50)
+        a = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-12, 6, (200, 1))
+        b = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-12, 6, (200, 1))
+        dots = estimators._dots(a, b)
+        norms = np.sqrt(estimators._dots(a, a))
+        for k in range(a.shape[0]):
+            assert dots[k] == float(a[k] @ b[k])
+            assert norms[k] == float(np.linalg.norm(a[k]))
+
+    def test_mixed_batch_rows_stop_on_their_own(self, monkeypatch):
+        # One batch in which rows stop at the gradient test, at the noise
+        # floor and at a cap lowered to 9 iterations, one row's first step
+        # lands on an anchor and is damped, and two rows cannot run: a
+        # non-finite init and a system without measurements.  Every row
+        # takes its own trial's path, and the two that cannot run fail
+        # alone, with nothing memoized.
+        monkeypatch.setattr(estimators, "ML_MAX_ITERS", 9)
+        config = replace(load_config("desk"), master_seed=20260810, trials=18)
+        params = config.channel
+        trials = _prepared_trials(config)
+        systems = [t.system for t in trials[:16]]
+        inits = [t.topology.target for t in trials[:16]]
+        damped, start = self.colliding_system(trials[16].system, params)
+        systems.append(damped)
+        inits.append(start)
+        nan_system = trials[17].system
+        bare = build_linear_system(nan_system.anchors, nan_system.range_estimates())
+        fits = ml_fits(systems + [nan_system, bare], params, inits + [(np.nan, 50.0)] * 2)
+        stops = []
+        for system, init, fit in zip(systems, inits, fits):
+            _assert_same_ml(fit, ml_reference(system, params, init, max_iters=9))
+            stops.append(_ml_stop(fit, system, params, max_iters=9))
+        assert {"gradient", "noise floor", "cap"} <= set(stops[:16])
+        assert fits[16].iterations >= 1
+        with pytest.raises(DomainError, match="init must be finite"):
+            raise fits[17]
+        with pytest.raises(DomainError, match="no measurements"):
+            raise fits[18]
+        assert not nan_system.memo and not bare.memo
+        # a lone call raises the same error and memoizes nothing either
+        with pytest.raises(DomainError, match="init must be finite"):
+            ml_estimate(nan_system, params, init=(np.nan, 50.0))
+        assert not nan_system.memo
+
+    @staticmethod
+    def colliding_system(system, params):
+        """``system`` with its last anchor moved to where ML's first step
+        from a start near the target lands.  The moved anchor's packets all
+        equal the model at the start, so its residuals there are 0 and the
+        step is that of the other anchors alone, up to rounding far below
+        the 1e-9 m damping."""
+        anchors, rssi = system.anchors[:-1], system.measurements[:-1]
+        start = anchors.mean(axis=0) + np.array([3.0, -2.0])
+        _, g = _ml_cost_grad(start, anchors, rssi, params)
+        spot = start - g
+        d2 = np.maximum(np.einsum("j,j->", start - spot, start - spot), 1e-24)
+        row = np.full((1, rssi.shape[1]), mean_rssi_sq(params, d2))
+        anchors = np.vstack([anchors, spot])
+        rssi = np.vstack([rssi, row])
+        damped = build_linear_system(
+            anchors, distance_from_rssi(params, rssi.mean(axis=1)), rssi
+        )
+        _, g = _ml_cost_grad(start, damped.anchors, rssi, params)
+        assert np.min(np.linalg.norm(start - g - damped.anchors, axis=1)) < 1e-9
+        return damped, start
+
+
+class TestMlMemo:
+    """An ML fit memoized on a ``LinearSystem`` is returned only for its own
+    params and init."""
+
+    def test_lone_call_returns_batch_fit(self):
+        config = replace(load_config("desk"), master_seed=20260811, trials=6)
+        trials = _prepared_trials(config)
+        fits = ml_fits(
+            [t.system for t in trials], config.channel, [t.topology.target for t in trials]
+        )
+        for trial, fit in zip(trials, fits):
+            target = trial.topology.target
+            assert ml_estimate(trial.system, config.channel, init=target) is fit
+            assert ml_estimate(trial.system, config.channel, init=tuple(target)) is fit
+            moved = ml_estimate(trial.system, config.channel, init=target + 1.0)
+            assert moved is not fit
+            _assert_same_ml(moved, ml_reference(trial.system, config.channel, target + 1.0))
+            other = replace(config.channel, p0=config.channel.p0 + 1.0)
+            assert ml_estimate(trial.system, other, init=target) is not fit
+
+
 def _collinear_anchors(on_line, off_line, seed):
     """``on_line`` anchors on the line y = 0.3 x + 10 (rank deficient up to
     rounding) plus ``off_line`` anchors scattered over the area."""
@@ -910,7 +1066,7 @@ class TestCollinearAnchors:
             assert np.linalg.norm(ml.position - self.TARGET) < 2.0
         fits = grad_desc_fits([s for *_, s in trials] + [system], params)
         assert isinstance(fits[2], DegenerateGeometryError)
-        assert not system.memo
+        assert not [key for key in system.memo if key[0] == "grad_desc"]
         for fit, (m, a, _) in zip(fits[:2], trials):
             expected = grad_desc_reference(m, a, params)
             assert (fit.iterations, fit.converged) == (expected.iterations, expected.converged)

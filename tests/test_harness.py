@@ -211,42 +211,56 @@ class TestMonteCarlo:
                 trials=CHUNK + 1,
                 master_seed=3,
             ),
-            attack_config(estimators=("ls", "grad_desc", "ln1"), trials=CHUNK + 1),
-            attack_config(estimators=("grad_desc",), topology_per_trial=True, trials=CHUNK + 1),
+            attack_config(estimators=("ls", "ml", "grad_desc", "ln1"), trials=CHUNK + 1),
+            attack_config(
+                estimators=("ml", "grad_desc"), topology_per_trial=True, trials=CHUNK + 1
+            ),
         ],
         ids=["coordinated", "uncoordinated", "per-trial-topology"],
     )
     def test_chunked_fits_match_trial_by_trial(self, cfg, monkeypatch):
-        # run_monte_carlo runs a chunk's Grad-Desc steps and LN-1/LN-1E
-        # plane fits in lock-step batches, which may round the last bits
-        # differently from a trial's own one-trial calls; a full chunk and a
+        # run_monte_carlo runs a chunk's ML and Grad-Desc iterations and
+        # LN-1/LN-1E plane fits in lock-step batches; a full chunk and a
         # one-trial tail give the same outcomes, and two runs the same
-        # summary.  Grad-Desc keeps, trial by trial, its iterations,
-        # converged flag and eliminated set, and its position within 1e-12 m.
-        fits = []
-        original = harness.grad_desc_estimate
+        # summary.  Grad-Desc and the plane fits may round the last bits
+        # differently from a trial's own one-trial calls: Grad-Desc keeps,
+        # trial by trial, its iterations, converged flag and eliminated set,
+        # and its position within 1e-12 m.  ML's batch rounds as its
+        # one-trial call does, so every ML fit, and ML's RMSE, is exact.
+        fits = {"grad_desc": [], "ml": []}
+        for name, into in fits.items():
+            original = getattr(harness, f"{name}_estimate")
 
-        def recording(*args, **kwargs):
-            fits.append(original(*args, **kwargs))
-            return fits[-1]
+            def recording(*args, original=original, into=into, **kwargs):
+                into.append(original(*args, **kwargs))
+                return into[-1]
 
-        monkeypatch.setattr(harness, "grad_desc_estimate", recording)
+            monkeypatch.setattr(harness, f"{name}_estimate", recording)
         chunked = run_monte_carlo(cfg)
-        batched = list(fits)
+        batched = {name: list(into) for name, into in fits.items()}
         assert run_monte_carlo(cfg) == chunked
-        fits.clear()
+        for into in fits.values():
+            into.clear()
         alone = summarize(cfg, [run_trial(cfg, i) for i in range(cfg.trials)])
         assert chunked.crlb == alone.crlb
         for name in cfg.estimators:
             got, want = chunked.per_estimator[name], alone.per_estimator[name]
             counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp")
             assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
-            assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
-        assert len(batched) == len(fits) == cfg.trials
-        for got, want in zip(batched, fits):
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-            assert got.eliminated == want.eliminated
-            np.testing.assert_allclose(got.position, want.position, rtol=0, atol=1e-12)
+            if name == "ml":
+                assert got.rmse == want.rmse
+            else:
+                assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
+        for name in fits:
+            expected = cfg.trials if name in cfg.estimators else 0
+            assert len(batched[name]) == len(fits[name]) == expected
+            for got, want in zip(batched[name], fits[name]):
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
+                assert got.eliminated == want.eliminated
+                if name == "ml":
+                    assert np.array_equal(got.position, want.position)
+                else:
+                    np.testing.assert_allclose(got.position, want.position, rtol=0, atol=1e-12)
 
     def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
         # LN-1E refits on the near cluster only when it keeps at least 3
