@@ -61,18 +61,19 @@ class PathLossParams:
         return 10.0 * self.n / LN10
 
     def check_resolution(self) -> None:
-        """A ``DomainError`` when an RSSI one float step above p0 already
-        inverts to a range of 0 m (at ``p0 = 1e300``, say): the step then
-        outweighs any path loss, so the received powers carry no range, and
-        a trial's mean RSSI that rounds one step above p0 inverts to 0 m.
+        """A ``DomainError`` when one float step of RSSI at p0 moves an
+        inverted range by 0.1 % or more, i.e. when the step is at least
+        1e-3 ``slope`` dB (a range scales by exp(step / slope)).  Received
+        powers near such a p0 are quantized too coarsely to carry a range:
+        at ``p0 = 1e18`` one step is 128 dB, more than the path loss over
+        the desk area, and at ``p0 = 1e300`` every range inverts to 0 m.
         A run checks it before its first trial (``harness.base_topology``),
         so every subcommand rejects such a channel alike."""
         step = float(np.spacing(abs(self.p0)))
-        low = distance_from_rssi(self, self.p0 + step)
-        if not low > 0:
+        if step >= 1e-3 * self.slope:
             raise DomainError(
-                f"range {low:g} m is out of range: an RSSI one step ({step:g} dB) "
-                f"above p0 = {self.p0:g} dBm inverts to it"
+                f"p0 = {self.p0:g} dBm is out of range: one float step of RSSI there "
+                f"({step:g} dB) moves an inverted range by 0.1 % or more"
             )
 
 

@@ -53,6 +53,16 @@ def _print_summary(config, summary) -> None:
             f"{name:<10} {rmse:>10} {est.trials_ok:>6} {est.trials_failed:>7} "
             f"{est.mean_tp:>8.3f} {est.mean_fp:>8.3f}"
         )
+    _print_failures(config.estimators, summary)
+
+
+def _print_failures(names, summary) -> None:
+    """One line per estimator that failed on some trial: its failed trials
+    by failure type."""
+    for name in names:
+        failures = summary.per_estimator[name].failures
+        if failures:
+            print(f"{name} failed: " + ", ".join(f"{kind} {n}" for kind, n in failures))
 
 
 def _cmd_simulate(args) -> int:
@@ -121,6 +131,7 @@ def _cmd_detect(args) -> int:
             f"{name}: recall {recall}  false_elimination_rate {false_rate}  "
             f"(ok {est.trials_ok}, failed {est.trials_failed})"
         )
+    _print_failures(detectors, summary)
     return 0
 
 

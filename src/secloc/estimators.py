@@ -23,8 +23,10 @@ keeps its plane fits there too); ``ml_estimate`` and
 BFGS from the given start, bit-identical to one trial at a time; its memo
 key is ``("ml", params, init)``, init as a tuple of two floats.
 Grad-Desc's, ``grad_desc_fits``, steps each trial from its anchors'
-centroid (anchors on one line fail ``rank_deficient`` there too); its key
-is ``("grad_desc", params, GradDescParams(...))``.
+centroid (anchors on one line fail ``rank_deficient`` there too), also
+bit-identical to one trial at a time; its key is ``("grad_desc", params,
+GradDescParams(...))``.  ``_unwrap`` turns a batch of one back into a
+result or a raise, for these two and for ``planefit.admm_l1_plane``.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -50,6 +52,7 @@ from .exceptions import (
     DomainError,
     InsufficientAnchorsError,
     InsufficientSurvivorsError,
+    SecLocError,
 )
 
 COND_LIMIT = 1e12
@@ -57,6 +60,7 @@ COND_LIMIT = 1e12
 # in a median 8 iterations on desk (at most 14 in 200 trials); the cap is a guard.
 ML_GTOL = 1e-8
 ML_MAX_ITERS = 500
+_NO_MEASUREMENTS = "the system carries no measurements; use build_linear_system"
 
 
 def rank_deficient(svals: np.ndarray) -> np.ndarray:
@@ -138,7 +142,7 @@ class LinearSystem:
     def measurement_matrix(self) -> np.ndarray:
         """The (N, P) RSSI array the system was built from."""
         if self.measurements is None:
-            raise DomainError("the system carries no measurements; use build_linear_system")
+            raise DomainError(_NO_MEASUREMENTS)
         return self.measurements
 
 
@@ -271,6 +275,15 @@ def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.
     return replace(wls_estimate(system.subset(kept_idx), params), eliminated=eliminated)
 
 
+def _unwrap(results: list):
+    """The lone entry of a one-system batch: its result, or, raised, the
+    ``SecLocError`` the batch returned in its place."""
+    (result,) = results
+    if isinstance(result, SecLocError):
+        raise result
+    return result
+
+
 def _rssi_model(t, anchors, params):
     """Offsets t - a_i, squared ranges (floored above zero), and the mean
     RSSI each anchor's packets have at position t.  The model's gradient in
@@ -351,19 +364,15 @@ def ml_fits(systems, params: PathLossParams, inits) -> list:
     trial's (stacked ``np.matmul`` for its ``@``, see ``_dots``), so a row
     takes its trial's path bit for bit, whichever rows share its batch.
     """
-    out, keys = [], []
-    for system, init in zip(systems, inits):
-        key = None
-        try:
-            system.measurement_matrix()
-            start = np.asarray(init, dtype=float).reshape(2)
-            if not np.all(np.isfinite(start)):
-                raise DomainError("init must be finite")
-            key = ("ml", params, tuple(start.tolist()))
+    keys = [("ml", params, tuple(np.asarray(x, dtype=float).reshape(2).tolist())) for x in inits]
+    out = []
+    for system, key in zip(systems, keys):
+        if system.measurements is None:
+            out.append(DomainError(_NO_MEASUREMENTS))
+        elif not np.isfinite(key[2]).all():
+            out.append(DomainError("init must be finite"))
+        else:
             out.append(system.memo.get(key))
-        except DomainError as exc:
-            out.append(exc)
-        keys.append(key)
     # batch row -> trial
     rows = np.array([i for i, fit in enumerate(out) if fit is None], dtype=int)
     if not rows.size:
@@ -441,10 +450,7 @@ def ml_estimate(system: LinearSystem, params: PathLossParams, init) -> Estimate:
     params, init)``, with init as a tuple of two floats, so this call returns
     the fit a batch left for the same inputs.
     """
-    (fit,) = ml_fits([system], params, [init])
-    if isinstance(fit, DomainError):
-        raise fit
-    return fit
+    return _unwrap(ml_fits([system], params, [init]))
 
 
 @dataclass(frozen=True)
@@ -633,10 +639,6 @@ def grad_desc_estimate(
     fit on its trial's system, which fixes both the anchors and the RSSI,
     under ``("grad_desc", params, GradDescParams(step, max_iters,
     keep_fraction))``, so this call returns the fit a batch left for the
-    same inputs.  The batch's sums may round the last bits differently from
-    a lone trial's.
+    same inputs.  A batch is bit-identical to running each trial alone.
     """
-    (fit,) = grad_desc_fits([system], params, step, max_iters, keep_fraction)
-    if isinstance(fit, DegenerateGeometryError):
-        raise fit
-    return fit
+    return _unwrap(grad_desc_fits([system], params, step, max_iters, keep_fraction))

@@ -20,16 +20,17 @@ of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave their fits, see
 trial's own ``run`` to raise, so failures stay per trial.  A batch needs
 every trial of a chunk in memory at once, which is what bounds ``CHUNK``:
 peak RSS grows with it while the gain in trials/s levels off.  When no
-enabled row has a batch step a chunk is one trial.  ML's batch does not
-round differently from the trial's own computation; the others' batched
-results may round their last bits differently.  Every batched result is the
-same whichever other rows run.
+enabled row has a batch step a chunk is one trial.  ML's and Grad-Desc's
+batches do not round differently from the trial's own computation; the
+LN-1/LN-1E plane fits may round their last bits differently.  Every batched
+result is the same whichever other rows run.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -123,6 +124,8 @@ class EstimatorSummary:
     mean_fp: float
     recall: float | None
     false_rate: float | None
+    # the failed trials by failure type, as sorted (type, count) pairs
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -245,8 +248,8 @@ ESTIMATORS = {
     # ML is initialized at the truth; only compared under the uncoordinated
     # attack.  ML, Grad-Desc, LN-1 and LN-1E read the fits their batch steps
     # memoized on the trials' systems (see estimators and planefit).  ML's
-    # batch rounds as its one-trial call does; the others may round their
-    # last bits differently.
+    # and Grad-Desc's batches round as their one-trial calls do; the plane
+    # fits may round their last bits differently.
     "ml": EstimatorSpec(
         _NOT_COORDINATED,
         lambda t: ml_estimate(t.system, t.config.channel, init=t.topology.target),
@@ -369,7 +372,8 @@ def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:
     per_estimator = {}
     for name in config.estimators:
         sq_sum = 0.0
-        ok = failed = 0
+        ok = 0
+        failures = Counter()
         tp_sum = fp_sum = 0
         mal_sum = honest_sum = 0
         for res in results:
@@ -382,15 +386,16 @@ def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:
                 mal_sum += res.n_malicious
                 honest_sum += res.n_anchors - res.n_malicious
             else:
-                failed += 1
+                failures[outcome.failure] += 1
         per_estimator[name] = EstimatorSummary(
             rmse=math.sqrt(sq_sum / ok) if ok else None,
             trials_ok=ok,
-            trials_failed=failed,
+            trials_failed=failures.total(),
             mean_tp=tp_sum / ok if ok else 0.0,
             mean_fp=fp_sum / ok if ok else 0.0,
             recall=tp_sum / mal_sum if mal_sum else None,
             false_rate=fp_sum / honest_sum if honest_sum else None,
+            failures=tuple(sorted(failures.items())),
         )
     bounds = [res.crlb for res in results if res.crlb is not None]
     return MonteCarloSummary(

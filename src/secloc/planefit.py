@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import Estimate, LinearSystem, _least_squares
+from .estimators import Estimate, LinearSystem, _least_squares, _unwrap
 from .exceptions import (
     DegenerateGeometryError,
     DomainError,
@@ -202,10 +202,7 @@ def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     """Minimize ||A u - b||_1 by alternating direction: ``admm_l1_planes`` on
     one system.  The result is memoized on ``system`` per ``params``, so a
     repeated call returns the first call's result; a failed fit raises."""
-    (result,) = admm_l1_planes([system], params)
-    if isinstance(result, SecLocError):
-        raise result
-    return result
+    return _unwrap(admm_l1_planes([system], params))
 
 
 def point_plane_residual(system: LinearSystem, fit: Estimate) -> np.ndarray:
@@ -266,14 +263,13 @@ class _Ln1eSplit(NamedTuple):
     far: frozenset  # the rows it eliminates
 
 
-def _ln1e_split(system: LinearSystem, params: AdmmParams) -> _Ln1eSplit | None:
-    """LN-1E's elimination step on the system's all-anchor fit, which must
-    already be memoized: the two clusters of the fit's residuals, or None
-    when LN-1E keeps every row (see ``ln1e_estimate``).  The split is
-    memoized under ``("split", params)``; a split that raises is not."""
+def _ln1e_split(system: LinearSystem, fit: Estimate, params: AdmmParams) -> _Ln1eSplit | None:
+    """LN-1E's elimination step on ``fit``, the system's all-anchor fit at
+    ``params``: the two clusters of the fit's residuals, or None when LN-1E
+    keeps every row (see ``ln1e_estimate``).  The split is memoized under
+    ``("split", params)``; a split that raises is not."""
     if ("split", params) in system.memo:
         return system.memo["split", params]
-    fit = system.memo["fit", params]
     split = None
     if fit.converged:
         residuals = point_plane_residual(system, fit)
@@ -305,7 +301,7 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     would give.
     """
     keep_all = ln1_estimate(system, params)
-    split = _ln1e_split(system, params)
+    split = _ln1e_split(system, keep_all, params)
     if split is None:
         return keep_all
     refit = admm_l1_plane(split.near, params)
@@ -321,12 +317,11 @@ def prefit_planes(systems, params: AdmmParams) -> None:
     A system whose fit or split raises is skipped, so that LN-1E's own call
     on it raises the same error.
     """
-    admm_l1_planes(systems, params)
     near = []
-    for system in systems:
-        if ("fit", params) in system.memo:
+    for system, fit in zip(systems, admm_l1_planes(systems, params)):
+        if isinstance(fit, Estimate):
             try:
-                split = _ln1e_split(system, params)
+                split = _ln1e_split(system, fit, params)
             except SecLocError:
                 continue
             if split is not None:

@@ -20,19 +20,22 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 150, 20, 45
 
 
+def _span(lo: float, hi: float) -> tuple:
+    """[lo, hi] as a plot range: a single point is widened by 1, or by |lo|
+    where adding 1 does not move it."""
+    if hi > lo:
+        return lo, hi
+    return lo, (lo + 1.0 if lo + 1.0 > lo else lo + abs(lo))
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    if hi <= lo:
-        return [lo]
+    """Round tick values in [lo, hi], hi > lo, each a multiple of one step, so
+    that a step below the resolution of lo cannot stall them."""
     raw = (hi - lo) / max(count - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(round(t, 12))
-        t += step
-    return ticks or [lo]
+    last = math.floor(hi / step + 1e-12)
+    return [round(k * step, 12) for k in range(math.ceil(lo / step), last + 1)]
 
 
 def _fmt_num(x: float) -> str:
@@ -53,12 +56,8 @@ def render_line_plot(series: dict, x_label: str, y_label: str = "RMSE (m)") -> s
     ys = [y for pairs in points.values() for _, y in pairs]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(min(ys), 0.0), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(min(xs), max(xs))
+    y_lo, y_hi = _span(min(min(ys), 0.0), max(ys))
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 

@@ -349,3 +349,21 @@ def test_attack_fields_rejected_or_kept(kind, sigma_att, t_att, distance):
     decoys = (t_att is not None) + (distance is not None)
     assert decoys == (kind == "coordinated")
     assert ExperimentConfig(attack=spec, estimators=("wls",)).attack == spec
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Topology(anchors=np.zeros((4, 3)), target=[50, 50]), r"an \(N, 2\) array"),
+        (
+            lambda: Topology(anchors=[[0, 0], [10, 0], [0, math.nan]], target=[5, 5]),
+            "positions must be finite",
+        ),
+        (lambda: Topology(anchors=SQUARE, target=[math.inf, 50]), "positions must be finite"),
+        (lambda: Placement(kind="nowhere"), "unknown placement kind 'nowhere'"),
+    ],
+    ids=["anchor-columns", "nan-anchor", "inf-target", "placement-kind"],
+)
+def test_bad_input_is_config_error(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()

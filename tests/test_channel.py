@@ -31,6 +31,15 @@ class TestParams:
         with pytest.raises(DomainError):
             PathLossParams(p0=math.inf, n=4, sigma=2)
 
+    def test_resolution_rule(self):
+        # One float step at p0 scales a range by exp(step / slope), so p0 is
+        # rejected once the step reaches 1e-3 slope: 0.0174 dB at n = 4 and
+        # 0.0130 dB at n = 3.  Below 2**47 a step is 2**-6 dB, from it 2**-5.
+        PathLossParams(p0=2.0**47 - 1, n=4, sigma=2).check_resolution()
+        for p0, n in ((2.0**47, 4), (-(2.0**47), 4), (2.0**47 - 1, 3)):
+            with pytest.raises(DomainError, match=r"0\.1 % or more"):
+                PathLossParams(p0=p0, n=n, sigma=2).check_resolution()
+
     def test_fields_coerced_to_float(self):
         p = PathLossParams(p0=-10, n=4, sigma=2)
         assert isinstance(p.sigma, float) and isinstance(p.n, float)
@@ -291,3 +300,17 @@ class TestNoiseSigmaEstimate:
     def test_rejects_negative_variance(self):
         with pytest.raises(DomainError):
             estimate_noise_sigma(P44, -0.5, 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: perturbation_g(P44, [1.0, math.nan]), "power shift must be finite"),
+        (lambda: distance_pdf(P44, 0.0, 1.0), "true_distance must be positive and finite"),
+        (lambda: distance_pdf(P44, math.inf, 1.0), "true_distance must be positive and finite"),
+    ],
+    ids=["nan-shift", "zero-distance", "inf-distance"],
+)
+def test_bad_argument_is_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

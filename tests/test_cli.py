@@ -77,6 +77,28 @@ class TestSimulate:
         cfg = load_config("desk")
         assert cfg.trials == 500
 
+    @pytest.mark.parametrize("fraction, trials", [("0.28", "100"), ("0.95", "5")])
+    def test_failures_printed_by_type(self, tmp_path, capsys, fraction, trials):
+        # The desk profile at its seed: ML fails by non-convergence, and at
+        # 95 % malicious anchors SWLS by too few survivors and LN-1 by
+        # non-convergence on one trial of five.  Each estimator with failed
+        # trials gets one line of failure types, whose counts sum to its
+        # table's failed column; detect prints the same line for its
+        # detector.
+        path = desk_file(tmp_path, {"malicious.fraction": fraction, "trials": trials})
+        assert main(["simulate", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        failed = {fields[0]: int(fields[3]) for fields in map(str.split, lines[2:9])}
+        assert list(failed) == list(load_config(path).estimators)
+        printed = dict(line.split(" failed: ") for line in lines[9:])
+        assert list(printed) == [name for name, n in failed.items() if n]
+        for name, kinds in printed.items():
+            counts = [kind.rsplit(" ", 1) for kind in kinds.split(", ")]
+            assert counts == sorted(counts) and sum(int(n) for _, n in counts) == failed[name]
+        assert main(["detect", "--config", path]) == 0
+        detected = [line for line in capsys.readouterr().out.splitlines() if " failed: " in line]
+        assert detected == ([f"swls failed: {printed['swls']}"] if "swls" in printed else [])
+
 
 class TestSweep:
     def test_csv_and_svg(self, cfg_file, tmp_path):
@@ -114,6 +136,17 @@ class TestSweep:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("values", ["", ",", " , "])
+    def test_empty_values_rejected(self, cfg_file, tmp_path, capsys, values):
+        code = main(
+            [
+                "sweep", "--config", cfg_file, "--axis", "sigma_att",
+                "--values", values, "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: no sweep values given\n"
 
     def test_identical_bytes_across_runs(self, cfg_file, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -270,16 +303,29 @@ class TestErrorPaths:
                 2,
                 "configuration error: the anchors lie so far from the target",
             ),
-            ("p0 = 1e300\nestimators = ls\n", 3, "error: range 0 m is out of range"),
+            (
+                "p0 = 1e300\nestimators = ls\n",
+                3,
+                "error: p0 = 1e+300 dBm is out of range: one float step of RSSI there "
+                "(1.48702e+284 dB) moves an inverted range by 0.1 % or more\n",
+            ),
+            (
+                "p0 = 1e18\nestimators = ls, wls, swls, ml\n",
+                3,
+                "error: p0 = 1e+18 dBm is out of range: one float step of RSSI there "
+                "(128 dB) moves an inverted range by 0.1 % or more\n",
+            ),
         ],
-        ids=["t_att-1e300", "area-1e300", "p0-1e300"],
+        ids=["t_att-1e300", "area-1e300", "p0-1e300", "p0-1e18"],
     )
     def test_extreme_scale_is_typed_error(self, tmp_path, capsys, text, code, message):
-        # Distances of 1e154 m or more square to inf in the norm, and at
-        # p0 = 1e300 every range inverts to 0.  Before, the first two ended
-        # in a numpy RuntimeWarning and exit 3, and the third reported LS ok
-        # with a 6 m error.  Numpy warnings are errors here, so a warning
-        # fails the run instead of printing.
+        # Distances of 1e154 m or more square to inf in the norm, and one
+        # float step of RSSI is 1.5e284 dB at p0 = 1e300 and 128 dB at
+        # p0 = 1e18, more than the 80 dB path loss across the desk area.
+        # Before, the first two ended in a numpy RuntimeWarning and exit 3,
+        # the third reported LS ok with a 6 m error, and the fourth exited 0
+        # with an LS RMSE of 1e10 m and ML at exactly 0 m.  Numpy warnings
+        # are errors here, so a warning fails the run instead of printing.
         path = tmp_path / "extreme.cfg"
         path.write_text(text + "trials = 3\n")
         with warnings.catch_warnings():
@@ -298,13 +344,16 @@ class TestErrorPaths:
                 2,
             ),
             ("p0 = 1e300\nestimators = ls, swls\n", 3),
+            ("p0 = 1e18\nestimators = ls, swls\n", 3),
+            ("p0 = 1e17\nestimators = ls, swls\n", 3),
         ],
-        ids=["t_att-1e300", "p0-1e300"],
+        ids=["t_att-1e300", "p0-1e300", "p0-1e18", "p0-1e17"],
     )
     def test_every_subcommand_rejects_alike(self, tmp_path, capsys, text, code):
-        # A far decoy and a channel whose ranges invert to 0 m are checked
-        # where every subcommand passes, so crlb, which draws no
-        # measurements, exits as simulate, sweep and detect do.
+        # A far decoy and a channel whose RSSI is too coarse to carry a range
+        # (one float step is 16 dB at p0 = 1e17) are checked where every
+        # subcommand passes, so crlb, which draws no measurements, exits as
+        # simulate, sweep and detect do.
         path = tmp_path / "extreme.cfg"
         path.write_text(text + "trials = 3\n")
         commands = (

@@ -200,6 +200,13 @@ def test_shipped_configs_parse_to_golden_values(name):
     assert repr(cfg) == repr(GOLDEN[name])
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_channels_resolve_ranges(name):
+    # one float step of RSSI at each shipped p0 moves a range by far less
+    # than the 0.1 % that PathLossParams.check_resolution rejects
+    load_config(WORKLOADS / name if name.endswith(".cfg") else name).channel.check_resolution()
+
+
 class TestValidation:
     def test_attack_parameter_pairing(self):
         with pytest.raises(ConfigError):
@@ -364,3 +371,19 @@ class TestProfilesAndAxis:
                 apply_axis(cfg, "packets", value)
         with pytest.raises(ConfigError):
             apply_axis(cfg, "voltage", 1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"packets": 0}, "packets must be >= 1"), ({"estimators": ()}, "no estimators enabled")],
+    ids=["no-packets", "no-estimators"],
+)
+def test_empty_run_is_config_error(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("text, value", [("false", False), ("No", False), ("0", False)])
+def test_false_booleans_parse(text, value):
+    cfg = parse_config(MINIMAL + f"topology.per_trial = {text}\n")
+    assert cfg.topology_per_trial is value

@@ -239,3 +239,19 @@ class TestBoundHoldsInSimulation:
         for name, est in summary.per_estimator.items():
             floor = (1.0 - 3.0 / math.sqrt(2.0 * est.trials_ok)) * summary.crlb
             assert est.rmse >= floor, (name, est.rmse, summary.crlb)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fim_uncoordinated(CROSS, P, 0.0, 0), "packets must be >= 1"),
+        (lambda: fim_coordinated(CROSS, P, (5.0, 5.0), 0), "packets must be >= 1"),
+        (lambda: fim_uncoordinated(CROSS, P, -1.0, 10), "sigma_att must be >= 0 and finite"),
+        (lambda: fim_uncoordinated(CROSS, P, math.nan, 10), "sigma_att must be >= 0 and finite"),
+        (lambda: fim_coordinated(CROSS, P, (math.inf, 0.0), 10), "t_att must be finite"),
+    ],
+    ids=["no-packets", "coordinated-no-packets", "negative-jitter", "nan-jitter", "inf-decoy"],
+)
+def test_bad_argument_is_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

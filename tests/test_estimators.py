@@ -1131,3 +1131,50 @@ class TestLeastSquaresKernel:
             sols[0], np.linalg.lstsq(good.A, good.b, rcond=None)[0], rtol=1e-9, atol=0
         )
         np.testing.assert_allclose(ops[0] @ good.b, sols[0], rtol=1e-9, atol=0)
+
+
+SQUARE_ANCHORS = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+
+
+def _ml_batch_of_two_packet_counts():
+    # ML stacks its batch's RSSI arrays, so they must share one shape
+    ranges = np.linalg.norm(SQUARE_ANCHORS - [40.0, 60.0], axis=1)
+    rssi = mean_rssi(P, ranges)[:, None]
+    systems = [
+        build_linear_system(SQUARE_ANCHORS, ranges, np.repeat(rssi, p, axis=1))
+        for p in (10, 5)
+    ]
+    return ml_fits(systems, P, [(40.0, 60.0)] * 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LinearSystem(np.ones((4, 2)), np.zeros(4)), DomainError, r"an \(N, 3\) matrix"),
+        (lambda: LinearSystem(np.ones((4, 3)), np.zeros(3)), DomainError, "A and b row counts"),
+        (
+            lambda: LinearSystem(np.ones((2, 3)), np.zeros(2)),
+            InsufficientAnchorsError,
+            "need at least 3 rows, got 2",
+        ),
+        (
+            lambda: LinearSystem(np.ones((4, 3)), np.zeros(4), ranges=np.ones(3)),
+            DomainError,
+            "ranges and b row counts differ",
+        ),
+        (lambda: Estimate([np.nan, 1.0]), DomainError, "a converged estimate must be finite"),
+        (
+            lambda: build_linear_system(SQUARE_ANCHORS[:3], np.ones(4)),
+            DomainError,
+            "anchor and distance counts differ",
+        ),
+        (_ml_batch_of_two_packet_counts, DomainError, "one RSSI shape"),
+    ],
+    ids=[
+        "A-columns", "A-b-rows", "two-rows", "ranges-rows", "nan-estimate",
+        "anchor-range-counts", "ml-rssi-shapes",
+    ],
+)
+def test_bad_input_is_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

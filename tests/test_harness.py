@@ -222,11 +222,10 @@ class TestMonteCarlo:
         # run_monte_carlo runs a chunk's ML and Grad-Desc iterations and
         # LN-1/LN-1E plane fits in lock-step batches; a full chunk and a
         # one-trial tail give the same outcomes, and two runs the same
-        # summary.  Grad-Desc and the plane fits may round the last bits
-        # differently from a trial's own one-trial calls: Grad-Desc keeps,
-        # trial by trial, its iterations, converged flag and eliminated set,
-        # and its position within 1e-12 m.  ML's batch rounds as its
-        # one-trial call does, so every ML fit, and ML's RMSE, is exact.
+        # summary.  The plane fits may round the last bits differently from
+        # a trial's own one-trial calls.  ML's and Grad-Desc's batches round
+        # as their one-trial calls do, so every ML and Grad-Desc fit, trial
+        # by trial, and their RMSEs are exact.
         fits = {"grad_desc": [], "ml": []}
         for name, into in fits.items():
             original = getattr(harness, f"{name}_estimate")
@@ -247,7 +246,7 @@ class TestMonteCarlo:
             got, want = chunked.per_estimator[name], alone.per_estimator[name]
             counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp")
             assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
-            if name == "ml":
+            if name in fits:
                 assert got.rmse == want.rmse
             else:
                 assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
@@ -257,10 +256,7 @@ class TestMonteCarlo:
             for got, want in zip(batched[name], fits[name]):
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
                 assert got.eliminated == want.eliminated
-                if name == "ml":
-                    assert np.array_equal(got.position, want.position)
-                else:
-                    np.testing.assert_allclose(got.position, want.position, rtol=0, atol=1e-12)
+                assert np.array_equal(got.position, want.position)
 
     def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
         # LN-1E refits on the near cluster only when it keeps at least 3

@@ -287,6 +287,11 @@ class TestKmeans1d:
         with pytest.raises(DomainError):
             kmeans_1d([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_needs_finite_values(self, bad):
+        with pytest.raises(DomainError, match="values must be finite"):
+            kmeans_1d([0.1, bad, 5.0])
+
     def test_matches_optimal_split_oracle(self):
         # (min, max) seeding reaches the globally optimal split whenever the
         # two groups are well separated relative to their spread
