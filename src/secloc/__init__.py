@@ -47,10 +47,13 @@ from .estimators import (
     grad_desc_fits,
     lmds_estimate,
     ls_estimate,
+    ls_fits,
     ml_estimate,
     ml_fits,
     swls_estimate,
+    swls_fits,
     wls_estimate,
+    wls_fits,
 )
 from .planefit import (
     AdmmParams,

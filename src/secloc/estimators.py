@@ -16,12 +16,21 @@ one kernel, ``_least_squares``: one SVD per system, and ``rank_deficient``
 as its only rank test.  ML and Grad-Desc fit the RSSI matrix directly,
 through one squared-range model of the mean RSSI (``_rssi_model``, which
 reads the channel's ``mean_rssi_sq`` and ``PathLossParams.slope``).
-Each has one loop that runs many trials in lock step and memoizes each fit
-on its trial's system, the one place a batched fit is kept (``planefit``
-keeps its plane fits there too); ``ml_estimate`` and
-``grad_desc_estimate`` are batches of one.  ML's loop, ``ml_fits``, is
-BFGS from the given start, bit-identical to one trial at a time; its memo
-key is ``("ml", params, init)``, init as a tuple of two floats.
+A batched fit is kept in the memo of its trial's system, the one place
+such fits are kept (``planefit`` keeps its plane fits there too).  LS, WLS
+and SWLS each have a function that fits many systems at once, stacked by
+row count, and memoizes every fit it computes: ``ls_fits`` under
+``("ls",)``, ``wls_fits`` under ``("wls", params)`` and ``swls_fits`` under
+``("swls", params, zeta)``.  Each fit is bit-identical to its system's lone
+call, and ``ls_estimate``, ``wls_estimate`` and ``swls_estimate`` read that
+key first.  A system whose lone call raises (rank-deficient geometry, an
+overflowing variance, too few survivors) gets no memo entry, so its lone
+call raises as it would alone.  ML and Grad-Desc each have one loop that
+runs many trials in lock step and memoizes each fit on its trial's system;
+``ml_estimate`` and ``grad_desc_estimate`` are batches of one.  ML's loop,
+``ml_fits``, is BFGS from the given start, bit-identical to one trial at a
+time; its memo key is ``("ml", params, init)``, init as a tuple of two
+floats.
 Grad-Desc's, ``grad_desc_fits``, steps each trial from its anchors'
 centroid (anchors on one line fail ``rank_deficient`` there too), also
 bit-identical to one trial at a time; its key is ``("grad_desc", params,
@@ -215,38 +224,212 @@ def _least_squares(A: np.ndarray, b: np.ndarray | None = None) -> tuple:
     return np.einsum("...ji,...j->...i", vt, coords), deficient
 
 
+def _groups(rows, size) -> list:
+    """``rows`` grouped by ``size(row)``, each group in order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(size(row), []).append(row)
+    return list(groups.values())
+
+
+def _weigh(A: np.ndarray, b: np.ndarray, weights: np.ndarray) -> tuple:
+    """A stack of systems (..., N, 3), (..., N) with each row scaled by the
+    square root of its weight."""
+    sw = np.sqrt(weights)
+    return A * sw[..., None], b * sw
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
     """Solve the (optionally weighted) least-squares system by the shared
     kernel, rejecting rank-deficient geometry."""
     if weights is not None:
-        sw = np.sqrt(weights)
-        A = A * sw[:, None]
-        b = b * sw
+        A, b = _weigh(A, b, weights)
     sol, deficient = _least_squares(A, b)
     if deficient:
         raise DegenerateGeometryError("anchor geometry is rank deficient")
     return sol
 
 
+def _solve_stack(systems, rows, key, A, b, eliminated=None) -> None:
+    """Solve the stack (T, N, 3), (T, N) of the systems ``rows`` by one
+    ``_least_squares`` call, and memoize each full-rank solution on its
+    system under ``key``, with ``eliminated[j]`` for row j if given.  A
+    rank-deficient system is left for its own call to raise."""
+    sols, deficient = _least_squares(A, b)
+    for j, i in enumerate(rows):
+        if not deficient[j]:
+            systems[i].memo[key] = Estimate(
+                position=sols[j, :2],
+                auxiliary=float(sols[j, 2]),
+                eliminated=() if eliminated is None else eliminated[j],
+            )
+
+
+def _fit_each(systems, rows, key, fit) -> None:
+    """Where a stacked step raised for the whole stack: ``fit`` on each of
+    the systems ``rows`` alone, memoizing under ``key`` what succeeds."""
+    for i in rows:
+        try:
+            systems[i].memo[key] = fit(systems[i])
+        except SecLocError:
+            pass
+
+
+def ls_fits(systems) -> list:
+    """LS on many systems at once: one ``_least_squares`` call per group of
+    equal row count, each solution bit-identical to ``ls_estimate``'s own
+    and memoized on its system under ``("ls",)``.  Returns each system's
+    memoized ``Estimate``, or None where its own ``ls_estimate`` call raises
+    (rank-deficient geometry), for which nothing is memoized."""
+    key = ("ls",)
+    rows = [i for i, system in enumerate(systems) if key not in system.memo]
+    for group in _groups(rows, lambda i: systems[i].n_rows):
+        A = np.array([systems[i].A for i in group])
+        b = np.array([systems[i].b for i in group])
+        _solve_stack(systems, group, key, A, b)
+    return [system.memo.get(key) for system in systems]
+
+
 def ls_estimate(system: LinearSystem) -> Estimate:
-    """Unweighted least-squares solution of the shared linear system."""
-    sol = _solve_rows(system.A, system.b)
-    return Estimate(position=sol[:2], auxiliary=float(sol[2]))
+    """Unweighted least-squares solution of the shared linear system, or the
+    fit ``ls_fits`` memoized on it."""
+    fit = system.memo.get(("ls",))
+    if fit is None:
+        sol = _solve_rows(system.A, system.b)
+        fit = Estimate(position=sol[:2], auxiliary=float(sol[2]))
+    return fit
+
+
+def _wls_weights(var: np.ndarray) -> np.ndarray:
+    """WLS's row weights 1/Var(d^2) for each system of a stack of variances
+    (last axis), and 1 throughout a system with a zero variance."""
+    return 1.0 / np.where(var.all(axis=-1, keepdims=True), var, 1.0)
+
+
+def _wls_stack(systems, rows, key, params, A, b, ranges, fallback, eliminated=None) -> None:
+    """WLS on the stack (T, N, 3), (T, N) of the systems ``rows``, with their
+    (T, N) ranges, memoized as ``_solve_stack`` does.  When the variance
+    law raises for the stack (one system's variance overflows), each system
+    is fitted alone by ``fallback`` instead."""
+    try:
+        weights = _wls_weights(distance_sq_variance(params, ranges))
+    except SecLocError:
+        _fit_each(systems, rows, key, fallback)
+        return
+    _solve_stack(systems, rows, key, *_weigh(A, b, weights), eliminated)
+
+
+def wls_fits(systems, params: PathLossParams) -> list:
+    """WLS on many systems at once: the variance law on the stacked (T, N)
+    ranges of each group of equal row count, and one ``_least_squares``
+    call on its weighted rows, each fit bit-identical to ``wls_estimate``'s
+    own and memoized on its system under ``("wls", params)``.  Returns each
+    system's memoized ``Estimate``, or None where its own ``wls_estimate``
+    call raises (no ranges, an overflowing variance, rank-deficient
+    geometry), for which nothing is memoized."""
+    key = ("wls", params)
+    rows = [
+        i for i, system in enumerate(systems)
+        if key not in system.memo and system.ranges is not None
+    ]
+    for group in _groups(rows, lambda i: systems[i].n_rows):
+        A = np.array([systems[i].A for i in group])
+        b = np.array([systems[i].b for i in group])
+        ranges = np.array([systems[i].ranges for i in group])
+        _wls_stack(
+            systems, group, key, params, A, b, ranges, lambda s: wls_estimate(s, params)
+        )
+    return [system.memo.get(key) for system in systems]
 
 
 def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     """Weighted least squares with rows weighted by 1/Var(d^2), which favors
-    anchors close to the target.  Unweighted when a variance is 0, as at
-    sigma = 0 or at a sigma so small that it underflows: the system is then
-    (numerically) exactly consistent and any weighting gives the same
-    solution."""
-    var = distance_sq_variance(params, system.range_estimates())
-    sol = _solve_rows(system.A, system.b, 1.0 / var if var.all() else None)
-    return Estimate(position=sol[:2], auxiliary=float(sol[2]))
+    anchors close to the target, or the fit ``wls_fits`` memoized on the
+    system.  Unweighted when a variance is 0, as at sigma = 0 or at a sigma
+    so small that it underflows: the system is then (numerically) exactly
+    consistent and any weighting gives the same solution."""
+    fit = system.memo.get(("wls", params))
+    if fit is None:
+        var = distance_sq_variance(params, system.range_estimates())
+        sol = _solve_rows(system.A, system.b, _wls_weights(var))
+        fit = Estimate(position=sol[:2], auxiliary=float(sol[2]))
+    return fit
+
+
+def _check_zeta(zeta: float) -> None:
+    if not 0.0 < zeta < math.inf:
+        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
+
+
+def _swls_kept(params: PathLossParams, zeta: float, rssi, ranges) -> np.ndarray:
+    """SWLS's variance test on a stack of (..., N, P) RSSI arrays and their
+    (..., N) ranges: which anchors it keeps.  Each anchor's per-packet
+    range samples give a sample variance, which the inverted range-variance
+    law at its (mean-RSSI) range turns into a noise level; it is kept below
+    zeta * sigma."""
+    sample_var = np.var(distance_from_rssi(params, rssi), axis=-1, ddof=1)
+    sigma_est = estimate_noise_sigma(params, sample_var, ranges)
+    threshold = zeta * params.sigma
+    if threshold == 0.0:
+        # Degenerate noiseless channel: any measured variance marks an attack.
+        return sigma_est == 0.0
+    return sigma_est < threshold
+
+
+def swls_fits(systems, params: PathLossParams, zeta: float = 1.5) -> list:
+    """SWLS on many systems at once: the variance test on the stacked
+    (T, N, P) RSSI arrays of each group of one RSSI shape, then WLS on the
+    kept rows, stacked by kept count, each fit bit-identical to
+    ``swls_estimate``'s own and memoized on its system under ``("swls",
+    params, zeta)``.  Returns each system's memoized ``Estimate``, or None
+    where its own ``swls_estimate`` call raises (no measurements or ranges,
+    one packet, an overflowing range or variance, fewer than 3 survivors,
+    rank-deficient geometry), for which nothing is memoized."""
+    _check_zeta(zeta)
+    key = ("swls", params, zeta)
+    rows = [
+        i for i, system in enumerate(systems)
+        if key not in system.memo
+        and system.ranges is not None
+        and system.measurements is not None
+        and system.measurements.shape[1] >= 2
+    ]
+
+    def alone(system):
+        return swls_estimate(system, params, zeta)
+
+    for group in _groups(rows, lambda i: systems[i].measurements.shape):
+        rssi = np.array([systems[i].measurements for i in group])
+        ranges = np.array([systems[i].ranges for i in group])
+        try:
+            kept = _swls_kept(params, zeta, rssi, ranges)
+        except SecLocError:
+            _fit_each(systems, group, key, alone)
+            continue
+        A = np.array([systems[i].A for i in group])
+        b = np.array([systems[i].b for i in group])
+        counts = kept.sum(axis=1)
+        for sub in _groups(range(len(group)), lambda j: counts[j]):
+            if counts[sub[0]] < 3:
+                continue
+            take = np.array(sub)[:, None], np.array([np.flatnonzero(kept[j]) for j in sub])
+            _wls_stack(
+                systems,
+                [group[j] for j in sub],
+                key,
+                params,
+                A[take],
+                b[take],
+                ranges[take],
+                alone,
+                [np.flatnonzero(~kept[j]) for j in sub],
+            )
+    return [system.memo.get(key) for system in systems]
 
 
 def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.5) -> Estimate:
-    """WLS preceded by malicious-anchor elimination.
+    """WLS preceded by malicious-anchor elimination, or the fit
+    ``swls_fits`` memoized on the system.
 
     Each anchor's per-packet range samples (from the system's RSSI matrix)
     give a sample variance; inverting the range-variance law at the system's
@@ -254,18 +437,14 @@ def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.
     estimate reaches zeta * sigma are dropped before the WLS solve on the
     remaining rows.
     """
-    if not 0.0 < zeta < math.inf:
-        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
+    _check_zeta(zeta)
+    fit = system.memo.get(("swls", params, zeta))
+    if fit is not None:
+        return fit
     rssi = system.measurement_matrix()
     if rssi.shape[1] < 2:
         raise DomainError("sample variance needs at least 2 packets")
-    sample_var = np.var(distance_from_rssi(params, rssi), axis=1, ddof=1)
-    sigma_est = estimate_noise_sigma(params, sample_var, system.range_estimates())
-    threshold = zeta * params.sigma
-    kept = sigma_est < threshold
-    if threshold == 0.0:
-        # Degenerate noiseless channel: any measured variance marks an attack.
-        kept = sigma_est == 0.0
+    kept = _swls_kept(params, zeta, rssi, system.range_estimates())
     kept_idx = np.flatnonzero(kept)
     if kept_idx.size < 3:
         raise InsufficientSurvivorsError(

@@ -15,15 +15,17 @@ that has one, in ``config.estimators`` order, with the chunk's trials, and
 only then runs each trial (``run_trial``).  A batch step may compute, for the
 whole chunk at once, what its row's ``run`` needs, and leave it in the memo
 of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave their fits, see
-``planefit``, and ML and Grad-Desc theirs, see ``estimators``), so that
-``run`` reads it inside the trial.  What fails in a batch is left for the
-trial's own ``run`` to raise, so failures stay per trial.  A batch needs
-every trial of a chunk in memory at once, which is what bounds ``CHUNK``:
-peak RSS grows with it while the gain in trials/s levels off.  When no
-enabled row has a batch step a chunk is one trial.  ML's and Grad-Desc's
-batches do not round differently from the trial's own computation; the
-LN-1/LN-1E plane fits may round their last bits differently.  Every batched
-result is the same whichever other rows run.
+``planefit``, and LS, WLS, SWLS, ML and Grad-Desc theirs, see
+``estimators``), so that ``run`` reads it inside the trial.  What fails in a
+batch is left for the trial's own ``run`` to raise, so failures stay per
+trial.  A batch needs every trial of a chunk in memory at once, which is
+what bounds a chunk: peak RSS grows with it while the gain in trials/s
+levels off.  A chunk is ``CHUNK`` trials, or fewer when their RSSI arrays
+would hold more than ``CHUNK_RSSI_BYTES``, and one trial when no enabled
+row has a batch step.  The LS, WLS, SWLS, ML and Grad-Desc batches do not
+round differently from the trial's own computation; the LN-1/LN-1E plane
+fits may round their last bits differently.  Every batched result is the
+same whichever other rows run.
 """
 
 from __future__ import annotations
@@ -55,10 +57,13 @@ from .estimators import (
     grad_desc_fits,
     lmds_estimate,
     ls_estimate,
+    ls_fits,
     ml_estimate,
     ml_fits,
     swls_estimate,
+    swls_fits,
     wls_estimate,
+    wls_fits,
 )
 from .exceptions import SecLocError
 from .planefit import admm_l1_planes, ln1_estimate, ln1e_estimate, prefit_planes
@@ -81,15 +86,23 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# Trials per chunk when an enabled estimator has a batch step (the LN-1 and
-# LN-1E plane fits, the ML and Grad-Desc iterations).  With LN-1 and LN-1E
-# on the benchmark's coord-fixed config (2 vCPU), chunks of 16, 32 and 48
-# trials ran 123, 145 and 152 trials/s in one round (a chunk of 1 about half
-# as fast as 32) and added 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc
-# batched too, on uncoord-fixed (the desk profile), chunks of 16, 32, 48 and
-# 64 ran 120-124, 147-159, 156-171 and 161-171 trials/s in two rounds, at
-# 41.7, 42.0, 42.4 and 42.8 MB peak RSS.
+# Trials per chunk when an enabled estimator has a batch step (every row but
+# LMdS).  With LN-1 and LN-1E on the benchmark's coord-fixed config (2 vCPU),
+# chunks of 16, 32 and 48 trials ran 123, 145 and 152 trials/s in one round
+# (a chunk of 1 about half as fast as 32) and added 0.6, 1.3 and 1.8 % to
+# peak RSS.  With Grad-Desc batched too, on uncoord-fixed (the desk profile),
+# chunks of 16, 32, 48 and 64 ran 120-124, 147-159, 156-171 and 161-171
+# trials/s in two rounds, at 41.7, 42.0, 42.4 and 42.8 MB peak RSS.
 CHUNK = 32
+# The RSSI bytes a chunk may hold: a chunk is at most this over 8 N P bytes
+# per trial.  29 anchors and 10 packets (2320 bytes a trial, as on desk,
+# paper and coord-fixed) keep chunks of 32; 100 packets run 4.  The LS, WLS
+# and SWLS batches stack a chunk's (T, N, P) RSSI arrays, and SWLS's variance
+# test holds about three more arrays of that size.  On the benchmark's
+# sweep-closed-form workload (packets 2, 10, 100; block 0 at seed 20260810,
+# 2 vCPU), uncapped chunks of 32 peaked at 42.6-42.7 MB against 39.5-39.6 MB
+# one trial at a time (+8 %); capped, they peak at 40.1 MB (+1.5 %).
+CHUNK_RSSI_BYTES = 96 * 1024
 
 
 @dataclass(frozen=True)
@@ -234,22 +247,33 @@ _NOT_COORDINATED = frozenset(("none", "uncoordinated"))
 _NOT_UNCOORDINATED = frozenset(("none", "coordinated"))
 
 # Estimators in report order, each offered only under the attack kinds where
-# the paper compares it.
+# the paper compares it.  Every row but LMdS reads the fits its batch step
+# memoized on the trials' systems (see estimators and planefit); they round
+# as the one-trial calls do, but for the plane fits of LN-1 and LN-1E, which
+# may round their last bits differently.
 ESTIMATORS = {
     # Plain LS is only compared under the uncoordinated attack.
-    "ls": EstimatorSpec(_NOT_COORDINATED, lambda t: ls_estimate(t.system)),
-    "wls": EstimatorSpec(_ALL_ATTACKS, lambda t: wls_estimate(t.system, t.config.channel)),
+    "ls": EstimatorSpec(
+        _NOT_COORDINATED,
+        lambda t: ls_estimate(t.system),
+        batch=lambda ts: ls_fits([t.system for t in ts]),
+    ),
+    "wls": EstimatorSpec(
+        _ALL_ATTACKS,
+        lambda t: wls_estimate(t.system, t.config.channel),
+        batch=lambda ts: wls_fits([t.system for t in ts], ts[0].config.channel),
+    ),
     # SWLS keys on per-packet power variance, absent in a coordinated attack.
     "swls": EstimatorSpec(
         _NOT_COORDINATED,
         lambda t: swls_estimate(t.system, t.config.channel, zeta=t.config.zeta),
         detector=True,
+        batch=lambda ts: swls_fits(
+            [t.system for t in ts], ts[0].config.channel, ts[0].config.zeta
+        ),
     ),
     # ML is initialized at the truth; only compared under the uncoordinated
-    # attack.  ML, Grad-Desc, LN-1 and LN-1E read the fits their batch steps
-    # memoized on the trials' systems (see estimators and planefit).  ML's
-    # and Grad-Desc's batches round as their one-trial calls do; the plane
-    # fits may round their last bits differently.
+    # attack.
     "ml": EstimatorSpec(
         _NOT_COORDINATED,
         lambda t: ml_estimate(t.system, t.config.channel, init=t.topology.target),
@@ -355,15 +379,24 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    chunk = CHUNK if batches else 1
+    chunk = 1
+    if batches:  # each trial's RSSI array holds 8 N P bytes
+        chunk = min(CHUNK, max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets)))
     results = []
     for start in range(0, config.trials, chunk):
         indices = range(start, min(start + chunk, config.trials))
-        trials = [prepare_trial(config, i, base) for i in indices]
-        for batch in batches:
-            batch(trials)
-        results += [run_trial(config, i, t) for i, t in zip(indices, trials)]
+        results += _run_chunk(config, indices, base, batches)
     return summarize(config, results)
+
+
+def _run_chunk(config: ExperimentConfig, indices: range, base: Topology, batches: list) -> list:
+    """Prepare, batch and run one chunk of trials.  Its trials, and the fits
+    memoized on them, are freed on return, before the next chunk is
+    prepared."""
+    trials = [prepare_trial(config, i, base) for i in indices]
+    for batch in batches:
+        batch(trials)
+    return [run_trial(config, i, t) for i, t in zip(indices, trials)]
 
 
 def summarize(config: ExperimentConfig, results: list) -> MonteCarloSummary:

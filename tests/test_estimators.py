@@ -29,13 +29,16 @@ from secloc import (
     ln1e_estimate,
     ls_estimate,
     load_config,
+    ls_fits,
     mean_rssi,
     ml_estimate,
     random_topology,
     select_malicious,
     simulate_measurements,
     swls_estimate,
+    swls_fits,
     wls_estimate,
+    wls_fits,
 )
 from secloc import estimators, harness
 from secloc.channel import mean_rssi_sq
@@ -329,6 +332,87 @@ class TestSwls:
                 total += len(est.eliminated & mal)
             counts.append(total / trials)
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def _closed_form_mix():
+    """Ordinary seeded systems (one with fewer rows) mixed with systems that
+    fail some closed-form estimator alone, each with the error it raises
+    there, per estimator (None where it succeeds)."""
+    params, trials = _attacked_trials("uncoordinated", seed=61, count=6, n_anchors=12)
+    ordinary = [system for *_, system in trials]
+    ordinary[5] = ordinary[5].subset(range(9))
+    anchors, ranges = ordinary[0].anchors, ordinary[0].ranges
+    line = build_linear_system(_collinear_anchors(12, 0, seed=62), ranges)
+    # 11 packets, so SWLS stacks it apart from the others, one of them 2e4 dB
+    # below p0: its own range overflows, that of the mean RSSI does not
+    deep = np.repeat(ordinary[3].measurements, [2] + [1] * 9, axis=1)
+    deep[0, 0] = -2e4
+    # two anchors with no packet noise, the others far noisier than zeta * sigma
+    quiet = np.repeat(mean_rssi(params, ranges)[:, None], 10, axis=1)
+    quiet[2:] += np.random.default_rng(63).normal(0.0, 40.0, (10, 10))
+    failing = [
+        # rank deficient, built by hand without ranges or measurements
+        (LinearSystem(A=line.A, b=line.b), DegenerateGeometryError, DomainError, DomainError),
+        # a range whose squared-range variance overflows (SWLS keeps its row)
+        (
+            build_linear_system(
+                anchors, np.r_[1e78, ordinary[2].ranges[1:]], ordinary[2].measurements
+            ),
+            None, DomainError, DomainError,
+        ),
+        (mean_system(anchors, MeasurementMatrix(deep), params), None, None, DomainError),
+        (mean_system(anchors, MeasurementMatrix(quiet), params), None, None,
+         InsufficientSurvivorsError),
+    ]
+    mix = [(system, None, None, None) for system in ordinary]
+    for k, case in enumerate(failing):
+        mix.insert(2 * k + 1, case)
+    return params, mix
+
+
+class TestClosedFormFits:
+    """LS, WLS and SWLS on many systems at once: each fit equals its
+    system's lone call bit for bit and is memoized, and a system whose lone
+    call raises has nothing memoized, so that call raises as before."""
+
+    @pytest.mark.parametrize("name", ["ls", "wls", "swls"])
+    def test_failures_stay_with_their_system(self, name):
+        params, mix = _closed_form_mix()
+        fits, key, alone = {
+            "ls": (ls_fits, ("ls",), ls_estimate),
+            "wls": (lambda s: wls_fits(s, params), ("wls", params),
+                    lambda s: wls_estimate(s, params)),
+            "swls": (lambda s: swls_fits(s, params, 1.5), ("swls", params, 1.5),
+                     lambda s: swls_estimate(s, params, 1.5)),
+        }[name]
+        column = ("ls", "wls", "swls").index(name) + 1
+        systems = [case[0] for case in mix]
+        results = fits(systems)
+        assert len(results) == len(systems)
+        for case, fit in zip(mix, results):
+            system, error = case[0], case[column]
+            if error is None:
+                assert fit is not None and system.memo[key] is fit
+                assert alone(system) is fit
+                lone = alone(replace(system))
+                assert np.array_equal(fit.position, lone.position)
+                assert (fit.auxiliary, fit.eliminated) == (lone.auxiliary, lone.eliminated)
+            else:
+                assert fit is None and key not in system.memo
+                with pytest.raises(error):
+                    alone(system)
+        # a batch returns what an earlier one memoized, and fits nothing again
+        assert fits(systems[::-1]) == results[::-1]
+
+    @pytest.mark.parametrize("zeta", [0.0, math.inf])
+    def test_swls_zeta_is_checked(self, zeta):
+        params, mix = _closed_form_mix()
+        systems = [case[0] for case in mix]
+        for call in (lambda: swls_fits(systems, params, zeta),
+                     lambda: swls_estimate(systems[0], params, zeta)):
+            with pytest.raises(DomainError, match="zeta"):
+                call()
+        assert not any(system.memo for system in systems)
 
 
 class TestMl:

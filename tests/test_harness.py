@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -215,18 +216,20 @@ class TestMonteCarlo:
             attack_config(
                 estimators=("ml", "grad_desc"), topology_per_trial=True, trials=CHUNK + 1
             ),
+            # 100 packets cap the chunk at 4 trials: chunks of 4, 4, 4 and 1
+            attack_config(topology_per_trial=True, packets=100, n_anchors=29, trials=13),
         ],
-        ids=["coordinated", "uncoordinated", "per-trial-topology"],
+        ids=["coordinated", "uncoordinated", "per-trial-topology", "closed-form"],
     )
     def test_chunked_fits_match_trial_by_trial(self, cfg, monkeypatch):
-        # run_monte_carlo runs a chunk's ML and Grad-Desc iterations and
-        # LN-1/LN-1E plane fits in lock-step batches; a full chunk and a
-        # one-trial tail give the same outcomes, and two runs the same
-        # summary.  The plane fits may round the last bits differently from
-        # a trial's own one-trial calls.  ML's and Grad-Desc's batches round
-        # as their one-trial calls do, so every ML and Grad-Desc fit, trial
-        # by trial, and their RMSEs are exact.
-        fits = {"grad_desc": [], "ml": []}
+        # run_monte_carlo runs a chunk's LS, WLS and SWLS solves, its ML and
+        # Grad-Desc iterations and its LN-1/LN-1E plane fits in batches; a
+        # full chunk and a one-trial tail give the same outcomes, and two
+        # runs the same summary.  The plane fits may round the last bits
+        # differently from a trial's own one-trial calls.  The other batches
+        # round as their one-trial calls do, so each of their fits, trial by
+        # trial, their RMSEs and the bound are exact.
+        fits = {name: [] for name in ("ls", "wls", "swls", "grad_desc", "ml")}
         for name, into in fits.items():
             original = getattr(harness, f"{name}_estimate")
 
@@ -257,6 +260,38 @@ class TestMonteCarlo:
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
                 assert got.eliminated == want.eliminated
                 assert np.array_equal(got.position, want.position)
+
+    @pytest.mark.parametrize(
+        "cfg, sizes",
+        [
+            (replace(load_config("desk"), trials=33), [32, 1]),
+            # RSSI arrays of 29 x 100 packets, 23200 bytes each, cap the chunk
+            # at CHUNK_RSSI_BYTES // 23200 = 4 trials
+            (
+                replace(
+                    load_config("desk"), estimators=("ls", "wls", "swls"), packets=100, trials=9
+                ),
+                [4, 4, 1],
+            ),
+            # no batch step: one trial at a time
+            (replace(load_config("desk"), estimators=("lmds",), trials=3), [1, 1, 1]),
+        ],
+        ids=["desk", "100-packets", "lmds"],
+    )
+    def test_chunk_sizes(self, cfg, sizes, monkeypatch):
+        # a chunk is the run of trials prepared before the first one runs
+        calls = []
+        for name in ("prepare_trial", "run_trial"):
+            original = getattr(harness, name)
+
+            def recording(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(harness, name, recording)
+        run_monte_carlo(cfg)
+        runs = [len(list(group)) for name, group in groupby(calls) if name == "prepare_trial"]
+        assert runs == sizes
 
     def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
         # LN-1E refits on the near cluster only when it keeps at least 3
