@@ -17,25 +17,23 @@ as its only rank test.  ML and Grad-Desc fit the RSSI matrix directly,
 through one squared-range model of the mean RSSI (``_rssi_model``, which
 reads the channel's ``mean_rssi_sq`` and ``PathLossParams.slope``).
 A batched fit is kept in the memo of its trial's system, the one place
-such fits are kept (``planefit`` keeps its plane fits there too).  LS, WLS
-and SWLS each have a function that fits many systems at once, stacked by
-row count, and memoizes every fit it computes: ``ls_fits`` under
-``("ls",)``, ``wls_fits`` under ``("wls", params)`` and ``swls_fits`` under
-``("swls", params, zeta)``.  Each fit is bit-identical to its system's lone
-call, and ``ls_estimate``, ``wls_estimate`` and ``swls_estimate`` read that
-key first.  A system whose lone call raises (rank-deficient geometry, an
-overflowing variance, too few survivors) gets no memo entry, so its lone
-call raises as it would alone.  ML and Grad-Desc each have one loop that
-runs many trials in lock step and memoizes each fit on its trial's system;
-``ml_estimate`` and ``grad_desc_estimate`` are batches of one.  ML's loop,
-``ml_fits``, is BFGS from the given start, bit-identical to one trial at a
-time; its memo key is ``("ml", params, init)``, init as a tuple of two
-floats.
-Grad-Desc's, ``grad_desc_fits``, steps each trial from its anchors'
-centroid (anchors on one line fail ``rank_deficient`` there too), also
-bit-identical to one trial at a time; its key is ``("grad_desc", params,
-GradDescParams(...))``.  ``_unwrap`` turns a batch of one back into a
-result or a raise, for these two and for ``planefit.admm_l1_plane``.
+such fits are kept (``planefit`` keeps its plane fits there too).  LS, WLS,
+SWLS, ML and Grad-Desc each have one function that fits many systems at
+once and returns, per system, its ``Estimate``, memoized on the system, or
+the ``SecLocError`` it raises, which is not memoized; their one-system
+calls are batches of one, which ``_unwrap`` turns back into a result or a
+raise (as it does for ``planefit.admm_l1_plane``).  ``ls_fits``,
+``wls_fits`` and ``swls_fits`` stack their systems by row count (SWLS's
+variance test by RSSI shape, its kept rows by kept count), bit-identical to
+one system at a time; where the variance law or the distance inversion
+raises for a whole stack, each system is fitted alone.  Their memo keys are
+``("ls",)``, ``("wls", params)`` and ``("swls", params, zeta)``.  ML's
+loop, ``ml_fits``, runs BFGS from the given start in lock step, also
+bit-identical to one trial at a time; its key is ``("ml", params, init)``,
+init as a tuple of two floats.  Grad-Desc's, ``grad_desc_fits``, steps
+each trial from its anchors' centroid (anchors on one line fail
+``rank_deficient`` there too); its key is ``("grad_desc", params,
+GradDescParams(...))``.
 The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
 config's ``lmds`` and ``grad_desc`` sections) give the estimators their
 keyword defaults and checks.
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +68,7 @@ COND_LIMIT = 1e12
 ML_GTOL = 1e-8
 ML_MAX_ITERS = 500
 _NO_MEASUREMENTS = "the system carries no measurements; use build_linear_system"
+_NO_RANGES = "the system carries no ranges; use build_linear_system"
 
 
 def rank_deficient(svals: np.ndarray) -> np.ndarray:
@@ -145,7 +144,7 @@ class LinearSystem:
     def range_estimates(self) -> np.ndarray:
         """The ranges the system was built from."""
         if self.ranges is None:
-            raise DomainError("the system carries no ranges; use build_linear_system")
+            raise DomainError(_NO_RANGES)
         return self.ranges
 
     def measurement_matrix(self) -> np.ndarray:
@@ -232,228 +231,6 @@ def _groups(rows, size) -> list:
     return list(groups.values())
 
 
-def _weigh(A: np.ndarray, b: np.ndarray, weights: np.ndarray) -> tuple:
-    """A stack of systems (..., N, 3), (..., N) with each row scaled by the
-    square root of its weight."""
-    sw = np.sqrt(weights)
-    return A * sw[..., None], b * sw
-
-
-def _solve_rows(A: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
-    """Solve the (optionally weighted) least-squares system by the shared
-    kernel, rejecting rank-deficient geometry."""
-    if weights is not None:
-        A, b = _weigh(A, b, weights)
-    sol, deficient = _least_squares(A, b)
-    if deficient:
-        raise DegenerateGeometryError("anchor geometry is rank deficient")
-    return sol
-
-
-def _solve_stack(systems, rows, key, A, b, eliminated=None) -> None:
-    """Solve the stack (T, N, 3), (T, N) of the systems ``rows`` by one
-    ``_least_squares`` call, and memoize each full-rank solution on its
-    system under ``key``, with ``eliminated[j]`` for row j if given.  A
-    rank-deficient system is left for its own call to raise."""
-    sols, deficient = _least_squares(A, b)
-    for j, i in enumerate(rows):
-        if not deficient[j]:
-            systems[i].memo[key] = Estimate(
-                position=sols[j, :2],
-                auxiliary=float(sols[j, 2]),
-                eliminated=() if eliminated is None else eliminated[j],
-            )
-
-
-def _fit_each(systems, rows, key, fit) -> None:
-    """Where a stacked step raised for the whole stack: ``fit`` on each of
-    the systems ``rows`` alone, memoizing under ``key`` what succeeds."""
-    for i in rows:
-        try:
-            systems[i].memo[key] = fit(systems[i])
-        except SecLocError:
-            pass
-
-
-def ls_fits(systems) -> list:
-    """LS on many systems at once: one ``_least_squares`` call per group of
-    equal row count, each solution bit-identical to ``ls_estimate``'s own
-    and memoized on its system under ``("ls",)``.  Returns each system's
-    memoized ``Estimate``, or None where its own ``ls_estimate`` call raises
-    (rank-deficient geometry), for which nothing is memoized."""
-    key = ("ls",)
-    rows = [i for i, system in enumerate(systems) if key not in system.memo]
-    for group in _groups(rows, lambda i: systems[i].n_rows):
-        A = np.array([systems[i].A for i in group])
-        b = np.array([systems[i].b for i in group])
-        _solve_stack(systems, group, key, A, b)
-    return [system.memo.get(key) for system in systems]
-
-
-def ls_estimate(system: LinearSystem) -> Estimate:
-    """Unweighted least-squares solution of the shared linear system, or the
-    fit ``ls_fits`` memoized on it."""
-    fit = system.memo.get(("ls",))
-    if fit is None:
-        sol = _solve_rows(system.A, system.b)
-        fit = Estimate(position=sol[:2], auxiliary=float(sol[2]))
-    return fit
-
-
-def _wls_weights(var: np.ndarray) -> np.ndarray:
-    """WLS's row weights 1/Var(d^2) for each system of a stack of variances
-    (last axis), and 1 throughout a system with a zero variance."""
-    return 1.0 / np.where(var.all(axis=-1, keepdims=True), var, 1.0)
-
-
-def _wls_stack(systems, rows, key, params, A, b, ranges, fallback, eliminated=None) -> None:
-    """WLS on the stack (T, N, 3), (T, N) of the systems ``rows``, with their
-    (T, N) ranges, memoized as ``_solve_stack`` does.  When the variance
-    law raises for the stack (one system's variance overflows), each system
-    is fitted alone by ``fallback`` instead."""
-    try:
-        weights = _wls_weights(distance_sq_variance(params, ranges))
-    except SecLocError:
-        _fit_each(systems, rows, key, fallback)
-        return
-    _solve_stack(systems, rows, key, *_weigh(A, b, weights), eliminated)
-
-
-def wls_fits(systems, params: PathLossParams) -> list:
-    """WLS on many systems at once: the variance law on the stacked (T, N)
-    ranges of each group of equal row count, and one ``_least_squares``
-    call on its weighted rows, each fit bit-identical to ``wls_estimate``'s
-    own and memoized on its system under ``("wls", params)``.  Returns each
-    system's memoized ``Estimate``, or None where its own ``wls_estimate``
-    call raises (no ranges, an overflowing variance, rank-deficient
-    geometry), for which nothing is memoized."""
-    key = ("wls", params)
-    rows = [
-        i for i, system in enumerate(systems)
-        if key not in system.memo and system.ranges is not None
-    ]
-    for group in _groups(rows, lambda i: systems[i].n_rows):
-        A = np.array([systems[i].A for i in group])
-        b = np.array([systems[i].b for i in group])
-        ranges = np.array([systems[i].ranges for i in group])
-        _wls_stack(
-            systems, group, key, params, A, b, ranges, lambda s: wls_estimate(s, params)
-        )
-    return [system.memo.get(key) for system in systems]
-
-
-def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
-    """Weighted least squares with rows weighted by 1/Var(d^2), which favors
-    anchors close to the target, or the fit ``wls_fits`` memoized on the
-    system.  Unweighted when a variance is 0, as at sigma = 0 or at a sigma
-    so small that it underflows: the system is then (numerically) exactly
-    consistent and any weighting gives the same solution."""
-    fit = system.memo.get(("wls", params))
-    if fit is None:
-        var = distance_sq_variance(params, system.range_estimates())
-        sol = _solve_rows(system.A, system.b, _wls_weights(var))
-        fit = Estimate(position=sol[:2], auxiliary=float(sol[2]))
-    return fit
-
-
-def _check_zeta(zeta: float) -> None:
-    if not 0.0 < zeta < math.inf:
-        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
-
-
-def _swls_kept(params: PathLossParams, zeta: float, rssi, ranges) -> np.ndarray:
-    """SWLS's variance test on a stack of (..., N, P) RSSI arrays and their
-    (..., N) ranges: which anchors it keeps.  Each anchor's per-packet
-    range samples give a sample variance, which the inverted range-variance
-    law at its (mean-RSSI) range turns into a noise level; it is kept below
-    zeta * sigma."""
-    sample_var = np.var(distance_from_rssi(params, rssi), axis=-1, ddof=1)
-    sigma_est = estimate_noise_sigma(params, sample_var, ranges)
-    threshold = zeta * params.sigma
-    if threshold == 0.0:
-        # Degenerate noiseless channel: any measured variance marks an attack.
-        return sigma_est == 0.0
-    return sigma_est < threshold
-
-
-def swls_fits(systems, params: PathLossParams, zeta: float = 1.5) -> list:
-    """SWLS on many systems at once: the variance test on the stacked
-    (T, N, P) RSSI arrays of each group of one RSSI shape, then WLS on the
-    kept rows, stacked by kept count, each fit bit-identical to
-    ``swls_estimate``'s own and memoized on its system under ``("swls",
-    params, zeta)``.  Returns each system's memoized ``Estimate``, or None
-    where its own ``swls_estimate`` call raises (no measurements or ranges,
-    one packet, an overflowing range or variance, fewer than 3 survivors,
-    rank-deficient geometry), for which nothing is memoized."""
-    _check_zeta(zeta)
-    key = ("swls", params, zeta)
-    rows = [
-        i for i, system in enumerate(systems)
-        if key not in system.memo
-        and system.ranges is not None
-        and system.measurements is not None
-        and system.measurements.shape[1] >= 2
-    ]
-
-    def alone(system):
-        return swls_estimate(system, params, zeta)
-
-    for group in _groups(rows, lambda i: systems[i].measurements.shape):
-        rssi = np.array([systems[i].measurements for i in group])
-        ranges = np.array([systems[i].ranges for i in group])
-        try:
-            kept = _swls_kept(params, zeta, rssi, ranges)
-        except SecLocError:
-            _fit_each(systems, group, key, alone)
-            continue
-        A = np.array([systems[i].A for i in group])
-        b = np.array([systems[i].b for i in group])
-        counts = kept.sum(axis=1)
-        for sub in _groups(range(len(group)), lambda j: counts[j]):
-            if counts[sub[0]] < 3:
-                continue
-            take = np.array(sub)[:, None], np.array([np.flatnonzero(kept[j]) for j in sub])
-            _wls_stack(
-                systems,
-                [group[j] for j in sub],
-                key,
-                params,
-                A[take],
-                b[take],
-                ranges[take],
-                alone,
-                [np.flatnonzero(~kept[j]) for j in sub],
-            )
-    return [system.memo.get(key) for system in systems]
-
-
-def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.5) -> Estimate:
-    """WLS preceded by malicious-anchor elimination, or the fit
-    ``swls_fits`` memoized on the system.
-
-    Each anchor's per-packet range samples (from the system's RSSI matrix)
-    give a sample variance; inverting the range-variance law at the system's
-    (mean-RSSI) range turns it into a noise-level estimate, and anchors whose
-    estimate reaches zeta * sigma are dropped before the WLS solve on the
-    remaining rows.
-    """
-    _check_zeta(zeta)
-    fit = system.memo.get(("swls", params, zeta))
-    if fit is not None:
-        return fit
-    rssi = system.measurement_matrix()
-    if rssi.shape[1] < 2:
-        raise DomainError("sample variance needs at least 2 packets")
-    kept = _swls_kept(params, zeta, rssi, system.range_estimates())
-    kept_idx = np.flatnonzero(kept)
-    if kept_idx.size < 3:
-        raise InsufficientSurvivorsError(
-            f"elimination left {kept_idx.size} anchors, need at least 3"
-        )
-    eliminated = np.flatnonzero(~kept)
-    return replace(wls_estimate(system.subset(kept_idx), params), eliminated=eliminated)
-
-
 def _unwrap(results: list):
     """The lone entry of a one-system batch: its result, or, raised, the
     ``SecLocError`` the batch returned in its place."""
@@ -461,6 +238,189 @@ def _unwrap(results: list):
     if isinstance(result, SecLocError):
         raise result
     return result
+
+
+def _each(fit, *stacks) -> list:
+    """``fit`` on stacks of T systems' arrays (leading axis), one result per
+    system.  Where it raises for the whole stack (a variance or a distance
+    that overflows for one system), each system is fitted as a stack of
+    one, and one that raises alone gets its error as its result."""
+    try:
+        return fit(*stacks)
+    except SecLocError as error:
+        if len(stacks[0]) == 1:
+            return [error]
+    return [_each(fit, *(s[j : j + 1] for s in stacks))[0] for j in range(len(stacks[0]))]
+
+
+def _solve_stack(A: np.ndarray, b: np.ndarray, eliminated=None) -> list:
+    """Solve a stack (T, N, 3), (T, N) of systems by one ``_least_squares``
+    call: each system's ``Estimate``, with ``eliminated[j]`` for system j if
+    given, or a ``DegenerateGeometryError`` where it is rank deficient."""
+    sols, deficient = _least_squares(A, b)
+    return [
+        DegenerateGeometryError("anchor geometry is rank deficient")
+        if deficient[j]
+        else Estimate(
+            position=sols[j, :2],
+            auxiliary=float(sols[j, 2]),
+            eliminated=() if eliminated is None else eliminated[j],
+        )
+        for j in range(len(sols))
+    ]
+
+
+def _closed_form(systems, key, check, size, fit, *names) -> list:
+    """The batch of LS, WLS and SWLS: each system's fit memoized under
+    ``key``, else the error ``check`` finds in it (or None), else its result
+    from ``_each(fit, ...)`` on the attributes ``names`` of the systems of
+    one ``size``, stacked.  An ``Estimate`` is memoized, an error is not."""
+    out = [system.memo.get(key) for system in systems]
+    out = [check(system) if done is None else done for system, done in zip(systems, out)]
+    rows = [i for i, done in enumerate(out) if done is None]
+    for group in _groups(rows, lambda i: size(systems[i])):
+        stacks = [np.array([getattr(systems[i], name) for i in group]) for name in names]
+        for i, result in zip(group, _each(fit, *stacks)):
+            out[i] = result
+            if isinstance(result, Estimate):
+                systems[i].memo[key] = result
+    return out
+
+
+def ls_fits(systems) -> list:
+    """LS on many systems at once: one ``_least_squares`` call per group of
+    equal row count.  Returns one entry per system: its ``Estimate``,
+    memoized on it under ``("ls",)`` (a memoized system is not fitted
+    again), or, for rank-deficient geometry, a ``DegenerateGeometryError``,
+    which is not memoized."""
+    return _closed_form(
+        systems, ("ls",), lambda system: None, lambda system: system.n_rows, _solve_stack, "A", "b"
+    )
+
+
+def ls_estimate(system: LinearSystem) -> Estimate:
+    """Unweighted least-squares solution of the shared linear system, a
+    batch of one of ``ls_fits``."""
+    return _unwrap(ls_fits([system]))
+
+
+def _wls_stack(params, A, b, ranges, eliminated=None) -> list:
+    """WLS on a stack (T, N, 3), (T, N) of systems with their (T, N) ranges:
+    each row weighted by 1/Var(d^2), and 1 throughout a system with a zero
+    variance, then ``_solve_stack``."""
+    var = distance_sq_variance(params, ranges)
+    weights = 1.0 / np.where(var.all(axis=-1, keepdims=True), var, 1.0)
+    sw = np.sqrt(weights)
+    return _solve_stack(A * sw[..., None], b * sw, eliminated)
+
+
+def _ranges_check(system) -> DomainError | None:
+    return DomainError(_NO_RANGES) if system.ranges is None else None
+
+
+def wls_fits(systems, params: PathLossParams) -> list:
+    """WLS on many systems at once: the variance law on the stacked (T, N)
+    ranges of each group of equal row count, and one ``_least_squares``
+    call on its weighted rows.  Returns one entry per system: its
+    ``Estimate``, memoized on it under ``("wls", params)``, or the
+    ``SecLocError`` it raises (no ranges, an overflowing variance,
+    rank-deficient geometry), which is not memoized."""
+    return _closed_form(
+        systems,
+        ("wls", params),
+        _ranges_check,
+        lambda system: system.n_rows,
+        lambda *stacks: _wls_stack(params, *stacks),
+        "A", "b", "ranges",
+    )
+
+
+def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
+    """Weighted least squares with rows weighted by 1/Var(d^2), which favors
+    anchors close to the target; a batch of one of ``wls_fits``.  Unweighted
+    when a variance is 0, as at sigma = 0 or at a sigma so small that it
+    underflows: the system is then (numerically) exactly consistent and any
+    weighting gives the same solution."""
+    return _unwrap(wls_fits([system], params))
+
+
+def _check_zeta(zeta: float) -> None:
+    if not 0.0 < zeta < math.inf:
+        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
+
+
+def _swls_check(system) -> DomainError | None:
+    if system.measurements is None:
+        return DomainError(_NO_MEASUREMENTS)
+    if system.measurements.shape[1] < 2:
+        return DomainError("sample variance needs at least 2 packets")
+    return _ranges_check(system)
+
+
+def _swls_stack(params, zeta, rssi, ranges, A, b) -> list:
+    """SWLS on a stack of systems' (T, N, P) RSSI arrays, (T, N) ranges and
+    (T, N, 3), (T, N) rows: the variance test, then WLS on each system's
+    kept rows, stacked by kept count.
+
+    Each anchor's per-packet range samples give a sample variance, which the
+    inverted range-variance law at its (mean-RSSI) range turns into a noise
+    level; it is kept below zeta * sigma."""
+    sample_var = np.var(distance_from_rssi(params, rssi), axis=-1, ddof=1)
+    sigma_est = estimate_noise_sigma(params, sample_var, ranges)
+    threshold = zeta * params.sigma
+    # at a noiseless channel any measured variance marks an attack
+    kept = sigma_est == 0.0 if threshold == 0.0 else sigma_est < threshold
+    counts = kept.sum(axis=1)
+    out = [None] * len(kept)
+    for sub in _groups(range(len(kept)), lambda j: counts[j]):
+        if counts[sub[0]] < 3:
+            msg = f"elimination left {counts[sub[0]]} anchors, need at least 3"
+            fits = [InsufficientSurvivorsError(msg) for _ in sub]
+        else:
+            take = np.array(sub)[:, None], np.array([np.flatnonzero(kept[j]) for j in sub])
+            fits = _each(
+                lambda *stacks: _wls_stack(params, *stacks),
+                A[take],
+                b[take],
+                ranges[take],
+                [np.flatnonzero(~kept[j]) for j in sub],
+            )
+        for j, fit in zip(sub, fits):
+            out[j] = fit
+    return out
+
+
+def swls_fits(systems, params: PathLossParams, zeta: float = 1.5) -> list:
+    """SWLS on many systems at once: the variance test on the stacked
+    (T, N, P) RSSI arrays of each group of one RSSI shape, then WLS on the
+    kept rows, stacked by kept count.  Returns one entry per system: its
+    ``Estimate``, memoized on it under ``("swls", params, zeta)``, or the
+    ``SecLocError`` it raises (no measurements or ranges, one packet, an
+    overflowing range or variance, fewer than 3 survivors, rank-deficient
+    geometry), which is not memoized.  A zeta that is not positive and
+    finite raises ``DomainError`` for the whole batch."""
+    _check_zeta(zeta)
+    return _closed_form(
+        systems,
+        ("swls", params, zeta),
+        _swls_check,
+        lambda system: system.measurements.shape,
+        lambda *stacks: _swls_stack(params, zeta, *stacks),
+        "measurements", "ranges", "A", "b",
+    )
+
+
+def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.5) -> Estimate:
+    """WLS preceded by malicious-anchor elimination; a batch of one of
+    ``swls_fits``.
+
+    Each anchor's per-packet range samples (from the system's RSSI matrix)
+    give a sample variance; inverting the range-variance law at the system's
+    (mean-RSSI) range turns it into a noise-level estimate, and anchors whose
+    estimate reaches zeta * sigma are dropped before the WLS solve on the
+    remaining rows.
+    """
+    return _unwrap(swls_fits([system], params, zeta))
 
 
 def _rssi_model(t, anchors, params):

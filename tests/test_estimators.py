@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -46,7 +47,6 @@ from secloc.estimators import (
     ML_GTOL,
     _least_squares,
     _rssi_cost_grad,
-    _solve_rows,
     ml_fits,
     rank_deficient,
 )
@@ -347,6 +347,9 @@ def _closed_form_mix():
     # below p0: its own range overflows, that of the mean RSSI does not
     deep = np.repeat(ordinary[3].measurements, [2] + [1] * 9, axis=1)
     deep[0, 0] = -2e4
+    # the same at 10 packets, so that it overflows the others' stacked ranges
+    deep10 = ordinary[4].measurements.copy()
+    deep10[1, 3] = -2e4
     # two anchors with no packet noise, the others far noisier than zeta * sigma
     quiet = np.repeat(mean_rssi(params, ranges)[:, None], 10, axis=1)
     quiet[2:] += np.random.default_rng(63).normal(0.0, 40.0, (10, 10))
@@ -361,6 +364,7 @@ def _closed_form_mix():
             None, DomainError, DomainError,
         ),
         (mean_system(anchors, MeasurementMatrix(deep), params), None, None, DomainError),
+        (mean_system(anchors, MeasurementMatrix(deep10), params), None, None, DomainError),
         (mean_system(anchors, MeasurementMatrix(quiet), params), None, None,
          InsufficientSurvivorsError),
     ]
@@ -373,7 +377,8 @@ def _closed_form_mix():
 class TestClosedFormFits:
     """LS, WLS and SWLS on many systems at once: each fit equals its
     system's lone call bit for bit and is memoized, and a system whose lone
-    call raises has nothing memoized, so that call raises as before."""
+    call raises gets that error in place of a fit and has nothing
+    memoized."""
 
     @pytest.mark.parametrize("name", ["ls", "wls", "swls"])
     def test_failures_stay_with_their_system(self, name):
@@ -398,11 +403,12 @@ class TestClosedFormFits:
                 assert np.array_equal(fit.position, lone.position)
                 assert (fit.auxiliary, fit.eliminated) == (lone.auxiliary, lone.eliminated)
             else:
-                assert fit is None and key not in system.memo
-                with pytest.raises(error):
+                assert type(fit) is error and key not in system.memo
+                with pytest.raises(error, match=re.escape(str(fit))):
                     alone(system)
         # a batch returns what an earlier one memoized, and fits nothing again
-        assert fits(systems[::-1]) == results[::-1]
+        for fit, again in zip(results, fits(systems[::-1])[::-1]):
+            assert again is fit if isinstance(fit, Estimate) else type(again) is type(fit)
 
     @pytest.mark.parametrize("zeta", [0.0, math.inf])
     def test_swls_zeta_is_checked(self, zeta):
@@ -464,7 +470,6 @@ class TestLmds:
         # the corruption-free one has the strictly smallest median residual,
         # then verify the estimator (seeing enough subsets) lands on truth.
         from itertools import combinations
-        from secloc.estimators import _solve_rows
 
         anchors = np.array(
             [[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0],
@@ -476,8 +481,8 @@ class TestLmds:
         system = build_linear_system(anchors, d)
         medians = {}
         for sub in combinations(range(7), 4):
-            sol = _solve_rows(system.A[list(sub)], system.b[list(sub)])
-            residuals = (d - np.linalg.norm(sol[:2] - anchors, axis=1)) ** 2
+            sol = ls_estimate(system.subset(sub)).position
+            residuals = (d - np.linalg.norm(sol - anchors, axis=1)) ** 2
             medians[sub] = np.median(residuals)
         clean = (0, 1, 2, 3)
         assert all(medians[clean] < v for key, v in medians.items() if key != clean)
@@ -1188,17 +1193,20 @@ class TestLeastSquaresKernel:
         sols, flags = _least_squares(A, b)
         ops, op_flags = _least_squares(A)
         np.testing.assert_array_equal(op_flags, flags)
-        for k, system in enumerate(systems):
+        for k in range(stack):
             expected, _, rank, svals = np.linalg.lstsq(A[k], b[k], rcond=None)
             assert flags[k] == (rank < 3 or rank_deficient(svals))
+            # LS on the weighted rows, one system at a time
+            lone = LinearSystem(A[k], b[k])
             if flags[k]:
                 with pytest.raises(DegenerateGeometryError):
-                    _solve_rows(system.A, system.b, weights[k] if weighted else None)
+                    ls_estimate(lone)
                 continue
             scale = np.linalg.norm(expected)
             assert np.linalg.norm(sols[k] - expected) <= 1e-9 * scale
             assert np.linalg.norm(ops[k] @ b[k] - expected) <= 1e-9 * scale
-            solved = _solve_rows(system.A, system.b, weights[k] if weighted else None)
+            solved = ls_estimate(lone)
+            solved = np.r_[solved.position, solved.auxiliary]
             assert np.linalg.norm(solved - expected) <= 1e-9 * scale
 
     def test_singular_stack_is_flagged_quietly(self):

@@ -100,7 +100,7 @@ class TestRunTrial:
     def test_ranges_inverted_once_per_trial(self, monkeypatch):
         # the harness inverts the mean RSSI once and the estimators read the
         # ranges off the trial's system; only SWLS inverts again, for its
-        # per-packet ranges
+        # per-packet ranges (as a stack of one trial's)
         import secloc.estimators
 
         calls = []
@@ -115,7 +115,7 @@ class TestRunTrial:
         assert len(cfg.estimators) == 7
         res = run_trial(cfg, 0)
         assert all(outcome.ok for outcome in res.outcomes.values())
-        assert calls == [(cfg.n_anchors, cfg.packets)]
+        assert calls == [(1, cfg.n_anchors, cfg.packets)]
 
 
     @pytest.mark.parametrize(
