@@ -33,9 +33,11 @@ from .attacks import (
     Topology,
     load_topology,
     parse_topology,
+    random_topologies,
     random_topology,
     select_malicious,
     simulate_measurements,
+    simulate_rssi_stack,
 )
 from .estimators import (
     Estimate,
@@ -43,6 +45,7 @@ from .estimators import (
     LinearSystem,
     LmdsParams,
     build_linear_system,
+    build_linear_systems,
     grad_desc_estimate,
     grad_desc_fits,
     lmds_estimate,
@@ -79,6 +82,7 @@ from .harness import (
     TrialResult,
     base_topology,
     emit_csv,
+    prepare_trials,
     run_monte_carlo,
     run_trial,
     summarize,

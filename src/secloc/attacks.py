@@ -10,7 +10,6 @@ reproducible.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,22 +47,7 @@ class Topology:
         object.__setattr__(self, "malicious", frozenset(int(i) for i in self.malicious))
         if anchors.ndim != 2 or anchors.shape[1] != 2:
             raise ConfigError("anchors must be an (N, 2) array")
-        if not np.all(np.isfinite(anchors)) or not np.all(np.isfinite(target)):
-            raise ConfigError("positions must be finite")
-        n = anchors.shape[0]
-        if n < 3:
-            raise ConfigError(f"need at least 3 anchors, got {n}")
-        if any(i < 0 or i >= n for i in self.malicious):
-            raise ConfigError("malicious indices out of range")
-        with np.errstate(over="ignore"):
-            distances = np.linalg.norm(anchors - target, axis=1)
-        if not math.isfinite(distances.max()):
-            raise ConfigError("the anchors lie so far from the target that a distance overflows")
-        if np.any(distances == 0):
-            raise ConfigError("an anchor coincides with the target")
-        svals = np.linalg.svd(anchors - anchors.mean(axis=0), compute_uv=False)
-        if svals[1] <= 1e-9 * max(svals[0], 1.0):
-            raise ConfigError("anchors are collinear")
+        _check_geometry(anchors[None], target[None], self.malicious)
 
     @property
     def n_anchors(self) -> int:
@@ -85,9 +69,41 @@ class Topology:
         malicious = frozenset(int(i) for i in indices)
         if any(i < 0 or i >= self.n_anchors for i in malicious):
             raise ConfigError("malicious indices out of range")
-        relabelled = copy.copy(self)  # no __post_init__: the geometry is checked
-        object.__setattr__(relabelled, "malicious", malicious)
-        return relabelled
+        return _checked(self.anchors, self.target, malicious)
+
+
+def _check_geometry(anchors: np.ndarray, targets: np.ndarray, malicious=frozenset()) -> None:
+    """The checks of ``Topology`` on a stack of T layouts, (T, N, 2) anchors
+    and their (T, 2) targets, with one label set for all: positions finite,
+    at least 3 anchors, labels in range, every anchor at a positive, finite
+    distance from its target, and each layout's anchors off one line.  The
+    first check that fails raises its ``ConfigError``."""
+    if not np.all(np.isfinite(anchors)) or not np.all(np.isfinite(targets)):
+        raise ConfigError("positions must be finite")
+    n = anchors.shape[1]
+    if n < 3:
+        raise ConfigError(f"need at least 3 anchors, got {n}")
+    if any(i < 0 or i >= n for i in malicious):
+        raise ConfigError("malicious indices out of range")
+    with np.errstate(over="ignore"):
+        distances = np.linalg.norm(anchors - targets[:, None, :], axis=-1)
+    if not np.all(np.isfinite(distances)):
+        raise ConfigError("the anchors lie so far from the target that a distance overflows")
+    if np.any(distances == 0):
+        raise ConfigError("an anchor coincides with the target")
+    svals = np.linalg.svd(anchors - anchors.mean(axis=1, keepdims=True), compute_uv=False)
+    if np.any(svals[:, 1] <= 1e-9 * np.maximum(svals[:, 0], 1.0)):
+        raise ConfigError("anchors are collinear")
+
+
+def _checked(anchors: np.ndarray, target: np.ndarray, malicious=frozenset()) -> Topology:
+    """A ``Topology`` on geometry ``_check_geometry`` passed, with labels
+    already in range, made without checking again."""
+    topology = object.__new__(Topology)
+    object.__setattr__(topology, "anchors", anchors)
+    object.__setattr__(topology, "target", target)
+    object.__setattr__(topology, "malicious", malicious)
+    return topology
 
 
 @dataclass(frozen=True)
@@ -134,24 +150,35 @@ class AttackSpec:
 
     def decoy(self, target) -> np.ndarray:
         """The decoy of a coordinated attack on a node at ``target``: t_att,
-        or the target shifted by distance / sqrt(2) along both axes."""
+        or the target shifted by distance / sqrt(2) along both axes.  A
+        (T, 2) stack of targets gives T decoys."""
         if self.distance is not None:
             return np.asarray(target, dtype=float) + self.distance / math.sqrt(2.0)
         return np.asarray(self.t_att, dtype=float)
 
-    def decoy_ranges(self, topology: Topology) -> np.ndarray:
+    def decoy_ranges(self, anchors, target) -> np.ndarray:
         """Each anchor's distance to the decoy of this coordinated attack on
-        ``topology``'s target.  A decoy on an anchor, or so far away that a
-        distance overflows, is a ``ConfigError``.  The simulation reads the
-        ranges, and ``harness.trial_topology`` checks them for every trial
-        of every subcommand."""
+        a node at ``target``: (N,) ranges of (N, 2) anchors, or (T, N) of a
+        stack of T layouts, (T, N, 2) anchors and (T, 2) targets.  A decoy
+        on an anchor, or so far away that a distance overflows, is a
+        ``ConfigError``.  The simulation reads the ranges, and
+        ``harness.trial_topologies`` checks them for every trial of every
+        subcommand."""
+        decoy = np.asarray(self.decoy(target))[..., None, :]
         with np.errstate(over="ignore"):
-            ranges = np.linalg.norm(topology.anchors - self.decoy(topology.target), axis=1)
-        if not math.isfinite(ranges.max()):
+            ranges = np.linalg.norm(np.asarray(anchors) - decoy, axis=-1)
+        if not np.all(np.isfinite(ranges)):
             raise ConfigError("the decoy lies so far from the anchors that its ranges overflow")
         if np.any(ranges == 0.0):
             raise ConfigError("the decoy coincides with an anchor position")
         return ranges
+
+
+def _check_rssi(rssi: np.ndarray) -> None:
+    """RSSI arrays, (N, P) or a (T, N, P) stack: at least one packet, and
+    every entry finite, or a ``ConfigError``."""
+    if rssi.shape[-1] < 1 or not np.isfinite(rssi).all():
+        raise ConfigError("RSSI needs at least one packet, and finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +192,47 @@ class MeasurementMatrix:
     def __post_init__(self) -> None:
         rssi = np.atleast_2d(np.asarray(self.rssi, dtype=float))
         object.__setattr__(self, "rssi", rssi)
-        if rssi.shape[1] < 1 or not np.isfinite(rssi).all():
-            raise ConfigError("RSSI needs at least one packet, and finite entries")
+        _check_rssi(rssi)
+
+
+def simulate_rssi_stack(
+    topologies, params: PathLossParams, attack: AttackSpec, packets: int, seeds
+) -> np.ndarray:
+    """The (T, N, P) RSSI arrays of T trials with one anchor count, trial j
+    on ``topologies[j]`` with its noise drawn from ``seeds[j]``.
+
+    Each trial draws from its own generator what ``simulate_measurements``
+    draws, in the same order: its N x P packet noise, then, under an
+    uncoordinated attack, its malicious rows' jitter.  The path-loss means,
+    the decoy ranges and the checks run once on the stack, element for
+    element as on one trial, so trial j's array is bit-identical to
+    ``simulate_measurements(topologies[j], ..., seeds[j])``.  A failing
+    check raises for the stack (see ``simulate_measurements`` for which).
+    """
+    if packets < 1:
+        raise ConfigError("packets must be >= 1")
+    anchors = np.array([topology.anchors for topology in topologies])
+    targets = np.array([topology.target for topology in topologies])
+    malicious = np.zeros(anchors.shape[:2], dtype=bool)
+    for row, topology in zip(malicious, topologies):
+        row[sorted(topology.malicious)] = True
+    mean = mean_rssi(params, np.linalg.norm(anchors - targets[:, None, :], axis=-1))
+    attacked = malicious.any(axis=1)
+    if attack.kind == "coordinated" and attacked.any():
+        ranges = attack.decoy_ranges(anchors[attacked], targets[attacked])
+        mean[malicious] = mean_rssi(params, ranges[malicious[attacked]])
+    rssi = np.empty(malicious.shape + (packets,))
+    jitter = []
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rssi[j] = rng.normal(0.0, params.sigma, size=rssi.shape[1:])
+        if attack.kind == "uncoordinated" and attacked[j]:
+            jitter.append(rng.normal(0.0, attack.sigma_att, size=(malicious[j].sum(), packets)))
+    rssi += mean[..., None]  # the noise plus the mean: addition commutes bit for bit
+    if jitter:
+        rssi[malicious] += np.concatenate(jitter)
+    _check_rssi(rssi)
+    return rssi
 
 
 def simulate_measurements(
@@ -176,7 +242,8 @@ def simulate_measurements(
     packets: int,
     seed,
 ) -> MeasurementMatrix:
-    """Draw the N x P RSSI matrix for one trial.
+    """Draw the N x P RSSI matrix for one trial, a stack of one of
+    ``simulate_rssi_stack``.
 
     Honest rows are mean_rssi(d_i) + N(0, sigma^2) noise per packet.  Under an
     uncoordinated attack each malicious row gains independent per-packet
@@ -184,20 +251,11 @@ def simulate_measurements(
     mean_rssi at the decoy range ||attack.decoy(target) - a_i||, so the
     noise-free row inverts to that distance; a decoy on an anchor, or so far
     away that its ranges overflow, is a ``ConfigError``
-    (``AttackSpec.decoy_ranges``).
-    The same seed yields a bit-identical matrix.
+    (``AttackSpec.decoy_ranges``), as are fewer than one packet and an RSSI
+    that is not finite.  The same seed yields a bit-identical matrix.
     """
-    if packets < 1:
-        raise ConfigError("packets must be >= 1")
-    rng = np.random.default_rng(seed)
-    mean = mean_rssi(params, topology.distances())
-    mal = sorted(topology.malicious)
-    if attack.kind == "coordinated" and mal:
-        mean[mal] = mean_rssi(params, attack.decoy_ranges(topology)[mal])
-    rssi = mean[:, None] + rng.normal(0.0, params.sigma, size=(topology.n_anchors, packets))
-    if attack.kind == "uncoordinated" and mal:
-        rssi[mal] += rng.normal(0.0, attack.sigma_att, size=(len(mal), packets))
-    return MeasurementMatrix(rssi=rssi)
+    rssi = simulate_rssi_stack([topology], params, attack, packets, [seed])
+    return MeasurementMatrix(rssi=rssi[0])
 
 
 @dataclass(frozen=True)
@@ -251,12 +309,15 @@ def select_malicious(n_anchors: int, fraction: float, seed, eligible=None) -> fr
     return frozenset(int(i) for i in picked)
 
 
-def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
-    """Anchors drawn uniformly on [0, area]^2, rejecting draws closer than
-    ``MIN_SEPARATION`` to the target (defaults to the area center).  An area
-    with no point that far from the target is a ``ConfigError``, as are an
-    anchor count that is not an integer of at least 3 and an area so large
-    that a distance overflows."""
+def random_topologies(n_anchors: int, area: float, seeds, target=None) -> list:
+    """One random layout per seed, each drawn from its own seed as
+    ``random_topology`` draws it: anchors uniform on [0, area]^2, draws
+    closer than ``MIN_SEPARATION`` to the target (defaults to the area
+    center) rejected and drawn again.  The checks of ``Topology`` run once
+    on the stacked layouts, and each ``Topology`` is made without checking
+    again.  An area with no point that far from the target is a
+    ``ConfigError``, as are an anchor count that is not an integer of at
+    least 3 and an area so large that a distance overflows."""
     if not isinstance(n_anchors, numbers.Integral) or n_anchors < 3:
         raise ConfigError(f"need an integer count of at least 3 anchors, got {n_anchors!r}")
     if not (math.isfinite(area) and area > 0):
@@ -267,17 +328,25 @@ def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topo
     farthest_corner = math.hypot(max(t[0], area - t[0]), max(t[1], area - t[1]))
     if farthest_corner <= MIN_SEPARATION:
         raise ConfigError(f"no point of the {area:g} m area is {MIN_SEPARATION:g} m off the target")
-    rng = np.random.default_rng(seed)
-    anchors = np.empty((n_anchors, 2))
-    filled = 0
-    while filled < n_anchors:
-        cand = rng.uniform(0.0, area, size=(n_anchors - filled, 2))
-        with np.errstate(over="ignore"):  # an overflow is Topology's to reject
-            ok = np.linalg.norm(cand - t, axis=1) >= MIN_SEPARATION
-        kept = cand[ok]
-        anchors[filled : filled + kept.shape[0]] = kept
-        filled += kept.shape[0]
-    return Topology(anchors=anchors, target=t)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    anchors = np.array([rng.uniform(0.0, area, size=(n_anchors, 2)) for rng in rngs])
+    with np.errstate(over="ignore"):  # an overflow is _check_geometry's to reject
+        far = np.linalg.norm(anchors - t, axis=-1) >= MIN_SEPARATION
+    for j in np.flatnonzero(~far.all(axis=1)):  # each rejected draw is drawn again, in order
+        kept = anchors[j][far[j]]
+        while kept.shape[0] < n_anchors:
+            cand = rngs[j].uniform(0.0, area, size=(n_anchors - kept.shape[0], 2))
+            with np.errstate(over="ignore"):
+                ok = np.linalg.norm(cand - t, axis=1) >= MIN_SEPARATION
+            kept = np.concatenate([kept, cand[ok]])
+        anchors[j] = kept
+    _check_geometry(anchors, np.broadcast_to(t, (len(rngs), 2)))
+    return [_checked(layout, t) for layout in anchors]
+
+
+def random_topology(n_anchors: int, area: float, target=None, seed=None) -> Topology:
+    """One random layout (see ``random_topologies``), a batch of one."""
+    return random_topologies(n_anchors, area, [seed], target=target)[0]
 
 
 def parse_topology(text: str) -> Topology:

@@ -113,12 +113,16 @@ def distance_from_rssi(params: PathLossParams, rssi):
 
     Exact inverse of :func:`mean_rssi`; strictly decreasing in rssi.  An
     rssi so far below p0 that its distance overflows is a DomainError.
+    The one array it allocates holds each step in turn.
     """
     p = np.asarray(rssi, dtype=float)
     if not np.all(np.isfinite(p)):
         raise DomainError("rssi must be finite")
+    d = params.p0 - p  # for a scalar rssi, a numpy float
+    d /= 10.0 * params.n
     with np.errstate(over="ignore"):
-        d = 10.0 ** ((params.p0 - p) / (10.0 * params.n))
+        # numpy's scalar power rounds as libm's pow, its array loop may not
+        d = np.power(10.0, d, out=d) if isinstance(d, np.ndarray) else 10.0**d
     if not np.all(np.isfinite(d)):
         low = float(p[~np.isfinite(d)].flat[0])
         raise DomainError(

@@ -179,31 +179,53 @@ class Estimate:
             raise DomainError("a converged estimate must be finite")
 
 
-def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSystem:
-    """Assemble (A, b) from anchor positions and P-averaged range estimates.
+def build_linear_systems(anchors, mean_distances, measurements=None) -> list:
+    """Assemble (A, b) for a stack of T trials with one anchor count: (T, N, 2)
+    anchor positions and (T, N) P-averaged range estimates, with, if given,
+    their T (N, P) RSSI arrays (stacked, or in a list).  One
+    ``LinearSystem`` per trial, all built at once on the stack, element for
+    element as a trial alone.  The first trial whose ranges fail raises its
+    error, then the first whose system fails ``LinearSystem``'s checks.
 
     The ranges must come from the row-mean RSSI (one inversion per anchor),
     not from averaging per-packet ranges.  A range must be positive and its
     square finite: one that underflowed to 0 (or overflowed) in the
-    inversion is a ``DomainError``.  ``measurements``, the trial's
-    (N, P) RSSI array, travels with the system for the estimators that read
-    it (SWLS, ML, Grad-Desc).
+    inversion is a ``DomainError``.  A trial's RSSI array travels with its
+    system for the estimators that read it (SWLS, ML, Grad-Desc).
     """
+    a = np.asarray(anchors, dtype=float)
+    d = np.asarray(mean_distances, dtype=float)
+    if a.shape[:2] != d.shape:
+        raise DomainError("anchor and distance counts differ")
+    if a.shape[1] < 3:
+        raise InsufficientAnchorsError(f"need at least 3 anchors, got {a.shape[1]}")
+    top, low = np.abs(d).max(axis=1), d.min(axis=1)
+    with np.errstate(over="ignore"):
+        square_ok = np.isfinite(top * top)
+    bad = np.flatnonzero(~(square_ok & (low > 0)))
+    if bad.size:
+        j = bad[0]
+        if not square_ok[j]:
+            raise DomainError(f"range {top[j]:g} m is out of range: its square is not finite")
+        raise DomainError(f"range {low[j]:g} m is out of range: it is not positive")
+    rssi = [None] * len(d) if measurements is None else measurements
+    A = np.empty(d.shape + (3,))
+    A[..., :2] = -2.0 * a[..., :2]
+    A[..., 2] = 1.0
+    b = d**2 - a[..., 0] ** 2 - a[..., 1] ** 2
+    return [LinearSystem(A[j], b[j], ranges=d[j], measurements=rssi[j]) for j in range(len(d))]
+
+
+def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSystem:
+    """(A, b) of one trial, a stack of one of ``build_linear_systems``: from
+    (N, 2) anchor positions, N ranges and, optionally, the trial's (N, P)
+    RSSI array."""
     a = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = np.asarray(mean_distances, dtype=float).ravel()
     if a.shape[0] != d.shape[0]:
         raise DomainError("anchor and distance counts differ")
-    if a.shape[0] < 3:
-        raise InsufficientAnchorsError(f"need at least 3 anchors, got {a.shape[0]}")
-    top = float(np.abs(d).max())
-    if not math.isfinite(top * top):
-        raise DomainError(f"range {top:g} m is out of range: its square is not finite")
-    low = float(d.min())
-    if not low > 0:
-        raise DomainError(f"range {low:g} m is out of range: it is not positive")
-    A = np.column_stack([-2.0 * a[:, 0], -2.0 * a[:, 1], np.ones(a.shape[0])])
-    b = d**2 - a[:, 0] ** 2 - a[:, 1] ** 2
-    return LinearSystem(A=A, b=b, ranges=d, measurements=measurements)
+    rssi = None if measurements is None else [measurements]
+    return build_linear_systems(a[None], d[None], rssi)[0]
 
 
 def _least_squares(A: np.ndarray, b: np.ndarray | None = None) -> tuple:
@@ -307,9 +329,17 @@ def ls_estimate(system: LinearSystem) -> Estimate:
 def _wls_stack(params, A, b, ranges, eliminated=None) -> list:
     """WLS on a stack (T, N, 3), (T, N) of systems with their (T, N) ranges:
     each row weighted by 1/Var(d^2), and 1 throughout a system with a zero
-    variance, then ``_solve_stack``."""
+    variance, then ``_solve_stack``.  A variance so small (subnormal) that
+    its inverse overflows is a ``DomainError`` for the stack."""
     var = distance_sq_variance(params, ranges)
-    weights = 1.0 / np.where(var.all(axis=-1, keepdims=True), var, 1.0)
+    var = np.where(var.all(axis=-1, keepdims=True), var, 1.0)
+    with np.errstate(over="ignore"):
+        weights = 1.0 / var
+    if not np.isfinite(weights).all():
+        tiny = float(var[~np.isfinite(weights)].flat[0])
+        raise DomainError(
+            f"squared-range variance {tiny:g} m^4 is too small: its inverse weight overflows"
+        )
     sw = np.sqrt(weights)
     return _solve_stack(A * sw[..., None], b * sw, eliminated)
 
@@ -365,7 +395,12 @@ def _swls_stack(params, zeta, rssi, ranges, A, b) -> list:
     Each anchor's per-packet range samples give a sample variance, which the
     inverted range-variance law at its (mean-RSSI) range turns into a noise
     level; it is kept below zeta * sigma."""
-    sample_var = np.var(distance_from_rssi(params, rssi), axis=-1, ddof=1)
+    # np.var(ranges_k, axis=-1, ddof=1) step for step, bit for bit, but in
+    # ranges_k's own array, where np.var would allocate a second (T, N, P) one
+    ranges_k = distance_from_rssi(params, rssi)
+    packets = ranges_k.shape[-1]
+    ranges_k -= ranges_k.sum(axis=-1, keepdims=True) / packets
+    sample_var = np.square(ranges_k, out=ranges_k).sum(axis=-1) / (packets - 1)
     sigma_est = estimate_noise_sigma(params, sample_var, ranges)
     threshold = zeta * params.sigma
     # at a noiseless channel any measured variance marks an attack

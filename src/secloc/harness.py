@@ -9,13 +9,22 @@ Estimator failures (eliminations leaving too few anchors, non-convergence)
 are counted per estimator and never abort a trial.
 
 ``run_monte_carlo`` runs the trials in chunks.  Per chunk it prepares every
-trial (``prepare_trial``: labels, measurements, range inversion, linear
-system), then calls the ``batch`` step of each enabled ``ESTIMATORS`` row
-that has one, in ``config.estimators`` order, with the chunk's trials, and
-only then runs each trial (``run_trial``).  A batch step may compute, for the
-whole chunk at once, what its row's ``run`` needs, and leave it in the memo
-of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave their fits, see
-``planefit``, and LS, WLS, SWLS, ML and Grad-Desc theirs, see
+trial at once (``prepare_trials``: labels, measurements, range inversion,
+linear systems).  The draws stay per trial: each trial draws its layout (when
+topologies are drawn per trial), its malicious anchors and its packet noise
+from its own streams, in the order it draws them alone.  The checks and the
+arithmetic run per chunk, on the trials' stacked arrays: the layouts'
+geometry checks, the path-loss and decoy means, the finite-RSSI check, one
+mean-RSSI inversion and the (A, b) build, each element for element as for a
+trial alone, so a chunk's trials are bit-identical to trials prepared one at
+a time.  When a check or a stage raises for the chunk, its trials are
+prepared again one at a time, so the first failing trial in index order
+raises its own error.  Then it calls the ``batch`` step of each enabled
+``ESTIMATORS`` row that has one, in ``config.estimators`` order, with the
+chunk's trials, and only then runs each trial (``run_trial``).  A batch step
+may compute, for the whole chunk at once, what its row's ``run`` needs, and
+leave it in the memo of the trial's ``LinearSystem`` (as LN-1 and LN-1E leave
+their fits, see ``planefit``, and LS, WLS, SWLS, ML and Grad-Desc theirs, see
 ``estimators``), so that ``run`` reads it inside the trial.  What fails in a
 batch is left for the trial's own ``run`` to raise, so failures stay per
 trial.  A batch needs every trial of a chunk in memory at once, which is
@@ -39,13 +48,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crlb as crlb_mod
+# simulate_measurements, build_linear_system: unused, kept for secbench/tracing.py (ROADMAP item 2)
 from .attacks import (
     ATTACK_KINDS,
     Topology,
     load_topology,
+    random_topologies,
     random_topology,
     select_malicious,
     simulate_measurements,
+    simulate_rssi_stack,
 )
 from .channel import distance_from_rssi
 from .config import ExperimentConfig, apply_axis
@@ -53,6 +65,7 @@ from .estimators import (
     Estimate,
     LinearSystem,
     build_linear_system,
+    build_linear_systems,
     grad_desc_estimate,
     grad_desc_fits,
     lmds_estimate,
@@ -166,33 +179,43 @@ def base_topology(config: ExperimentConfig) -> Topology:
     return random_topology(config.n_anchors, config.area, target=config.target, seed=seed)
 
 
-def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
-    """The labelled topology of one trial: ``base`` (or a fresh layout when
-    topologies are drawn per trial) with this trial's malicious anchors.
+def trial_topologies(config: ExperimentConfig, indices, base: Topology) -> list:
+    """The labelled topologies of trials ``indices``: ``base`` (or a fresh
+    layout per trial when topologies are drawn per trial, checked on the
+    stack, see ``random_topologies``) with each trial's malicious anchors.
     Every subcommand labels its trials here, so here a coordinated attack's
-    decoy is checked against them (``AttackSpec.decoy_ranges``): a decoy
-    the simulation rejects fails the bound alike."""
-    topology = base
+    decoy is checked against them, on the stack of attacked layouts
+    (``AttackSpec.decoy_ranges``): a decoy the simulation rejects fails the
+    bound alike."""
     if config.topology_per_trial:
-        topology = random_topology(
-            config.n_anchors,
-            config.area,
-            target=config.target,
-            seed=_trial_rng(config.master_seed, trial_index, _STREAM_TOPOLOGY),
-        )
+        seeds = [_trial_rng(config.master_seed, i, _STREAM_TOPOLOGY) for i in indices]
+        topologies = random_topologies(config.n_anchors, config.area, seeds, target=config.target)
+    else:
+        topologies = [base] * len(indices)
     if config.topology_file is None or config.malicious_fraction != 0.0:  # else the file's labels
-        eligible = config.placement.eligible(topology.anchors, topology.target)
-        topology = topology.with_malicious(
-            select_malicious(
-                topology.n_anchors,
-                config.malicious_fraction,
-                seed=_trial_rng(config.master_seed, trial_index, _STREAM_MALICIOUS),
-                eligible=eligible,
+        topologies = [
+            topology.with_malicious(
+                select_malicious(
+                    topology.n_anchors,
+                    config.malicious_fraction,
+                    seed=_trial_rng(config.master_seed, i, _STREAM_MALICIOUS),
+                    eligible=config.placement.eligible(topology.anchors, topology.target),
+                )
             )
+            for i, topology in zip(indices, topologies)
+        ]
+    attacked = [topology for topology in topologies if topology.malicious]
+    if config.attack.kind == "coordinated" and attacked:
+        config.attack.decoy_ranges(
+            np.array([t.anchors for t in attacked]), np.array([t.target for t in attacked])
         )
-    if config.attack.kind == "coordinated" and topology.malicious:
-        config.attack.decoy_ranges(topology)
-    return topology
+    return topologies
+
+
+def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
+    """The labelled topology of one trial, a chunk of one of
+    ``trial_topologies``."""
+    return trial_topologies(config, [trial_index], base)[0]
 
 
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
@@ -214,7 +237,7 @@ def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
 
 @dataclass(frozen=True, eq=False)
 class Trial:
-    """One trial as ``prepare_trial`` made it.  The estimators read only
+    """One trial as ``prepare_trials`` made it.  The estimators read only
     ``system`` (anchors, ranges and the RSSI array) and the config's channel
     and settings; the labelled ``topology`` is for scoring, and its target
     for ML's start.  Trials compare by identity."""
@@ -330,26 +353,38 @@ def _outcome(spec: EstimatorSpec, trial: Trial) -> EstimatorOutcome:
     )
 
 
+def prepare_trials(config: ExperimentConfig, indices, base: Topology) -> list:
+    """Draw the labels and measurements of trials ``indices`` and build
+    their linear systems; ``base`` is the shared topology.  Each trial draws
+    from its own streams what it would draw alone (its layout, its malicious
+    anchors, its packet noise); the checks, the path-loss means, the
+    mean-RSSI inversion (one call for the chunk: the estimators that need
+    ranges, or the matrix, read them off the systems) and the (A, b) build
+    run once on the chunk's stacked arrays, so each trial's arrays are
+    bit-identical to its own.  Where a check or a stage raises for the
+    chunk, its trials are prepared again one at a time, so the first
+    failing trial raises its own error."""
+    try:
+        topologies = trial_topologies(config, indices, base)
+        seeds = [_trial_rng(config.master_seed, i, _STREAM_NOISE) for i in indices]
+        rssi = simulate_rssi_stack(topologies, config.channel, config.attack, config.packets, seeds)
+        mean_d = distance_from_rssi(config.channel, rssi.mean(axis=-1))
+        anchors = np.array([topology.anchors for topology in topologies])
+        systems = build_linear_systems(anchors, mean_d, rssi)
+    except SecLocError:
+        if len(indices) == 1:
+            raise
+        return [prepare_trial(config, i, base) for i in indices]
+    return [
+        Trial(config=config, index=i, topology=topology, system=system)
+        for i, topology, system in zip(indices, topologies, systems)
+    ]
+
+
 def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) -> Trial:
-    """Draw one trial's labels and measurements and build its linear system
-    (the trial's one mean-RSSI inversion: the estimators that need ranges,
-    or the matrix, read them off the system).  ``base`` is the shared
-    topology."""
-    topo = trial_topology(config, trial_index, base)
-    measurements = simulate_measurements(
-        topo,
-        config.channel,
-        config.attack,
-        config.packets,
-        seed=_trial_rng(config.master_seed, trial_index, _STREAM_NOISE),
-    )
-    mean_d = distance_from_rssi(config.channel, measurements.rssi.mean(axis=1))
-    return Trial(
-        config=config,
-        index=trial_index,
-        topology=topo,
-        system=build_linear_system(topo.anchors, mean_d, measurements.rssi),
-    )
+    """One trial's labels, measurements and linear system, a chunk of one of
+    ``prepare_trials``."""
+    return prepare_trials(config, [trial_index], base)[0]
 
 
 def run_trial(
@@ -393,7 +428,7 @@ def _run_chunk(config: ExperimentConfig, indices: range, base: Topology, batches
     """Prepare, batch and run one chunk of trials.  Its trials, and the fits
     memoized on them, are freed on return, before the next chunk is
     prepared."""
-    trials = [prepare_trial(config, i, base) for i in indices]
+    trials = prepare_trials(config, indices, base)
     for batch in batches:
         batch(trials)
     return [run_trial(config, i, t) for i, t in zip(indices, trials)]

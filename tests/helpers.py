@@ -346,3 +346,50 @@ def gross_outlier_system(rng, n_anchors=29, fraction=0.28):
     idx = rng.choice(n_anchors, size=n_out, replace=False)
     d[idx] *= rng.uniform(1.5, 3.0, n_out)
     return build_linear_system(topo.anchors, d), topo, idx
+
+
+def prepare_reference(config, index, base):
+    """One trial's (anchors, target, malicious, A, b, ranges, rssi) by the
+    one-trial recipe in plain numpy: its layout (or ``base``), labels, RSSI
+    draws, mean-RSSI ranges and (A, b), each drawn from the trial's own
+    streams in the order the harness draws them.  The reference for
+    ``harness.prepare_trials``, which stacks all but the draws."""
+
+    def stream(k):
+        seed = np.random.SeedSequence(config.master_seed, spawn_key=(0, index, k))
+        return np.random.default_rng(seed)
+
+    anchors, target, malicious = base.anchors, base.target, base.malicious
+    if config.topology_per_trial:
+        rng, target = stream(0), np.asarray(config.target, dtype=float)
+        anchors = np.empty((0, 2))
+        while len(anchors) < config.n_anchors:
+            cand = rng.uniform(0.0, config.area, size=(config.n_anchors - len(anchors), 2))
+            anchors = np.vstack([anchors, cand[np.linalg.norm(cand - target, axis=1) >= 1.0]])
+    n = len(anchors)
+    if config.topology_file is None or config.malicious_fraction != 0.0:
+        placement = config.placement
+        center = target if placement.center is None else np.asarray(placement.center)
+        dist = np.linalg.norm(anchors - center, axis=1)
+        pool = {
+            "anywhere": np.arange(n),
+            "within_radius": np.flatnonzero(dist <= placement.radius),
+            "beyond_radius": np.flatnonzero(dist > placement.radius),
+        }[placement.kind]
+        count = int(math.floor(config.malicious_fraction * n + 0.5))
+        malicious = frozenset()
+        if count:
+            malicious = frozenset(int(i) for i in stream(1).choice(pool, size=count, replace=False))
+    p0, slope_db, attack = config.channel.p0, 10.0 * config.channel.n, config.attack
+    rng, mal = stream(2), sorted(malicious)
+    mean = p0 - slope_db * np.log10(np.linalg.norm(anchors - target, axis=1))
+    if attack.kind == "coordinated" and mal:
+        decoy_ranges = np.linalg.norm(anchors - attack.decoy(target), axis=1)
+        mean[mal] = p0 - slope_db * np.log10(decoy_ranges[mal])
+    rssi = mean[:, None] + rng.normal(0.0, config.channel.sigma, size=(n, config.packets))
+    if attack.kind == "uncoordinated" and mal:
+        rssi[mal] += rng.normal(0.0, attack.sigma_att, size=(len(mal), config.packets))
+    ranges = 10.0 ** ((p0 - rssi.mean(axis=1)) / slope_db)
+    A = np.column_stack([-2.0 * anchors[:, 0], -2.0 * anchors[:, 1], np.ones(n)])
+    b = ranges**2 - anchors[:, 0] ** 2 - anchors[:, 1] ** 2
+    return anchors, target, malicious, A, b, ranges, rssi

@@ -21,7 +21,7 @@ from secloc import (
     select_malicious,
     simulate_measurements,
 )
-from secloc.attacks import ATTACK_KINDS
+from secloc.attacks import ATTACK_KINDS, random_topologies, simulate_rssi_stack
 
 P = PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
 P0 = PathLossParams(p0=-10.0, n=4.0, sigma=0.0)
@@ -217,6 +217,31 @@ class TestSimulateMeasurements:
             with pytest.raises(ConfigError, match="ranges overflow"):
                 simulate_measurements(topo, P0, attack, 3, seed=1)
 
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackSpec("none"),
+            AttackSpec("uncoordinated", sigma_att=6.0),
+            AttackSpec("coordinated", t_att=(70.0, 20.0)),
+            AttackSpec("coordinated", distance=12.0),
+        ],
+        ids=["none", "uncoordinated", "t_att", "distance"],
+    )
+    def test_stack_is_each_trial_alone(self, attack):
+        # layouts with and without malicious anchors, and different targets,
+        # in one stack: each trial's array is its lone simulation's
+        topos = [
+            square_topology(malicious={1, 3}),
+            square_topology(),
+            Topology(anchors=SQUARE + 3.0, target=[20.0, 30.0], malicious={0}),
+        ]
+        seeds = [21, 22, 23]
+        stack = simulate_rssi_stack(topos, P, attack, 6, seeds)
+        assert stack.shape == (3, 4, 6)
+        for topo, seed, rssi in zip(topos, seeds, stack):
+            alone = simulate_measurements(topo, P, attack, 6, seed=seed).rssi
+            assert rssi.tobytes() == alone.tobytes()
+
     def test_packet_count_validated(self):
         with pytest.raises(ConfigError):
             simulate_measurements(square_topology(), P, AttackSpec("none"), 0, seed=1)
@@ -274,6 +299,28 @@ class TestRandomTopology:
         a = random_topology(20, 100.0, seed=12)
         b = random_topology(20, 100.0, seed=12)
         assert np.array_equal(a.anchors, b.anchors)
+
+    def test_stack_is_each_seed_alone(self):
+        # on a 3 m area about a third of the draws fall within 1 m of the
+        # target, so the layouts draw again; each stays its seed's own, its
+        # first draw's kept anchors first
+        seeds = [np.random.SeedSequence(5, spawn_key=(k,)) for k in range(6)]
+        redrawn = 0
+        for seed, topo in zip(seeds, random_topologies(12, 3.0, seeds)):
+            alone = random_topology(12, 3.0, seed=seed)
+            assert topo.anchors.tobytes() == alone.anchors.tobytes()
+            assert np.array_equal(topo.target, alone.target) and not topo.malicious
+            first = np.random.default_rng(seed).uniform(0.0, 3.0, size=(12, 2))
+            kept = first[np.linalg.norm(first - 1.5, axis=1) >= 1.0]
+            assert np.array_equal(topo.anchors[: len(kept)], kept)
+            redrawn += len(kept) < 12
+        assert redrawn == 6
+
+    def test_stack_checks_as_one_layout(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="distance overflows"):
+                random_topologies(5, 1e300, [1, 2, 3], target=(5e299, 5e299))
 
     # -1 reached numpy's ValueError in np.empty, 2.5 a TypeError
     @pytest.mark.parametrize("n_anchors", [-1, 2, 2.5])

@@ -21,6 +21,7 @@ from secloc import (
     SecLocError,
     Topology,
     build_linear_system,
+    build_linear_systems,
     distance_from_rssi,
     distance_sq_variance,
     grad_desc_estimate,
@@ -109,6 +110,27 @@ class TestBuildLinearSystem:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"range 1e\+200 m"):
                 build_linear_system(anchors, [5.0, 1e200, 5.0])
+
+    def test_stack_is_each_trial_alone(self):
+        # T trials' systems built at once hold each lone build's arrays, and
+        # a stack whose trials fail raises the first failing trial's error
+        rng = np.random.default_rng(9)
+        anchors, ranges = rng.uniform(0, 100, (4, 6, 2)), rng.uniform(1, 80, (4, 6))
+        rssi = rng.normal(-60.0, 2.0, (4, 6, 3))
+        for j, system in enumerate(build_linear_systems(anchors, ranges, rssi)):
+            alone = build_linear_system(anchors[j], ranges[j], rssi[j])
+            for name in ("A", "b", "ranges", "measurements"):
+                assert getattr(system, name).tobytes() == getattr(alone, name).tobytes()
+        ranges[1, 2], ranges[2, 0] = 0.0, 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="range 0 m .* not positive"):
+                build_linear_systems(anchors, ranges, rssi)
+            with pytest.raises(DomainError, match=r"range 1e\+200 m"):
+                build_linear_systems(anchors[2:], ranges[2:])
+        rssi[3, 1, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            build_linear_systems(anchors[3:], ranges[3:], rssi[3:])
 
     @pytest.mark.parametrize("low", [0.0, -1.0, 5e-324])
     def test_non_positive_range_is_domain_error(self, low):
@@ -353,6 +375,15 @@ def _closed_form_mix():
     # two anchors with no packet noise, the others far noisier than zeta * sigma
     quiet = np.repeat(mean_rssi(params, ranges)[:, None], 10, axis=1)
     quiet[2:] += np.random.default_rng(63).normal(0.0, 40.0, (10, 10))
+    # anchors within 1e-79 m and ranges of 1e-80-3e-80 m: every squared-range
+    # variance is subnormal, so its inverse weight overflows in WLS and in
+    # SWLS's refit (SWLS keeps most rows: their RSSI spreads by sigma); to
+    # LS, anchors that close are rank deficient beside A's column of ones
+    span = (ranges - ranges.min()) / np.ptp(ranges)
+    tiny = 1e-80 * (1.0 + 2.0 * span)
+    tiny_rssi = mean_rssi(params, tiny)[:, None] + np.random.default_rng(64).normal(
+        0.0, params.sigma, (12, 10)
+    )
     failing = [
         # rank deficient, built by hand without ranges or measurements
         (LinearSystem(A=line.A, b=line.b), DegenerateGeometryError, DomainError, DomainError),
@@ -367,6 +398,8 @@ def _closed_form_mix():
         (mean_system(anchors, MeasurementMatrix(deep10), params), None, None, DomainError),
         (mean_system(anchors, MeasurementMatrix(quiet), params), None, None,
          InsufficientSurvivorsError),
+        (build_linear_system(anchors * 1e-81, tiny, tiny_rssi), DegenerateGeometryError,
+         DomainError, DomainError),
     ]
     mix = [(system, None, None, None) for system in ordinary]
     for k, case in enumerate(failing):

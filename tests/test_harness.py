@@ -1,6 +1,5 @@
 import csv
 from dataclasses import replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,11 @@ from secloc import (
     summary_rows,
     sweep,
 )
-from secloc import harness, planefit
-from secloc.attacks import ATTACK_KINDS
+from secloc import cli, harness, planefit
+from secloc.attacks import ATTACK_KINDS, Placement
 from secloc.harness import CSV_HEADER, CHUNK
+
+from helpers import prepare_reference
 
 
 COORDINATED = AttackSpec("coordinated", t_att=(75.0, 75.0))
@@ -279,18 +280,16 @@ class TestMonteCarlo:
         ids=["desk", "100-packets", "lmds"],
     )
     def test_chunk_sizes(self, cfg, sizes, monkeypatch):
-        # a chunk is the run of trials prepared before the first one runs
-        calls = []
-        for name in ("prepare_trial", "run_trial"):
-            original = getattr(harness, name)
+        # a chunk is the trials one prepare_trials call prepares together
+        original = harness.prepare_trials
+        runs = []
 
-            def recording(*args, original=original, name=name):
-                calls.append(name)
-                return original(*args)
+        def recording(config, indices, base):
+            runs.append(len(indices))
+            return original(config, indices, base)
 
-            monkeypatch.setattr(harness, name, recording)
+        monkeypatch.setattr(harness, "prepare_trials", recording)
         run_monte_carlo(cfg)
-        runs = [len(list(group)) for name, group in groupby(calls) if name == "prepare_trial"]
         assert runs == sizes
 
     def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
@@ -314,7 +313,13 @@ class TestMonteCarlo:
 
             return call
 
-        monkeypatch.setattr(harness, "prepare_trial", recording(harness.prepare_trial, trials))
+        prepare = harness.prepare_trials
+
+        def preparing(*args):
+            trials.extend(prepare(*args))
+            return trials[-len(args[1]) :]
+
+        monkeypatch.setattr(harness, "prepare_trials", preparing)
         monkeypatch.setattr(harness, "run_trial", recording(harness.run_trial, results))
         run_monte_carlo(cfg)
         plain = [res.outcomes for res in results]
@@ -473,6 +478,117 @@ class TestSweepAndCsv:
         cfg = attack_config()
         with pytest.raises(ConfigError):
             sweep(cfg, "attack_distance", [5.0])
+
+
+def _topology_file(tmp_path):
+    lines = ["%f %f" % (x, y) for x, y in np.random.default_rng(3).uniform(0, 100, (8, 2))]
+    lines[2] += " m"
+    lines.append("target 50 50")
+    path = tmp_path / "topo.txt"
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+UNCOORDINATED = AttackSpec("uncoordinated", sigma_att=8.0)
+DISTANCE = AttackSpec("coordinated", distance=12.0)
+
+
+class TestPrepareTrials:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(attack=UNCOORDINATED, topology_per_trial=True),
+            dict(attack=COORDINATED, topology_per_trial=True),
+            dict(attack=DISTANCE, placement=Placement("within_radius", radius=60.0)),
+            dict(
+                attack=DISTANCE,
+                topology_per_trial=True,
+                placement=Placement("beyond_radius", radius=20.0),
+            ),
+            dict(attack=UNCOORDINATED, topology_file="file", malicious_fraction=0.0),
+            dict(attack=COORDINATED, topology_file="file"),
+        ],
+        ids=[
+            "fixed-none",
+            "per-trial-uncoordinated",
+            "per-trial-t_att",
+            "fixed-distance-within",
+            "per-trial-distance-beyond",
+            "file-labels",
+            "file-relabelled",
+        ],
+    )
+    def test_chunk_is_each_trial_alone(self, kw, tmp_path):
+        # a chunk's trials hold, bit for bit, the arrays and labels each
+        # trial gets prepared alone, and those of the one-trial recipe
+        kw = dict(kw)
+        if kw.get("topology_file"):
+            kw["topology_file"] = _topology_file(tmp_path)
+        fraction = kw.pop("malicious_fraction", 0.0 if kw.get("attack") is None else 0.28)
+        cfg = ExperimentConfig(
+            malicious_fraction=fraction, estimators=("wls",), trials=9, master_seed=11, **kw
+        )
+        base = harness.base_topology(cfg)
+        chunk = harness.prepare_trials(cfg, range(9), base)
+        middle = dict(zip(range(3, 7), harness.prepare_trials(cfg, range(3, 7), base)))
+        for i, trial in enumerate(chunk):
+            want = prepare_reference(cfg, i, base)
+            alone = harness.prepare_trial(cfg, i, base)
+            for got in (trial, alone, middle.get(i, trial)):
+                topo, system = got.topology, got.system
+                assert got.index == i and topo.malicious == want[2], i
+                arrays = (topo.anchors, topo.target, system.A, system.b, system.ranges)
+                for array, expected in zip(arrays + (system.measurements,), want[:2] + want[3:]):
+                    assert array.tobytes() == np.asarray(expected, dtype=float).tobytes(), i
+        if fraction:
+            assert any(trial.topology.malicious for trial in chunk)
+        if kw.get("topology_per_trial"):
+            assert len({trial.topology.anchors.tobytes() for trial in chunk}) == 9
+
+    # trial 10 of the first chunk is the first whose placement leaves too few
+    # eligible anchors (6 of 8); trial 13 leaves 3
+    PLACEMENT_SHORT = dict(
+        attack=UNCOORDINATED,
+        malicious_fraction=0.28,
+        placement=Placement("within_radius", radius=35.0),
+        topology_per_trial=True,
+        estimators=("ls", "wls"),
+        trials=40,
+        master_seed=7,
+    )
+
+    def test_first_failing_trial_raises_its_error(self):
+        cfg = ExperimentConfig(**self.PLACEMENT_SHORT)
+        base = harness.base_topology(cfg)
+        message = "placement constraint leaves 6 eligible anchors, need 8"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            harness.prepare_trials(cfg, range(CHUNK), base)
+        harness.prepare_trials(cfg, range(10), base)
+        with pytest.raises(ConfigError, match="leaves 3 eligible"):
+            harness.prepare_trials(cfg, range(11, 20), base)
+
+    def test_cli_exits_with_the_first_failing_trials_message(self, tmp_path, capsys):
+        path = tmp_path / "short.cfg"
+        path.write_text(
+            "\n".join(
+                [
+                    "topology.per_trial = true",
+                    "attack.kind = uncoordinated",
+                    "attack.sigma_att = 8",
+                    "malicious.fraction = 0.28",
+                    "malicious.placement = within_radius",
+                    "malicious.radius = 35",
+                    "estimators = ls, wls",
+                    "trials = 40",
+                    "master_seed = 7",
+                ]
+            )
+        )
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: placement constraint leaves 6 eligible anchors, need 8\n"
+        )
 
 
 class TestTopologyModes:
