@@ -28,7 +28,6 @@ from .channel import (
 )
 from .attacks import (
     AttackSpec,
-    MeasurementMatrix,
     Placement,
     Topology,
     load_topology,

@@ -1,4 +1,4 @@
-"""Network topologies and the RSSI measurement matrix under attack.
+"""Network topologies and the RSSI measurements under attack.
 
 Anchors broadcast packets at a fixed power; a target collects P packets per
 anchor.  Honest anchors follow the path-loss channel.  Malicious anchors
@@ -174,27 +174,6 @@ class AttackSpec:
         return ranges
 
 
-def _check_rssi(rssi: np.ndarray) -> None:
-    """RSSI arrays, (N, P) or a (T, N, P) stack: at least one packet, and
-    every entry finite, or a ``ConfigError``."""
-    if rssi.shape[-1] < 1 or not np.isfinite(rssi).all():
-        raise ConfigError("RSSI needs at least one packet, and finite entries")
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementMatrix:
-    """N x P grid of received powers (dBm), one row per anchor: what
-    ``simulate_measurements`` returns.  The estimators never see it: a
-    trial's ``estimators.LinearSystem`` carries its ``rssi`` array."""
-
-    rssi: np.ndarray
-
-    def __post_init__(self) -> None:
-        rssi = np.atleast_2d(np.asarray(self.rssi, dtype=float))
-        object.__setattr__(self, "rssi", rssi)
-        _check_rssi(rssi)
-
-
 def simulate_rssi_stack(
     topologies, params: PathLossParams, attack: AttackSpec, packets: int, seeds
 ) -> np.ndarray:
@@ -213,9 +192,7 @@ def simulate_rssi_stack(
         raise ConfigError("packets must be >= 1")
     anchors = np.array([topology.anchors for topology in topologies])
     targets = np.array([topology.target for topology in topologies])
-    malicious = np.zeros(anchors.shape[:2], dtype=bool)
-    for row, topology in zip(malicious, topologies):
-        row[sorted(topology.malicious)] = True
+    malicious = np.array([topology.malicious_mask() for topology in topologies])
     mean = mean_rssi(params, np.linalg.norm(anchors - targets[:, None, :], axis=-1))
     attacked = malicious.any(axis=1)
     if attack.kind == "coordinated" and attacked.any():
@@ -231,7 +208,8 @@ def simulate_rssi_stack(
     rssi += mean[..., None]  # the noise plus the mean: addition commutes bit for bit
     if jitter:
         rssi[malicious] += np.concatenate(jitter)
-    _check_rssi(rssi)
+    if not np.isfinite(rssi).all():
+        raise ConfigError("RSSI needs finite entries")
     return rssi
 
 
@@ -241,8 +219,8 @@ def simulate_measurements(
     attack: AttackSpec,
     packets: int,
     seed,
-) -> MeasurementMatrix:
-    """Draw the N x P RSSI matrix for one trial, a stack of one of
+) -> np.ndarray:
+    """Draw the (N, P) RSSI array, in dBm, of one trial, a stack of one of
     ``simulate_rssi_stack``.
 
     Honest rows are mean_rssi(d_i) + N(0, sigma^2) noise per packet.  Under an
@@ -252,10 +230,9 @@ def simulate_measurements(
     noise-free row inverts to that distance; a decoy on an anchor, or so far
     away that its ranges overflow, is a ``ConfigError``
     (``AttackSpec.decoy_ranges``), as are fewer than one packet and an RSSI
-    that is not finite.  The same seed yields a bit-identical matrix.
+    that is not finite.  The same seed yields a bit-identical array.
     """
-    rssi = simulate_rssi_stack([topology], params, attack, packets, [seed])
-    return MeasurementMatrix(rssi=rssi[0])
+    return simulate_rssi_stack([topology], params, attack, packets, [seed])[0]
 
 
 @dataclass(frozen=True)

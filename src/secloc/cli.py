@@ -21,7 +21,7 @@ from .harness import (
     summary_rows,
     sweep,
     trial_crlb,
-    trial_topology,
+    trial_topologies,
 )
 from .svgplot import render_sweep_svg
 
@@ -103,7 +103,7 @@ def _cmd_crlb(args) -> int:
     base = base_topology(config)
     bounds = []
     for trial in range(config.trials):
-        bound = trial_crlb(config, trial_topology(config, trial, base))
+        bound = trial_crlb(config, trial_topologies(config, [trial], base)[0])
         if bound is not None:
             bounds.append(bound)
     if not bounds:

@@ -141,18 +141,6 @@ class LinearSystem:
         rssi = None if self.measurements is None else self.measurements[idx]
         return LinearSystem(A=self.A[idx], b=self.b[idx], ranges=ranges, measurements=rssi)
 
-    def range_estimates(self) -> np.ndarray:
-        """The ranges the system was built from."""
-        if self.ranges is None:
-            raise DomainError(_NO_RANGES)
-        return self.ranges
-
-    def measurement_matrix(self) -> np.ndarray:
-        """The (N, P) RSSI array the system was built from."""
-        if self.measurements is None:
-            raise DomainError(_NO_MEASUREMENTS)
-        return self.measurements
-
 
 @dataclass(frozen=True, eq=False)
 class Estimate:
@@ -222,8 +210,6 @@ def build_linear_system(anchors, mean_distances, measurements=None) -> LinearSys
     RSSI array."""
     a = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = np.asarray(mean_distances, dtype=float).ravel()
-    if a.shape[0] != d.shape[0]:
-        raise DomainError("anchor and distance counts differ")
     rssi = None if measurements is None else [measurements]
     return build_linear_systems(a[None], d[None], rssi)[0]
 
@@ -663,7 +649,8 @@ def lmds_estimate(
     n = system.n_rows
     if subset_size > n:
         raise DomainError("subset_size exceeds the anchor count")
-    ranges = system.range_estimates()
+    if system.ranges is None:
+        raise DomainError(_NO_RANGES)
     rng = np.random.default_rng(seed)
     solutions = []
     produced = 0
@@ -687,7 +674,7 @@ def lmds_estimate(
         raise DegenerateGeometryError("every candidate subset was rank deficient")
     sols = np.concatenate(solutions)
     offsets = sols[:, None, :2] - system.anchors
-    residuals = (ranges - np.linalg.norm(offsets, axis=2)) ** 2
+    residuals = (system.ranges - np.linalg.norm(offsets, axis=2)) ** 2
     best = sols[int(np.argmin(np.median(residuals, axis=1)))]
     return Estimate(position=best[:2], auxiliary=float(best[2]), iterations=produced)
 
@@ -720,13 +707,17 @@ def grad_desc_fits(
     from its anchors' centroid.  The systems must have one row count.
     Returns one entry per trial: its ``Estimate``, memoized on its system
     (see ``grad_desc_estimate``; a memoized trial is not run again), or, for
-    anchors on one line, a ``DegenerateGeometryError``, which is not memoized
-    and does not stop the others."""
+    a system without measurements, a ``DomainError``, and for anchors on one
+    line, a ``DegenerateGeometryError``; an error is not memoized and does
+    not stop the others."""
     settings = GradDescParams(step, max_iters, keep_fraction)
     if len({system.n_rows for system in systems}) > 1:
         raise DomainError("the systems of a Grad-Desc batch must have one row count")
     key = ("grad_desc", params, settings)
-    out = [system.memo.get(key) for system in systems]
+    out = [
+        DomainError(_NO_MEASUREMENTS) if system.measurements is None else system.memo.get(key)
+        for system in systems
+    ]
     # batch row -> trial
     rows = np.array([i for i, fit in enumerate(out) if fit is None], dtype=int)
     if not rows.size:
@@ -742,7 +733,7 @@ def grad_desc_fits(
     rows, anchors, t = rows[~on_line], anchors[~on_line], t[~on_line]
     n_keep = max(3, math.ceil(keep_fraction * n))
     gain = 2.0 * params.slope / n_keep
-    rssi_mean = np.array([systems[i].measurement_matrix().mean(axis=1) for i in rows])
+    rssi_mean = np.array([systems[i].measurements.mean(axis=1) for i in rows])
     # kept + row_start indexes the kept entries of the flattened (rows, N)
     # arrays: one np.take per gather, cheaper than np.take_along_axis
     row_start = np.arange(rows.size)[:, None] * n

@@ -30,11 +30,12 @@ batch is left for the trial's own ``run`` to raise, so failures stay per
 trial.  A batch needs every trial of a chunk in memory at once, which is
 what bounds a chunk: peak RSS grows with it while the gain in trials/s
 levels off.  A chunk is ``CHUNK`` trials, or fewer when their RSSI arrays
-would hold more than ``CHUNK_RSSI_BYTES``, and one trial when no enabled
-row has a batch step.  The LS, WLS, SWLS, ML and Grad-Desc batches do not
-round differently from the trial's own computation; the LN-1/LN-1E plane
-fits may round their last bits differently.  Every batched result is the
-same whichever other rows run.
+would hold more than ``CHUNK_RSSI_BYTES``, whichever rows run (LMdS, the
+one row without a batch step, draws from a stream of its own per trial, so
+its results do not depend on the chunk).  The LS, WLS, SWLS, ML and
+Grad-Desc batches do not round differently from the trial's own
+computation; the LN-1/LN-1E plane fits may round their last bits
+differently.  Every batched result is the same whichever other rows run.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# Trials per chunk when an enabled estimator has a batch step (every row but
-# LMdS).  With LN-1 and LN-1E on the benchmark's coord-fixed config (2 vCPU),
-# chunks of 16, 32 and 48 trials ran 123, 145 and 152 trials/s in one round
-# (a chunk of 1 about half as fast as 32) and added 0.6, 1.3 and 1.8 % to
-# peak RSS.  With Grad-Desc batched too, on uncoord-fixed (the desk profile),
-# chunks of 16, 32, 48 and 64 ran 120-124, 147-159, 156-171 and 161-171
-# trials/s in two rounds, at 41.7, 42.0, 42.4 and 42.8 MB peak RSS.
+# Trials per chunk.  With LN-1 and LN-1E on the benchmark's coord-fixed
+# config (2 vCPU), chunks of 16, 32 and 48 trials ran 123, 145 and 152
+# trials/s in one round (a chunk of 1 about half as fast as 32) and added
+# 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc batched too, on
+# uncoord-fixed (the desk profile), chunks of 16, 32, 48 and 64 ran 120-124,
+# 147-159, 156-171 and 161-171 trials/s in two rounds, at 41.7, 42.0, 42.4
+# and 42.8 MB peak RSS.
 CHUNK = 32
 # The RSSI bytes a chunk may hold: a chunk is at most this over 8 N P bytes
 # per trial.  29 anchors and 10 packets (2320 bytes a trial, as on desk,
@@ -210,12 +211,6 @@ def trial_topologies(config: ExperimentConfig, indices, base: Topology) -> list:
             np.array([t.anchors for t in attacked]), np.array([t.target for t in attacked])
         )
     return topologies
-
-
-def trial_topology(config: ExperimentConfig, trial_index: int, base: Topology) -> Topology:
-    """The labelled topology of one trial, a chunk of one of
-    ``trial_topologies``."""
-    return trial_topologies(config, [trial_index], base)[0]
 
 
 def trial_crlb(config: ExperimentConfig, topology: Topology) -> float | None:
@@ -374,17 +369,11 @@ def prepare_trials(config: ExperimentConfig, indices, base: Topology) -> list:
     except SecLocError:
         if len(indices) == 1:
             raise
-        return [prepare_trial(config, i, base) for i in indices]
+        return [prepare_trials(config, [i], base)[0] for i in indices]
     return [
         Trial(config=config, index=i, topology=topology, system=system)
         for i, topology, system in zip(indices, topologies, systems)
     ]
-
-
-def prepare_trial(config: ExperimentConfig, trial_index: int, base: Topology) -> Trial:
-    """One trial's labels, measurements and linear system, a chunk of one of
-    ``prepare_trials``."""
-    return prepare_trials(config, [trial_index], base)[0]
 
 
 def run_trial(
@@ -392,12 +381,12 @@ def run_trial(
 ) -> TrialResult:
     """Run every enabled estimator on one trial's linear system.
 
-    ``trial`` may carry the trial as ``prepare_trial`` made it; when omitted
-    it is prepared here from the config, so the call is self-contained and
-    deterministic in (config, trial_index).
+    ``trial`` may carry the trial as ``prepare_trials`` made it; when
+    omitted it is prepared here from the config, as a chunk of one, so the
+    call is self-contained and deterministic in (config, trial_index).
     """
     if trial is None:
-        trial = prepare_trial(config, trial_index, base_topology(config))
+        trial = prepare_trials(config, [trial_index], base_topology(config))[0]
     outcomes = {name: _outcome(ESTIMATORS[name], trial) for name in config.estimators}
     topo = trial.topology
     return TrialResult(
@@ -414,9 +403,8 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    chunk = 1
-    if batches:  # each trial's RSSI array holds 8 N P bytes
-        chunk = min(CHUNK, max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets)))
+    # each trial's RSSI array holds 8 N P bytes
+    chunk = min(CHUNK, max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets)))
     results = []
     for start in range(0, config.trials, chunk):
         indices = range(start, min(start + chunk, config.trials))

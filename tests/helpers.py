@@ -99,7 +99,7 @@ def grad_desc_reference(measurements, anchors, params, step=0.4, max_iters=200,
     if not 0.0 < keep_fraction <= 1.0:
         raise DomainError("keep_fraction must be in (0, 1]")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    rssi = measurements.rssi
+    rssi = measurements
     n, packets = rssi.shape
     n_keep = max(3, math.ceil(keep_fraction * n))
     t = anchors.mean(axis=0) if init is None else np.asarray(init, dtype=float).reshape(2).copy()
@@ -145,7 +145,7 @@ def ml_reference(system, params, init, max_iters=500):
     before it ran trials in lock step, every dot product, matrix product and
     sum on the kernel and core shape the batch must reproduce.  ``max_iters``
     stands for the library's ``ML_MAX_ITERS``."""
-    rssi = system.measurement_matrix()
+    rssi = system.measurements
     anchors = system.anchors
     t = np.asarray(init, dtype=float).reshape(2).copy()
     if not np.all(np.isfinite(t)):
@@ -218,7 +218,7 @@ def lmds_reference(system, anchors, n_subsets=20, subset_size=4, seed=None):
         raise DomainError("anchor and system row counts differ")
     if subset_size > n:
         raise DomainError("subset_size exceeds the anchor count")
-    ranges = system.range_estimates()
+    ranges = system.ranges
     rng = np.random.default_rng(seed)
     best_median = math.inf
     best = None
@@ -305,7 +305,7 @@ def coordinated_system(rng, n_anchors=29, fraction=0.28, shift=25.0, packets=10,
     meas = simulate_measurements(
         topo, params, AttackSpec("coordinated", t_att=t_att), packets, seed=rng
     )
-    mean_d = distance_from_rssi(params, meas.rssi.mean(axis=1))
+    mean_d = distance_from_rssi(params, meas.mean(axis=1))
     return build_linear_system(topo.anchors, mean_d), topo, t_att
 
 
@@ -334,7 +334,7 @@ def two_strip_plant(rng):
     meas = simulate_measurements(
         topo, params, AttackSpec("coordinated", t_att=t_att), 10, seed=rng
     )
-    mean_d = distance_from_rssi(params, meas.rssi.mean(axis=1))
+    mean_d = distance_from_rssi(params, meas.mean(axis=1))
     return build_linear_system(topo.anchors, mean_d), topo
 
 

@@ -16,7 +16,6 @@ from secloc import (
     InsufficientAnchorsError,
     InsufficientSurvivorsError,
     LinearSystem,
-    MeasurementMatrix,
     PathLossParams,
     SecLocError,
     Topology,
@@ -72,9 +71,7 @@ def exact_measurements(topo, params, packets=1):
 def mean_system(anchors, meas, params):
     """The trial's system: ranges inverted once from the row-mean RSSI, and
     the matrix itself."""
-    return build_linear_system(
-        anchors, distance_from_rssi(params, meas.rssi.mean(axis=1)), meas.rssi
-    )
+    return build_linear_system(anchors, distance_from_rssi(params, meas.mean(axis=1)), meas)
 
 
 def noisy_setup(seed, n_anchors=12, packets=10, sigma=2.0):
@@ -157,9 +154,9 @@ class TestBuildLinearSystem:
         system = mean_system(topo.anchors, meas, params)
         # A's columns are -2 a, so reading the anchors back is exact
         np.testing.assert_array_equal(system.anchors, topo.anchors)
-        assert system.measurement_matrix() is meas.rssi
+        assert system.measurements is meas
         sub = system.subset([6, 1, 4])
-        np.testing.assert_array_equal(sub.measurement_matrix(), meas.rssi[[1, 4, 6]])
+        np.testing.assert_array_equal(sub.measurements, meas[[1, 4, 6]])
         np.testing.assert_array_equal(sub.anchors, topo.anchors[[1, 4, 6]])
         assert LinearSystem(A=system.A, b=system.b).subset([0, 1, 2]).measurements is None
 
@@ -168,24 +165,23 @@ class TestBuildLinearSystem:
         # matrix travelled with the system, ML read such a pair and failed
         # with a bare numpy ValueError
         topo, meas, params = noisy_setup(seed=14, n_anchors=6)
-        d = distance_from_rssi(params, meas.rssi.mean(axis=1))
+        d = distance_from_rssi(params, meas.mean(axis=1))
         with pytest.raises(DomainError, match="row counts differ"):
-            build_linear_system(topo.anchors[:-1], d[:-1], meas.rssi)
+            build_linear_system(topo.anchors[:-1], d[:-1], meas)
         system = mean_system(topo.anchors, meas, params)
         with pytest.raises(DomainError, match="row counts differ"):
-            LinearSystem(A=system.A[:-1], b=system.b[:-1], measurements=meas.rssi)
+            LinearSystem(A=system.A[:-1], b=system.b[:-1], measurements=meas)
 
     def test_matrix_readers_need_the_matrix(self):
         # SWLS, ML and Grad-Desc read the RSSI matrix, which a system built
         # from ranges alone does not carry
         topo, meas, params = noisy_setup(seed=15)
-        d = distance_from_rssi(params, meas.rssi.mean(axis=1))
+        d = distance_from_rssi(params, meas.mean(axis=1))
         system = build_linear_system(topo.anchors, d)
         for call in (
             lambda: swls_estimate(system, params),
             lambda: ml_estimate(system, params, init=topo.target),
             lambda: grad_desc_estimate(system, params),
-            lambda: grad_desc_fits([system], params),
         ):
             with pytest.raises(DomainError, match="no measurements"):
                 call()
@@ -220,7 +216,7 @@ class TestBuildLinearSystem:
         assert fresh != system and system == system
         assert hash(system) == hash(system) != hash(fresh)
         assert (Estimate([1.0, 2.0]) == Estimate([1.0, 2.0])) is False
-        array_types = (Estimate, LinearSystem, MeasurementMatrix, Topology, Trial)
+        array_types = (Estimate, LinearSystem, Topology, Trial)
         assert all(t.__eq__ is object.__eq__ for t in array_types)
 
 
@@ -260,7 +256,7 @@ class TestWls:
         # multiple of the identity, so WLS and LS coincide even though the
         # system is inconsistent
         anchors = random_topology(7, 100.0, seed=3).anchors
-        meas = MeasurementMatrix(np.full((7, 4), -45.0))
+        meas = np.full((7, 4), -45.0)
         system = mean_system(anchors, meas, P)
         est_wls = wls_estimate(system, P)
         est_ls = ls_estimate(system)
@@ -269,7 +265,7 @@ class TestWls:
     def test_closer_anchors_weigh_more(self):
         # the squared-range variance grows strictly with range
         topo, meas, params = noisy_setup(seed=4)
-        mean_d = distance_from_rssi(params, meas.rssi.mean(axis=1))
+        mean_d = distance_from_rssi(params, meas.mean(axis=1))
         weights = 1.0 / distance_sq_variance(params, mean_d)
         order = np.argsort(mean_d)
         assert np.all(np.diff(weights[order]) < 0)
@@ -394,10 +390,9 @@ def _closed_form_mix():
             ),
             None, DomainError, DomainError,
         ),
-        (mean_system(anchors, MeasurementMatrix(deep), params), None, None, DomainError),
-        (mean_system(anchors, MeasurementMatrix(deep10), params), None, None, DomainError),
-        (mean_system(anchors, MeasurementMatrix(quiet), params), None, None,
-         InsufficientSurvivorsError),
+        (mean_system(anchors, deep, params), None, None, DomainError),
+        (mean_system(anchors, deep10, params), None, None, DomainError),
+        (mean_system(anchors, quiet, params), None, None, InsufficientSurvivorsError),
         (build_linear_system(anchors * 1e-81, tiny, tiny_rssi), DegenerateGeometryError,
          DomainError, DomainError),
     ]
@@ -461,7 +456,7 @@ class TestMl:
         est = ml_estimate(mean_system(topo.anchors, meas, P0), P0, init=topo.target)
         np.testing.assert_allclose(est.position, topo.target, atol=1e-12)
         assert est.converged and est.iterations == 0
-        cost, _ = _rssi_cost_grad(est.position, topo.anchors, meas.rssi, P0)
+        cost, _ = _rssi_cost_grad(est.position, topo.anchors, meas, P0)
         assert cost < 1e-20  # zero up to the log/exp round-trip rounding
 
     def test_analytic_gradient_matches_finite_differences(self):
@@ -470,22 +465,22 @@ class TestMl:
         h = 1e-5
         for _ in range(10):
             t = rng.uniform(10, 90, 2)
-            _, g = _rssi_cost_grad(t, topo.anchors, meas.rssi, params)
+            _, g = _rssi_cost_grad(t, topo.anchors, meas, params)
             num = np.empty(2)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                fp, _ = _rssi_cost_grad(t + e, topo.anchors, meas.rssi, params)
-                fm, _ = _rssi_cost_grad(t - e, topo.anchors, meas.rssi, params)
+                fp, _ = _rssi_cost_grad(t + e, topo.anchors, meas, params)
+                fm, _ = _rssi_cost_grad(t - e, topo.anchors, meas, params)
                 num[k] = (fp - fm) / (2 * h)
             assert np.linalg.norm(g - num) <= 1e-5 * max(np.linalg.norm(num), 1.0)
 
     def test_descends_from_init(self):
         topo, meas, params = noisy_setup(seed=17)
         init = topo.target + np.array([5.0, -7.0])
-        f0, _ = _rssi_cost_grad(init, topo.anchors, meas.rssi, params)
+        f0, _ = _rssi_cost_grad(init, topo.anchors, meas, params)
         est = ml_estimate(mean_system(topo.anchors, meas, params), params, init=init)
-        f1, _ = _rssi_cost_grad(est.position, topo.anchors, meas.rssi, params)
+        f1, _ = _rssi_cost_grad(est.position, topo.anchors, meas, params)
         assert f1 <= f0
         assert est.converged
 
@@ -521,7 +516,7 @@ class TestLmds:
         assert all(medians[clean] < v for key, v in medians.items() if key != clean)
 
         rssi = P0.p0 - 10 * P0.n * np.log10(d)
-        meas = MeasurementMatrix(np.tile(rssi[:, None], (1, 2)))
+        meas = np.tile(rssi[:, None], (1, 2))
         system = mean_system(anchors, meas, P0)
         est = lmds_estimate(system, n_subsets=60, subset_size=4, seed=20)
         assert np.linalg.norm(est.position - target) < 1e-6
@@ -622,7 +617,7 @@ class TestSharedProperties:
         meas2 = simulate_measurements(moved, params, AttackSpec("none"), 10, seed=30)
         meas1 = simulate_measurements(topo, params, AttackSpec("none"), 10, seed=30)
         # identical noise realization: distances are translation invariant
-        assert np.array_equal(meas1.rssi, meas2.rssi)
+        assert np.array_equal(meas1, meas2)
         base = self.estimators_on(topo, meas1, params)
         shifted = self.estimators_on(moved, meas2, params)
         for name in base:
@@ -733,9 +728,7 @@ class TestSharedProperties:
         for topo, meas, names in self.attacked_trials(seed, n_anchors):
             shuffled = Topology(anchors=topo.anchors[perm], target=topo.target)
             self.assert_same(
-                self.invariant_estimators(
-                    shuffled, MeasurementMatrix(meas.rssi[perm]), P, names
-                ),
+                self.invariant_estimators(shuffled, meas[perm], P, names),
                 self.invariant_estimators(topo, meas, P, names),
                 lambda position: position,
                 lambda eliminated: {perm[j] for j in eliminated},
@@ -818,8 +811,8 @@ class TestGradDescParity:
             trials += kind_trials
         loud = []
         for meas, anchors, system in trials[:3]:
-            meas = MeasurementMatrix(meas.rssi + 1e8)
-            loud.append((meas, anchors, replace(system, measurements=meas.rssi)))
+            meas = meas + 1e8
+            loud.append((meas, anchors, replace(system, measurements=meas)))
         trials[3:3] = loud
         fits = grad_desc_fits([system for *_, system in trials], params, **settings)
         max_iters = settings.get("max_iters", 200)
@@ -860,13 +853,13 @@ class TestGradDescParity:
             for k in range(1, 81)
         ]
         for row, ((meas, anchors, _), log) in enumerate(zip(trials, logs)):
-            n, packets = meas.rssi.shape
+            n, packets = meas.shape
             steps = []
             for it, _, _ in log:
                 fit = stopped[it - 1][row]
                 before = stopped[it - 2][row].position if it > 1 else anchors.mean(axis=0)
                 kept = tuple(i for i in range(n) if i not in fit.eliminated)
-                _, _, err = _rssi_residuals(before, anchors, meas.rssi, params)
+                _, _, err = _rssi_residuals(before, anchors, meas, params)
                 cost = float(np.sum(err[list(kept)] ** 2)) / (len(kept) * packets)
                 steps.append((it, kept, cost))
             assert [(it, kept) for it, kept, _ in steps] == [(it, kept) for it, kept, _ in log]
@@ -914,11 +907,27 @@ class TestGradDescMemo:
             # the batch's own fit is still the one returned for its inputs
             assert grad_desc_estimate(system, params) is fit
 
+    def test_system_without_measurements_fails_alone(self):
+        # the bare row gets its own DomainError; the batch's other row is
+        # fitted and memoized as it is alone
+        params, trials = _attacked_trials("uncoordinated", seed=48, count=1)
+        good = trials[0][2]
+        bare = build_linear_system(good.anchors, good.ranges)
+        fits = grad_desc_fits([good, bare], params)
+        with pytest.raises(DomainError, match="no measurements"):
+            raise fits[1]
+        assert not bare.memo
+        assert grad_desc_estimate(good, params) is fits[0]
+        alone = grad_desc_estimate(replace(good), params)
+        assert (fits[0].iterations, fits[0].converged) == (alone.iterations, alone.converged)
+        assert fits[0].eliminated == alone.eliminated
+        assert fits[0].position.tobytes() == alone.position.tobytes()
+
 
 def _prepared_trials(config):
     """The trials of a config as the harness prepares them."""
     base = harness.base_topology(config)
-    return [harness.prepare_trial(config, i, base) for i in range(config.trials)]
+    return harness.prepare_trials(config, range(config.trials), base)
 
 
 def _assert_same_ml(fit, expected):
@@ -997,7 +1006,7 @@ class TestMlParity:
         systems.append(damped)
         inits.append(start)
         nan_system = trials[17].system
-        bare = build_linear_system(nan_system.anchors, nan_system.range_estimates())
+        bare = build_linear_system(nan_system.anchors, nan_system.ranges)
         fits = ml_fits(systems + [nan_system, bare], params, inits + [(np.nan, 50.0)] * 2)
         stops = []
         for system, init, fit in zip(systems, inits, fits):
@@ -1173,8 +1182,7 @@ class TestCollinearAnchors:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             rssi = mean_rssi(P, d)[:, None] + rng.normal(0.0, 2.0, (12, 10))
-            meas = MeasurementMatrix(rssi)
-            system = mean_system(anchors, meas, P)
+            system = mean_system(anchors, rssi, P)
             for fn in (
                 lambda: ls_estimate(system),
                 lambda: lmds_estimate(system, seed=seed),

@@ -79,7 +79,7 @@ class TestRunTrial:
 
     def test_detection_counts(self):
         cfg = attack_config(trials=1, packets=1000)
-        trial = harness.prepare_trial(cfg, 0, harness.base_topology(cfg))
+        trial = harness.prepare_trials(cfg, [0], harness.base_topology(cfg))[0]
         eliminated = harness.ESTIMATORS["swls"].run(trial).eliminated
         res = run_trial(cfg, 0, trial)
         swls = res.outcomes["swls"]
@@ -162,7 +162,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(
             attack=attack, malicious_fraction=fraction, estimators=names, trials=1
         )
-        trial = harness.prepare_trial(cfg, 0, harness.base_topology(cfg))
+        trial = harness.prepare_trials(cfg, [0], harness.base_topology(cfg))[0]
         topo, system = trial.topology, trial.system
         labels = frozenset(range(topo.n_anchors)) - topo.malicious
         fresh = LinearSystem(system.A, system.b, system.ranges, system.measurements)
@@ -219,8 +219,14 @@ class TestMonteCarlo:
             ),
             # 100 packets cap the chunk at 4 trials: chunks of 4, 4, 4 and 1
             attack_config(topology_per_trial=True, packets=100, n_anchors=29, trials=13),
+            # LMdS has no batch step, and its trials are chunked all the same
+            attack_config(estimators=("lmds",), trials=CHUNK + 1),
+            attack_config(estimators=("lmds",), topology_per_trial=True, trials=CHUNK + 1),
         ],
-        ids=["coordinated", "uncoordinated", "per-trial-topology", "closed-form"],
+        ids=[
+            "coordinated", "uncoordinated", "per-trial-topology", "closed-form",
+            "lmds", "lmds-per-trial-topology",
+        ],
     )
     def test_chunked_fits_match_trial_by_trial(self, cfg, monkeypatch):
         # run_monte_carlo runs a chunk's LS, WLS and SWLS solves, its ML and
@@ -228,9 +234,10 @@ class TestMonteCarlo:
         # full chunk and a one-trial tail give the same outcomes, and two
         # runs the same summary.  The plane fits may round the last bits
         # differently from a trial's own one-trial calls.  The other batches
-        # round as their one-trial calls do, so each of their fits, trial by
-        # trial, their RMSEs and the bound are exact.
-        fits = {name: [] for name in ("ls", "wls", "swls", "grad_desc", "ml")}
+        # round as their one-trial calls do, and LMdS draws from its own
+        # stream per trial, so each of their fits, trial by trial, their
+        # RMSEs and the bound are exact.
+        fits = {name: [] for name in ("ls", "wls", "swls", "grad_desc", "ml", "lmds")}
         for name, into in fits.items():
             original = getattr(harness, f"{name}_estimate")
 
@@ -274,8 +281,11 @@ class TestMonteCarlo:
                 ),
                 [4, 4, 1],
             ),
-            # no batch step: one trial at a time
-            (replace(load_config("desk"), estimators=("lmds",), trials=3), [1, 1, 1]),
+            # LMdS, with no batch step, is chunked and capped as the rest
+            (
+                replace(load_config("desk"), estimators=("lmds",), packets=100, trials=9),
+                [4, 4, 1],
+            ),
         ],
         ids=["desk", "100-packets", "lmds"],
     )
@@ -534,7 +544,7 @@ class TestPrepareTrials:
         middle = dict(zip(range(3, 7), harness.prepare_trials(cfg, range(3, 7), base)))
         for i, trial in enumerate(chunk):
             want = prepare_reference(cfg, i, base)
-            alone = harness.prepare_trial(cfg, i, base)
+            alone = harness.prepare_trials(cfg, [i], base)[0]
             for got in (trial, alone, middle.get(i, trial)):
                 topo, system = got.topology, got.system
                 assert got.index == i and topo.malicious == want[2], i
