@@ -28,14 +28,22 @@ their fits, see ``planefit``, and LS, WLS, SWLS, ML and Grad-Desc theirs, see
 ``estimators``), so that ``run`` reads it inside the trial.  What fails in a
 batch is left for the trial's own ``run`` to raise, so failures stay per
 trial.  A batch needs every trial of a chunk in memory at once, which is
-what bounds a chunk: peak RSS grows with it while the gain in trials/s
-levels off.  A chunk is ``CHUNK`` trials, or fewer when their RSSI arrays
-would hold more than ``CHUNK_RSSI_BYTES``, whichever rows run (LMdS, the
-one row without a batch step, draws from a stream of its own per trial, so
-its results do not depend on the chunk).  The LS, WLS, SWLS, ML and
-Grad-Desc batches do not round differently from the trial's own
-computation; the LN-1/LN-1E plane fits may round their last bits
-differently.  Every batched result is the same whichever other rows run.
+what bounds a chunk: peak RSS grows with it.  The iterative batches (ML,
+Grad-Desc, the ADMM of LN-1 and LN-1E) run in lock step until their
+slowest row stops, and each step costs numpy call overhead more than
+arithmetic, so the number of chunks sets their cost.  A run therefore
+takes as few chunks as ``CHUNK_RSSI_BYTES`` allows: a chunk holds at most
+that budget over the 8 N P bytes of a trial's RSSI array (at least one
+trial), and the run's trials are cut into the fewest chunks under that
+cap, whose sizes differ by at most one, so no short tail pays a full
+solver tail.  The rule is the same whichever rows run (LMdS, the one row
+without a batch step, draws from a stream of its own per trial, so its
+results do not depend on the chunk).  The LS, WLS, SWLS, ML and Grad-Desc
+batches do not round differently from the trial's own computation, so
+only the LN-1/LN-1E plane fits depend on the chunk layout, and only in
+their last bits; no count (trials ok or failed, eliminations) ever
+depends on it.  Every batched result is the same whichever other rows
+run.
 """
 
 from __future__ import annotations
@@ -100,23 +108,26 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# Trials per chunk.  With LN-1 and LN-1E on the benchmark's coord-fixed
-# config (2 vCPU), chunks of 16, 32 and 48 trials ran 123, 145 and 152
-# trials/s in one round (a chunk of 1 about half as fast as 32) and added
-# 0.6, 1.3 and 1.8 % to peak RSS.  With Grad-Desc batched too, on
-# uncoord-fixed (the desk profile), chunks of 16, 32, 48 and 64 ran 120-124,
-# 147-159, 156-171 and 161-171 trials/s in two rounds, at 41.7, 42.0, 42.4
-# and 42.8 MB peak RSS.
-CHUNK = 32
 # The RSSI bytes a chunk may hold: a chunk is at most this over 8 N P bytes
-# per trial.  29 anchors and 10 packets (2320 bytes a trial, as on desk,
-# paper and coord-fixed) keep chunks of 32; 100 packets run 4.  The LS, WLS
-# and SWLS batches stack a chunk's (T, N, P) RSSI arrays, and SWLS's variance
-# test holds about three more arrays of that size.  On the benchmark's
-# sweep-closed-form workload (packets 2, 10, 100; block 0 at seed 20260810,
-# 2 vCPU), uncapped chunks of 32 peaked at 42.6-42.7 MB against 39.5-39.6 MB
-# one trial at a time (+8 %); capped, they peak at 40.1 MB (+1.5 %).
-CHUNK_RSSI_BYTES = 96 * 1024
+# per trial, and a run is cut into the fewest chunks under that cap, of
+# sizes that differ by at most one.  The LS, WLS and SWLS batches stack a
+# chunk's (T, N, P) RSSI arrays, and SWLS's variance test holds about three
+# more arrays of that size.  Against the former rule (at most 32 trials and
+# 96 KiB a chunk, cut from the front), on 2 vCPU: chunks and lock-step ADMM
+# sweeps of block 0 at seed 20260810; trials/s and peak RSS as medians of 10
+# alternating 12 s secbench/run.py runs of each rule.
+#
+#   workload           chunks                   ADMM sweeps      trials/s     peak RSS
+#   uncoord-fixed      15x32, 20 -> 9 x 55-56   46118 -> 30315   386 -> 444   +2.0 %
+#   coord-fixed        3x32, 4 -> 2 x 50        25773 -> 15552   224 -> 277   +1.3 %
+#   sweep-closed-form  2 packets: 3x32, 4 -> 1 x 100              3002 -> 3110   -0.1 %
+#                      10 packets: 3x32, 4 -> 2 x 50
+#                      100 packets: 25x4 -> 20 x 5
+#
+# A 288 KiB budget, which runs coord-fixed as one chunk, ran it at 284-392
+# trials/s against 273-293 at 128 KiB (3 pairs), but put uncoord-fixed at
+# +6.4 % peak RSS over the former rule.
+CHUNK_RSSI_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -403,11 +414,13 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    # each trial's RSSI array holds 8 N P bytes
-    chunk = min(CHUNK, max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets)))
+    # each trial's RSSI array holds 8 N P bytes; the fewest chunks under the
+    # cap, with sizes that differ by at most one
+    cap = max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets))
+    count = -(-config.trials // cap)
     results = []
-    for start in range(0, config.trials, chunk):
-        indices = range(start, min(start + chunk, config.trials))
+    for k in range(count):
+        indices = range(k * config.trials // count, (k + 1) * config.trials // count)
         results += _run_chunk(config, indices, base, batches)
     return summarize(config, results)
 

@@ -962,11 +962,18 @@ class TestMlParity:
         ],
         ids=["desk-20260810", "desk-20260811", "no-attack"],
     )
-    def test_chunks_match_reference(self, config, failed):
+    def test_chunks_match_reference(self, config, failed, monkeypatch):
+        # the chunks a run of the config takes, recorded without running them
+        layout = []
+        monkeypatch.setattr(
+            harness, "_run_chunk", lambda cfg, indices, *rest: layout.append(indices) or []
+        )
+        harness.run_monte_carlo(config)
+        assert len(layout) > 1
         trials = _prepared_trials(config)
         fits = []
-        for start in range(0, len(trials), harness.CHUNK):
-            chunk = trials[start : start + harness.CHUNK]
+        for indices in layout:
+            chunk = trials[indices.start : indices.stop]
             fits += ml_fits(
                 [t.system for t in chunk], config.channel, [t.topology.target for t in chunk]
             )

@@ -23,7 +23,7 @@ from secloc import (
 )
 from secloc import cli, harness, planefit
 from secloc.attacks import ATTACK_KINDS, Placement
-from secloc.harness import CSV_HEADER, CHUNK
+from secloc.harness import CSV_HEADER
 
 from helpers import prepare_reference
 
@@ -42,6 +42,26 @@ def quiet_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def chunk_budget(cfg, cap):
+    """A ``CHUNK_RSSI_BYTES`` under which a chunk of cfg holds at most
+    ``cap`` trials (each trial's RSSI array holds 8 N P bytes)."""
+    return cap * 8 * cfg.n_anchors * cfg.packets
+
+
+def record_chunks(monkeypatch):
+    """The sizes of the chunks run_monte_carlo prepares from now on: a chunk
+    is the trials one prepare_trials call prepares together."""
+    original = harness.prepare_trials
+    sizes = []
+
+    def recording(config, indices, base):
+        sizes.append(len(indices))
+        return original(config, indices, base)
+
+    monkeypatch.setattr(harness, "prepare_trials", recording)
+    return sizes
 
 
 def attack_config(sigma_att=8.0, **kw):
@@ -202,41 +222,63 @@ class TestMonteCarlo:
         backwards = [run_trial(cfg, i) for i in reversed(range(cfg.trials))]
         assert summarize(cfg, backwards) == run_monte_carlo(cfg)
 
+    COORDINATED_RUN = ExperimentConfig(
+        attack=COORDINATED,
+        malicious_fraction=0.28,
+        estimators=("wls", "grad_desc", "ln1", "ln1e"),
+        admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
+        trials=33,
+        master_seed=3,
+    )
+    UNCOORDINATED_RUN = attack_config(estimators=("ls", "ml", "grad_desc", "ln1"), trials=33)
+
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, cap, sizes",
         [
-            ExperimentConfig(
-                attack=COORDINATED,
-                malicious_fraction=0.28,
-                estimators=("wls", "grad_desc", "ln1", "ln1e"),
-                admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
-                trials=CHUNK + 1,
-                master_seed=3,
+            # a cap of 8 trials cuts 33 into 5 chunks of 6 or 7
+            (COORDINATED_RUN, 8, [6, 7, 6, 7, 7]),
+            (UNCOORDINATED_RUN, 8, [6, 7, 6, 7, 7]),
+            (
+                attack_config(estimators=("ml", "grad_desc"), topology_per_trial=True, trials=33),
+                8,
+                [6, 7, 6, 7, 7],
             ),
-            attack_config(estimators=("ls", "ml", "grad_desc", "ln1"), trials=CHUNK + 1),
-            attack_config(
-                estimators=("ml", "grad_desc"), topology_per_trial=True, trials=CHUNK + 1
+            # at the shipped budget, 100 packets of 29 anchors cap the chunk
+            # at 5 trials: 13 trials run as chunks of 4, 4 and 5
+            (
+                attack_config(topology_per_trial=True, packets=100, n_anchors=29, trials=13),
+                None,
+                [4, 4, 5],
             ),
-            # 100 packets cap the chunk at 4 trials: chunks of 4, 4, 4 and 1
-            attack_config(topology_per_trial=True, packets=100, n_anchors=29, trials=13),
             # LMdS has no batch step, and its trials are chunked all the same
-            attack_config(estimators=("lmds",), trials=CHUNK + 1),
-            attack_config(estimators=("lmds",), topology_per_trial=True, trials=CHUNK + 1),
+            (attack_config(estimators=("lmds",), trials=33), 8, [6, 7, 6, 7, 7]),
+            (
+                attack_config(estimators=("lmds",), topology_per_trial=True, trials=33),
+                8,
+                [6, 7, 6, 7, 7],
+            ),
+            # the same runs as one chunk
+            (COORDINATED_RUN, 33, [33]),
+            (UNCOORDINATED_RUN, 33, [33]),
         ],
         ids=[
             "coordinated", "uncoordinated", "per-trial-topology", "closed-form",
-            "lmds", "lmds-per-trial-topology",
+            "lmds", "lmds-per-trial-topology", "coordinated-one-chunk",
+            "uncoordinated-one-chunk",
         ],
     )
-    def test_chunked_fits_match_trial_by_trial(self, cfg, monkeypatch):
+    def test_chunked_fits_match_trial_by_trial(self, cfg, cap, sizes, monkeypatch):
         # run_monte_carlo runs a chunk's LS, WLS and SWLS solves, its ML and
-        # Grad-Desc iterations and its LN-1/LN-1E plane fits in batches; a
-        # full chunk and a one-trial tail give the same outcomes, and two
-        # runs the same summary.  The plane fits may round the last bits
-        # differently from a trial's own one-trial calls.  The other batches
-        # round as their one-trial calls do, and LMdS draws from its own
-        # stream per trial, so each of their fits, trial by trial, their
-        # RMSEs and the bound are exact.
+        # Grad-Desc iterations and its LN-1/LN-1E plane fits in batches;
+        # uneven chunks, one chunk and chunks of one trial (each trial run
+        # alone) give the same counts and bound, and two runs the same
+        # summary.  Only the plane fits depend on the layout: they may round
+        # the last bits differently from a trial's own one-trial calls.  The
+        # other batches round as their one-trial calls do, and LMdS draws
+        # from its own stream per trial, so each of their fits, trial by
+        # trial, their RMSEs and the bound are exact.
+        if cap is not None:
+            monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", chunk_budget(cfg, cap))
         fits = {name: [] for name in ("ls", "wls", "swls", "grad_desc", "ml", "lmds")}
         for name, into in fits.items():
             original = getattr(harness, f"{name}_estimate")
@@ -246,7 +288,9 @@ class TestMonteCarlo:
                 return into[-1]
 
             monkeypatch.setattr(harness, f"{name}_estimate", recording)
+        chunks = record_chunks(monkeypatch)
         chunked = run_monte_carlo(cfg)
+        assert chunks == sizes
         batched = {name: list(into) for name, into in fits.items()}
         assert run_monte_carlo(cfg) == chunked
         for into in fits.values():
@@ -255,12 +299,12 @@ class TestMonteCarlo:
         assert chunked.crlb == alone.crlb
         for name in cfg.estimators:
             got, want = chunked.per_estimator[name], alone.per_estimator[name]
-            counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp")
+            counts = ("trials_ok", "trials_failed", "mean_tp", "mean_fp", "failures")
             assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
             if name in fits:
                 assert got.rmse == want.rmse
             else:
-                assert got.rmse == pytest.approx(want.rmse, rel=0, abs=1e-9)
+                assert got.rmse == pytest.approx(want.rmse, rel=1e-12, abs=0)
         for name in fits:
             expected = cfg.trials if name in cfg.estimators else 0
             assert len(batched[name]) == len(fits[name]) == expected
@@ -270,50 +314,66 @@ class TestMonteCarlo:
                 assert np.array_equal(got.position, want.position)
 
     @pytest.mark.parametrize(
-        "cfg, sizes",
+        "cfg, budget, sizes",
         [
-            (replace(load_config("desk"), trials=33), [32, 1]),
+            # the desk profile's 500 trials of 2320 RSSI bytes each, at most
+            # 56 a chunk: 9 chunks of 55 or 56
+            (
+                replace(load_config("desk"), estimators=("ls",)),
+                None,
+                [55, 56, 55, 56, 55, 56, 55, 56, 56],
+            ),
             # RSSI arrays of 29 x 100 packets, 23200 bytes each, cap the chunk
-            # at CHUNK_RSSI_BYTES // 23200 = 4 trials
+            # at CHUNK_RSSI_BYTES // 23200 = 5 trials: 9 trials in 2 chunks
             (
                 replace(
                     load_config("desk"), estimators=("ls", "wls", "swls"), packets=100, trials=9
                 ),
-                [4, 4, 1],
+                None,
+                [4, 5],
             ),
             # LMdS, with no batch step, is chunked and capped as the rest
             (
                 replace(load_config("desk"), estimators=("lmds",), packets=100, trials=9),
-                [4, 4, 1],
+                None,
+                [4, 5],
             ),
+            # 100 trials, the cap exactly divided (coord-fixed's chunks)
+            (replace(load_config("desk"), estimators=("ls",), trials=100), None, [50, 50]),
+            # up to the cap one chunk, one more trial two
+            (replace(load_config("desk"), estimators=("ls",), trials=56), None, [56]),
+            (replace(load_config("desk"), estimators=("ls",), trials=57), None, [28, 29]),
+            # 113 trials not divisible by their 3 chunks
+            (replace(load_config("desk"), estimators=("ls",), trials=113), None, [37, 38, 38]),
+            # a budget below one trial's 2320 bytes still runs a trial a chunk
+            (replace(load_config("desk"), estimators=("ls",), trials=3), 2000, [1, 1, 1]),
         ],
-        ids=["desk", "100-packets", "lmds"],
+        ids=[
+            "desk", "100-packets", "lmds", "divisible", "at-cap", "cap-plus-one",
+            "not-divisible", "budget-below-one-trial",
+        ],
     )
-    def test_chunk_sizes(self, cfg, sizes, monkeypatch):
-        # a chunk is the trials one prepare_trials call prepares together
-        original = harness.prepare_trials
-        runs = []
-
-        def recording(config, indices, base):
-            runs.append(len(indices))
-            return original(config, indices, base)
-
-        monkeypatch.setattr(harness, "prepare_trials", recording)
+    def test_chunk_sizes(self, cfg, budget, sizes, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", budget)
+        chunks = record_chunks(monkeypatch)
         run_monte_carlo(cfg)
-        assert runs == sizes
+        assert chunks == sizes
 
     def test_ln1e_too_few_near_rows_fails_only_that_trial(self, monkeypatch):
         # LN-1E refits on the near cluster only when it keeps at least 3
         # rows.  No simulated trial leaves fewer, so kmeans_1d is patched to
-        # keep 2 rows for one chosen system of a chunk and a one-trial tail:
-        # the batch step skips that system's refit and its trial alone fails
+        # keep 2 rows for one chosen system of a run in uneven chunks (6 or
+        # 7 trials): the batch step skips that system's refit and its trial
+        # alone fails
         cfg = ExperimentConfig(
             attack=COORDINATED,
             malicious_fraction=0.28,
             estimators=("wls", "ln1", "ln1e"),
-            trials=CHUNK + 1,
+            trials=33,
             master_seed=20260810,
         )
+        monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", chunk_budget(cfg, 8))
         trials, results = [], []
 
         def recording(fn, into):
@@ -446,7 +506,7 @@ class TestSweepAndCsv:
             attack_config(
                 estimators=("ls", "wls", "swls", "ml", "lmds", "grad_desc", "ln1"),
                 n_anchors=12,
-                trials=CHUNK + 1,
+                trials=33,
             ),
             ExperimentConfig(
                 attack=COORDINATED,
@@ -454,15 +514,17 @@ class TestSweepAndCsv:
                 estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
                 admm=AdmmParams(max_iters=1500),
                 n_anchors=12,
-                trials=CHUNK + 1,
+                trials=33,
                 master_seed=3,
             ),
         ],
         ids=["uncoordinated", "coordinated"],
     )
-    def test_every_row_independent_of_the_others(self, cfg):
+    def test_every_row_independent_of_the_others(self, cfg, monkeypatch):
         # batch steps, chunking and per-estimator streams leave each
-        # estimator's row as it is when that estimator runs alone
+        # estimator's row as it is when that estimator runs alone, here in
+        # uneven chunks of 6 or 7 trials
+        monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", chunk_budget(cfg, 8))
         rows = summary_rows("", cfg, run_monte_carlo(cfg))
         for name, row in zip(cfg.estimators, rows):
             alone = replace(cfg, estimators=(name,))
@@ -556,8 +618,8 @@ class TestPrepareTrials:
         if kw.get("topology_per_trial"):
             assert len({trial.topology.anchors.tobytes() for trial in chunk}) == 9
 
-    # trial 10 of the first chunk is the first whose placement leaves too few
-    # eligible anchors (6 of 8); trial 13 leaves 3
+    # trial 10 is the first whose placement leaves too few eligible anchors
+    # (6 of 8); trial 13 leaves 3
     PLACEMENT_SHORT = dict(
         attack=UNCOORDINATED,
         malicious_fraction=0.28,
@@ -573,7 +635,7 @@ class TestPrepareTrials:
         base = harness.base_topology(cfg)
         message = "placement constraint leaves 6 eligible anchors, need 8"
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            harness.prepare_trials(cfg, range(CHUNK), base)
+            harness.prepare_trials(cfg, range(cfg.trials), base)
         harness.prepare_trials(cfg, range(10), base)
         with pytest.raises(ConfigError, match="leaves 3 eligible"):
             harness.prepare_trials(cfg, range(11, 20), base)
