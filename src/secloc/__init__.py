@@ -58,7 +58,6 @@ from .estimators import (
     wls_fits,
 )
 from .planefit import (
-    AdmmParams,
     admm_l1_plane,
     admm_l1_planes,
     kmeans_1d,

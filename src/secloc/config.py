@@ -11,16 +11,20 @@ Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 Each layer's settings are one section of the config, a value of that layer's
 own checked type: ``channel`` (``PathLossParams``: keys ``p0``, ``n``,
 ``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys), ``placement``,
-``admm``, ``lmds`` and ``grad_desc``.  The type holds the section's rules; the
+``lmds`` and ``grad_desc``.  The type holds the section's rules; the
 attack-key rules, for one, are ``AttackSpec``'s: ``uncoordinated`` takes
 ``attack.sigma_att`` (>= 0) alone, ``coordinated`` exactly one of
 ``attack.t_att`` and ``attack.distance``, and ``none`` none of them.  A mix
 fails at load.  ``topology.file`` fixes the layout, so it excludes
-``topology.per_trial``.
+``topology.per_trial``.  ADMM's stop rule is not a setting: the ``admm.rho``,
+``admm.conv_tol`` and ``admm.max_iters`` keys may state only the values of
+``planefit.ADMM_RHO``, ``ADMM_CONV_TOL`` and ``ADMM_MAX_ITERS``, and set
+nothing.
 """
 
 from __future__ import annotations
 
+import decimal
 import importlib.resources
 import math
 import numbers
@@ -28,11 +32,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import planefit
 from .attacks import AttackSpec, Placement
 from .channel import PathLossParams
 from .estimators import GradDescParams, LmdsParams
 from .exceptions import ConfigError, DomainError
-from .planefit import AdmmParams
 
 SWEEP_AXES = ("sigma_att", "packets", "malicious_fraction", "attack_distance")
 
@@ -54,7 +58,6 @@ class ExperimentConfig:
     placement: Placement = Placement()
     estimators: tuple = ("ls", "wls")
     zeta: float = 1.5
-    admm: AdmmParams = AdmmParams()
     lmds: LmdsParams = LmdsParams()
     grad_desc: GradDescParams = GradDescParams()
     topology_file: str | None = None
@@ -111,8 +114,11 @@ def parse_number(key: str, text: str) -> float:
 
 
 def _parse_int(key: str, text: str) -> int:
-    value = parse_number(key, text)
-    if value != int(value):
+    """An integer, exact at any size; a number with no fractional part,
+    such as ``1e3`` or ``10.0``, is one too."""
+    parse_number(key, text)  # a finite number, or its error
+    value = decimal.Decimal(text)
+    if value != value.to_integral_value():
         raise ConfigError(f"{key}: expected an integer, got {text!r}")
     return int(value)
 
@@ -143,8 +149,9 @@ def _parse_text(key: str, text: str) -> str:
 
 # Every accepted key: (section, field, parser).  A row without a section sets
 # that ExperimentConfig field; the rows of a section replace fields of that
-# section's default (channel, attack, placement, admm, lmds, grad_desc),
-# which checks them.
+# section's default (channel, attack, placement, lmds, grad_desc), which
+# checks them.  A row of the planefit module names one of its constants,
+# which the key may state but not change.
 _KEYS = {
     "area": (None, "area", parse_number),
     "p0": ("channel", "p0", parse_number),
@@ -165,9 +172,9 @@ _KEYS = {
     "malicious.radius": ("placement", "radius", parse_number),
     "malicious.center": ("placement", "center", _parse_vector),
     "estimators": (None, "estimators", _parse_names),
-    "admm.rho": ("admm", "rho", parse_number),
-    "admm.conv_tol": ("admm", "conv_tol", parse_number),
-    "admm.max_iters": ("admm", "max_iters", _parse_int),
+    "admm.rho": (planefit, "ADMM_RHO", parse_number),
+    "admm.conv_tol": (planefit, "ADMM_CONV_TOL", parse_number),
+    "admm.max_iters": (planefit, "ADMM_MAX_ITERS", _parse_int),
     "lmds.n_subsets": ("lmds", "n_subsets", _parse_int),
     "lmds.subset_size": ("lmds", "subset_size", _parse_int),
     "grad_desc.step": ("grad_desc", "step", parse_number),
@@ -198,8 +205,13 @@ def parse_config(text: str) -> ExperimentConfig:
     sections: dict = {}
     for key, (section, name, parse) in _KEYS.items():
         if key in entries:
-            into = fields if section is None else sections.setdefault(section, {})
-            into[name] = parse(key, entries[key])
+            value = parse(key, entries[key])
+            if section is not planefit:
+                into = fields if section is None else sections.setdefault(section, {})
+                into[name] = value
+            elif value != (fixed := getattr(planefit, name)):
+                text = entries[key]
+                raise ConfigError(f"{key}: fixed at planefit.{name} = {fixed!r}, got {text!r}")
     for section, kwargs in sections.items():
         try:
             fields[section] = replace(getattr(ExperimentConfig, section), **kwargs)

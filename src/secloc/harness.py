@@ -33,17 +33,17 @@ Grad-Desc, the ADMM of LN-1 and LN-1E) run in lock step until their
 slowest row stops, and each step costs numpy call overhead more than
 arithmetic, so the number of chunks sets their cost.  A run therefore
 takes as few chunks as ``CHUNK_RSSI_BYTES`` allows: a chunk holds at most
-that budget over the 8 N P bytes of a trial's RSSI array (at least one
-trial), and the run's trials are cut into the fewest chunks under that
-cap, whose sizes differ by at most one, so no short tail pays a full
-solver tail.  The rule is the same whichever rows run (LMdS, the one row
-without a batch step, draws from a stream of its own per trial, so its
-results do not depend on the chunk).  The LS, WLS, SWLS, ML and Grad-Desc
-batches do not round differently from the trial's own computation, so
-only the LN-1/LN-1E plane fits depend on the chunk layout, and only in
-their last bits; no count (trials ok or failed, eliminations) ever
-depends on it.  Every batched result is the same whichever other rows
-run.
+that budget over the 8 N P bytes of a trial's RSSI array, with P counted
+as at least ``CHUNK_MIN_PACKETS`` (and at least one trial), and the run's
+trials are cut into the fewest chunks under that cap, whose sizes differ by
+at most one, so no short tail pays a full solver tail.  The rule is the
+same whichever rows run (LMdS, the one row without a batch step, draws
+from a stream of its own per trial, so its results do not depend on the
+chunk).  The LS, WLS, SWLS, ML and Grad-Desc batches do not round
+differently from the trial's own computation, so only the LN-1/LN-1E plane
+fits depend on the chunk layout, and only in their last bits; no count
+(trials ok or failed, eliminations) ever depends on it.  Every batched
+result is the same whichever other rows run.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crlb as crlb_mod
-# simulate_measurements, build_linear_system: unused, kept for secbench/tracing.py (ROADMAP item 2)
+# simulate_measurements, build_linear_system: unused, kept for secbench/tracing.py (ROADMAP item 3)
 from .attacks import (
     ATTACK_KINDS,
     Topology,
@@ -108,25 +108,19 @@ _STREAM_MALICIOUS = 1
 _STREAM_NOISE = 2
 _STREAM_LMDS = 3
 
-# The RSSI bytes a chunk may hold: a chunk is at most this over 8 N P bytes
-# per trial, and a run is cut into the fewest chunks under that cap, of
-# sizes that differ by at most one.  The LS, WLS and SWLS batches stack a
-# chunk's (T, N, P) RSSI arrays, and SWLS's variance test holds about three
-# more arrays of that size.  Against the former rule (at most 32 trials and
-# 96 KiB a chunk, cut from the front), on 2 vCPU: chunks and lock-step ADMM
-# sweeps of block 0 at seed 20260810; trials/s and peak RSS as medians of 10
-# alternating 12 s secbench/run.py runs of each rule.
-#
-#   workload           chunks                   ADMM sweeps      trials/s     peak RSS
-#   uncoord-fixed      15x32, 20 -> 9 x 55-56   46118 -> 30315   386 -> 444   +2.0 %
-#   coord-fixed        3x32, 4 -> 2 x 50        25773 -> 15552   224 -> 277   +1.3 %
-#   sweep-closed-form  2 packets: 3x32, 4 -> 1 x 100              3002 -> 3110   -0.1 %
-#                      10 packets: 3x32, 4 -> 2 x 50
-#                      100 packets: 25x4 -> 20 x 5
-#
-# A 288 KiB budget, which runs coord-fixed as one chunk, ran it at 284-392
-# trials/s against 273-293 at 128 KiB (3 pairs), but put uncoord-fixed at
-# +6.4 % peak RSS over the former rule.
+# The RSSI bytes a chunk may hold: a chunk is at most this over the
+# 8 N max(P, CHUNK_MIN_PACKETS) bytes of a trial, and a run is cut into the
+# fewest chunks under that cap, of sizes that differ by at most one.  The LS,
+# WLS and SWLS batches stack a chunk's (T, N, P) RSSI arrays, and SWLS's
+# variance test holds about three more arrays of that size.  A prepared
+# trial and its fits also hold a few KB whatever P is, so a trial counts as
+# at least CHUNK_MIN_PACKETS packets: at 29 anchors the cap is 112 trials up
+# to 5 packets (564 at 1 packet without the floor), 56 at 10 and 5 at 100.
+# 1128 trials of 1 packet with a new layout per trial and the desk profile's
+# estimators peaked at 50.2 MB without the floor and 42.7 MB with it
+# (in-process ru_maxrss, two runs each); a floor of 10 packets peaked at
+# 41.8 MB but would split the 100 trials of a 2-packet point in two.
+CHUNK_MIN_PACKETS = 5
 CHUNK_RSSI_BYTES = 128 * 1024
 
 
@@ -330,16 +324,16 @@ ESTIMATORS = {
     ),
     "ln1": EstimatorSpec(
         _ALL_ATTACKS,
-        lambda t: ln1_estimate(t.system, t.config.admm),
-        batch=lambda ts: admm_l1_planes([t.system for t in ts], ts[0].config.admm),
+        lambda t: ln1_estimate(t.system),
+        batch=lambda ts: admm_l1_planes([t.system for t in ts]),
     ),
     # LN-1E's elimination assumes the attacked rows sit on a second plane,
     # which an uncoordinated attack does not produce.
     "ln1e": EstimatorSpec(
         _NOT_UNCOORDINATED,
-        lambda t: ln1e_estimate(t.system, t.config.admm),
+        lambda t: ln1e_estimate(t.system),
         detector=True,
-        batch=lambda ts: prefit_planes([t.system for t in ts], ts[0].config.admm),
+        batch=lambda ts: prefit_planes([t.system for t in ts]),
     ),
 }
 
@@ -414,9 +408,8 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    # each trial's RSSI array holds 8 N P bytes; the fewest chunks under the
-    # cap, with sizes that differ by at most one
-    cap = max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * config.packets))
+    # the fewest chunks under the cap, with sizes that differ by at most one
+    cap = max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * max(config.packets, CHUNK_MIN_PACKETS)))
     count = -(-config.trials // cap)
     results = []
     for k in range(count):

@@ -37,22 +37,21 @@ products and the padding may round the last bits differently from a fit of
 that system alone.  ``admm_l1_plane`` is the one-system call of the same
 loop.
 
-Results are memoized in the system's ``memo``, under two keys per
-``AdmmParams``: ``("fit", params)`` holds the system's fit, the ``Estimate``
-that ``admm_l1_plane`` returns and LN-1 reports as it is, and
-``("split", params)`` LN-1E's split of that fit's residuals (None when LN-1E
-keeps every row).  A fit or split that raises is not memoized.  LN-1E
-therefore reuses LN-1's fit, and the batch steps of the LN-1 and LN-1E rows
-of ``harness.ESTIMATORS`` fill the memo for a chunk of trials before their
-estimators run: ``admm_l1_planes`` fits every all-anchor system in one
-batch, and ``prefit_planes`` also splits them and refits their near rows in
-a second.  ``ln1_estimate`` and ``ln1e_estimate`` then read the memo.
+Results are memoized in the system's ``memo``, under two keys: ``("fit",)``
+holds the system's fit, the ``Estimate`` that ``admm_l1_plane`` returns and
+LN-1 reports as it is, and ``("split",)`` LN-1E's split of that fit's
+residuals (None when LN-1E keeps every row).  A fit or split that raises is
+not memoized.  LN-1E therefore reuses LN-1's fit, and the batch steps of the
+LN-1 and LN-1E rows of ``harness.ESTIMATORS`` fill the memo for a chunk of
+trials before their estimators run: ``admm_l1_planes`` fits every
+all-anchor system in one batch, and ``prefit_planes`` also splits them and
+refits their near rows in a second.  ``ln1_estimate`` and ``ln1e_estimate``
+then read the memo.
 """
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,22 +68,13 @@ from .exceptions import (
 # lies on the fitted plane, so there is nothing to cluster.
 ON_PLANE_RTOL = 1e-9
 
-
-@dataclass(frozen=True)
-class AdmmParams:
-    """Penalty weight, objective-change stopping tolerance, iteration cap."""
-
-    rho: float = 0.2
-    conv_tol: float = 1e-6
-    max_iters: int = 5000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rho < np.inf:
-            raise DomainError(f"rho must be positive and finite, got {self.rho!r}")
-        if not 0 < self.conv_tol < np.inf:
-            raise DomainError(f"conv_tol must be positive and finite, got {self.conv_tol!r}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise DomainError("max_iters must be an integer of at least 1")
+# ADMM's penalty weight, its tolerance on the sweep-to-sweep change of
+# ||z||_1, and its sweep cap.  Constants, as ML's stop rule is
+# (estimators.ML_GTOL, ML_MAX_ITERS): every shipped run uses these values.
+# admm_l1_planes reads them when it is called.
+ADMM_RHO = 0.2
+ADMM_CONV_TOL = 1e-6
+ADMM_MAX_ITERS = 5000
 
 
 def _halves(state: np.ndarray, width: int) -> tuple:
@@ -92,22 +82,22 @@ def _halves(state: np.ndarray, width: int) -> tuple:
     return state, state[:, :width], state[:, width:]
 
 
-def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
+def admm_l1_planes(systems) -> list:
     """Minimize ||A u - b||_1 for every system, by alternating direction in
     lock step.
 
     Splitting the residual into z, the iteration solves a least-squares
     subproblem for u, soft-thresholds z, and takes a dual ascent step, from
-    zero initial state.  A system stops once the l1 norm of its z changes by
-    at most ``conv_tol`` between sweeps, or at ``max_iters`` (converged=False,
-    last iterate returned).  Returns one entry per system: its fit, an
-    ``Estimate`` of the plane z = alpha*x + beta*y + gamma with position
-    (alpha, beta) and auxiliary gamma, memoized on the system per ``params``
-    (a memoized system is not fitted again), or the ``SecLocError`` its fit
-    raised (rank-deficient A, non-finite plane), which is not memoized and
-    does not stop the others.
+    zero initial state, at penalty ``ADMM_RHO``.  A system stops once the l1
+    norm of its z changes by at most ``ADMM_CONV_TOL`` between sweeps, or at
+    ``ADMM_MAX_ITERS`` (converged=False, last iterate returned).  Returns one
+    entry per system: its fit, an ``Estimate`` of the plane
+    z = alpha*x + beta*y + gamma with position (alpha, beta) and auxiliary
+    gamma, memoized on the system (a memoized system is not fitted again),
+    or the ``SecLocError`` its fit raised (rank-deficient A, non-finite
+    plane), which is not memoized and does not stop the others.
     """
-    out = [system.memo.get(("fit", params)) for system in systems]
+    out = [system.memo.get(("fit",)) for system in systems]
     live, factors = [], []  # the systems to fit and each one's m
     factor = factored = None
     for i, system in enumerate(systems):
@@ -144,8 +134,8 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
             a_stack[k, :n] = system.A
             m_stack[k, :, :n] = m
     rows = list(range(len(live)))  # batch row -> position in live
-    lo, hi = -1.0 / params.rho, 1.0 / params.rho
-    tol, max_iters = params.conv_tol, params.max_iters
+    lo, hi = -1.0 / ADMM_RHO, 1.0 / ADMM_RHO
+    tol, max_iters = ADMM_CONV_TOL, ADMM_MAX_ITERS
     # Each sweep writes its z and w into the spare state, so the last
     # sweep's state stays at hand for the stopping sweep's plane (from
     # v = z - w).
@@ -182,7 +172,7 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
                 if not np.all(np.isfinite(plane)):
                     out[live[k]] = DomainError("plane coefficients must be finite")
                     continue
-                system.memo["fit", params] = out[live[k]] = Estimate(
+                system.memo[("fit",)] = out[live[k]] = Estimate(
                     plane[:2], float(plane[2]), iterations=iterations, converged=done
                 )
             if not keep:
@@ -198,11 +188,11 @@ def admm_l1_planes(systems, params: AdmmParams = AdmmParams()) -> list:
     return out
 
 
-def admm_l1_plane(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
+def admm_l1_plane(system: LinearSystem) -> Estimate:
     """Minimize ||A u - b||_1 by alternating direction: ``admm_l1_planes`` on
-    one system.  The result is memoized on ``system`` per ``params``, so a
-    repeated call returns the first call's result; a failed fit raises."""
-    return _unwrap(admm_l1_planes([system], params))
+    one system.  The result is memoized on ``system``, so a repeated call
+    returns the first call's result; a failed fit raises."""
+    return _unwrap(admm_l1_planes([system]))
 
 
 def point_plane_residual(system: LinearSystem, fit: Estimate) -> np.ndarray:
@@ -249,13 +239,13 @@ def kmeans_1d(values) -> np.ndarray:
     return labels
 
 
-def ln1_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
+def ln1_estimate(system: LinearSystem) -> Estimate:
     """Position read directly off the all-anchor l1 plane fit: the fit itself."""
     # Kept as a function of its own: secbench/tracing.py times
     # harness.ln1_estimate and planefit.admm_l1_plane as two nested spans, and
     # secbench/run.py checks that an LN-1 non-convergence has a capped ADMM
     # span below it.
-    return admm_l1_plane(system, params)
+    return admm_l1_plane(system)
 
 
 class _Ln1eSplit(NamedTuple):
@@ -263,13 +253,13 @@ class _Ln1eSplit(NamedTuple):
     far: frozenset  # the rows it eliminates
 
 
-def _ln1e_split(system: LinearSystem, fit: Estimate, params: AdmmParams) -> _Ln1eSplit | None:
-    """LN-1E's elimination step on ``fit``, the system's all-anchor fit at
-    ``params``: the two clusters of the fit's residuals, or None when LN-1E
-    keeps every row (see ``ln1e_estimate``).  The split is memoized under
-    ``("split", params)``; a split that raises is not."""
-    if ("split", params) in system.memo:
-        return system.memo["split", params]
+def _ln1e_split(system: LinearSystem, fit: Estimate) -> _Ln1eSplit | None:
+    """LN-1E's elimination step on ``fit``, the system's all-anchor fit: the
+    two clusters of the fit's residuals, or None when LN-1E keeps every row
+    (see ``ln1e_estimate``).  The split is memoized under ``("split",)``; a
+    split that raises is not."""
+    if ("split",) in system.memo:
+        return system.memo[("split",)]
     split = None
     if fit.converged:
         residuals = point_plane_residual(system, fit)
@@ -284,11 +274,11 @@ def _ln1e_split(system: LinearSystem, fit: Estimate, params: AdmmParams) -> _Ln1
                     )
                 far = frozenset(int(i) for i in np.flatnonzero(labels == 1))
                 split = _Ln1eSplit(system.subset(near), far)
-    system.memo["split", params] = split
+    system.memo[("split",)] = split
     return split
 
 
-def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Estimate:
+def ln1e_estimate(system: LinearSystem) -> Estimate:
     """l1 plane fit with outlier elimination and a refit.
 
     Fits all rows, splits the residuals into two clusters, drops the far
@@ -300,17 +290,17 @@ def ln1e_estimate(system: LinearSystem, params: AdmmParams = AdmmParams()) -> Es
     basis for elimination, and the estimate is non-converged whatever a refit
     would give.
     """
-    keep_all = ln1_estimate(system, params)
-    split = _ln1e_split(system, keep_all, params)
+    keep_all = ln1_estimate(system)
+    split = _ln1e_split(system, keep_all)
     if split is None:
         return keep_all
-    refit = admm_l1_plane(split.near, params)
+    refit = admm_l1_plane(split.near)
     return replace(
         refit, eliminated=split.far, iterations=keep_all.iterations + refit.iterations
     )
 
 
-def prefit_planes(systems, params: AdmmParams) -> None:
+def prefit_planes(systems) -> None:
     """Fill the memo LN-1E reads, with one lock-step ADMM for every
     all-anchor fit and one for every refit.
 
@@ -318,12 +308,12 @@ def prefit_planes(systems, params: AdmmParams) -> None:
     on it raises the same error.
     """
     near = []
-    for system, fit in zip(systems, admm_l1_planes(systems, params)):
+    for system, fit in zip(systems, admm_l1_planes(systems)):
         if isinstance(fit, Estimate):
             try:
-                split = _ln1e_split(system, fit, params)
+                split = _ln1e_split(system, fit)
             except SecLocError:
                 continue
             if split is not None:
                 near.append(split.near)
-    admm_l1_planes(near, params)
+    admm_l1_planes(near)

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from secloc import (
-    AdmmParams,
     AttackSpec,
     DegenerateGeometryError,
     DomainError,
@@ -28,6 +27,7 @@ from secloc import (
     select_malicious,
     simulate_measurements,
 )
+from secloc import planefit
 from secloc.channel import mean_rssi_sq
 from secloc.estimators import COND_LIMIT, ML_GTOL
 
@@ -45,16 +45,19 @@ def l1_oracle(A, b):
     return res.x[:k], res.fun
 
 
-def admm_l1_plane_reference(system, params=AdmmParams()):
+def admm_l1_plane_reference(system):
     """The ADMM l1 plane fit as a plain loop: a fresh least-squares solve
-    with R every sweep and no memo.  Returns the fit as the library does, an
-    ``Estimate`` with position (alpha, beta) and auxiliary gamma."""
+    with R every sweep and no memo, stopped by planefit's ADMM_RHO,
+    ADMM_CONV_TOL and ADMM_MAX_ITERS as they are when it is called (so a
+    test that patches them gets the loop they make).  Returns the fit as the
+    library does, an ``Estimate`` with position (alpha, beta) and auxiliary
+    gamma."""
     A, b = system.A, system.b
     q, r = np.linalg.qr(A)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= svals[0] / COND_LIMIT:
         raise DegenerateGeometryError("plane fit needs full-rank geometry")
-    rho = params.rho
+    rho = planefit.ADMM_RHO
     shrink = 1.0 / rho
     z = np.zeros(system.n_rows)
     y = np.zeros(system.n_rows)
@@ -62,7 +65,7 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
     prev_norm = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, params.max_iters + 1):
+    for iterations in range(1, planefit.ADMM_MAX_ITERS + 1):
         u = np.linalg.solve(r, q.T @ (b + z - y / rho))
         au = A @ u
         v = au - b + y / rho
@@ -70,7 +73,7 @@ def admm_l1_plane_reference(system, params=AdmmParams()):
         primal = au - z - b
         y += rho * primal
         z_norm = float(np.abs(z).sum())
-        if abs(z_norm - prev_norm) <= params.conv_tol:
+        if abs(z_norm - prev_norm) <= planefit.ADMM_CONV_TOL:
             converged = True
             break
         prev_norm = z_norm

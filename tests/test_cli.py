@@ -221,9 +221,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "line",
         [
+            # ADMM's stop rule is planefit's constants; any other value is out
+            # of range, and the error names the constant
             "admm.rho = -1",
             "admm.conv_tol = 0",
             "admm.max_iters = 0",
+            "admm.max_iters = 6000",
             "n = 0",
             "sigma = -1",
             "lmds.subset_size = 2",
@@ -237,7 +240,11 @@ class TestErrorPaths:
         path = tmp_path / "bad.cfg"
         path.write_text(DESK_SMALL + line + "\n")
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "configuration error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        key = line.split("=")[0].strip()
+        if key.startswith("admm."):
+            assert f"{key}: fixed at planefit.ADMM_{key[5:].upper()} = " in err
 
     @pytest.mark.parametrize(
         "attack, detector",

@@ -7,7 +7,6 @@ from pathlib import Path
 
 from secloc import (
     ESTIMATORS,
-    AdmmParams,
     AttackSpec,
     ConfigError,
     DomainError,
@@ -19,6 +18,7 @@ from secloc import (
     apply_axis,
     load_config,
     parse_config,
+    planefit,
 )
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
@@ -38,15 +38,14 @@ class TestParse:
         assert cfg.area == 100.0 and cfg.n_anchors == 29
         assert cfg.channel == PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
         assert cfg.packets == 10 and cfg.zeta == 1.5
-        assert cfg.admm.rho == 0.2 and cfg.admm.conv_tol == 1e-6
-        assert cfg.admm.max_iters == 5000
         assert cfg.lmds.n_subsets == 20 and cfg.lmds.subset_size == 4
         assert cfg.grad_desc.step == 0.4 and cfg.grad_desc.max_iters == 200
         assert cfg.grad_desc.keep_fraction == 0.5
         assert cfg.estimators == ("ls", "wls", "swls")
 
     def test_full_file_round_trip(self):
-        # every accepted key set to a non-default value; the three attack
+        # every accepted key set, each to a non-default value but the admm.*
+        # keys, which may state only their constants; the three attack
         # variants between them cover the four attack.* keys
         for attack_lines, attack in (
             (
@@ -82,9 +81,9 @@ class TestParse:
         malicious.center = 20 30
         estimators = wls, lmds, ln1
         zeta = 2.5
-        admm.rho = 0.3
-        admm.conv_tol = 1e-7
-        admm.max_iters = 900
+        admm.rho = 0.2
+        admm.conv_tol = 1e-6
+        admm.max_iters = 5000
         lmds.n_subsets = 12
         lmds.subset_size = 5
         grad_desc.step = 0.2
@@ -104,7 +103,6 @@ class TestParse:
             placement=Placement(kind="within_radius", radius=32.0, center=(20.0, 30.0)),
             estimators=("wls", "lmds", "ln1"),
             zeta=2.5,
-            admm=AdmmParams(rho=0.3, conv_tol=1e-7, max_iters=900),
             lmds=LmdsParams(n_subsets=12, subset_size=5),
             grad_desc=GradDescParams(step=0.2, max_iters=150, keep_fraction=0.75),
             topology_file="anchors.txt",
@@ -158,6 +156,39 @@ class TestParse:
             parse_config(line + "\n")
         assert str(info.value) == message
 
+    # ADMM's stop rule is planefit's constants: a config may state them, as
+    # the coord-fixed workload does, and no other value.
+    @pytest.mark.parametrize(
+        "key, constant",
+        [
+            ("admm.rho", "ADMM_RHO"),
+            ("admm.conv_tol", "ADMM_CONV_TOL"),
+            ("admm.max_iters", "ADMM_MAX_ITERS"),
+        ],
+    )
+    def test_admm_keys_state_only_their_constants(self, key, constant):
+        value = getattr(planefit, constant)
+        assert parse_config(MINIMAL + f"{key} = {value!r}\n") == parse_config(MINIMAL)
+        other = repr(value * 2)
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + f"{key} = {other}\n")
+        assert str(info.value) == f"{key}: fixed at planefit.{constant} = {value!r}, got {other!r}"
+
+    # Integers were parsed through float, so seeds past 2**53 collapsed:
+    # two different master seeds ran the same trials.
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("9007199254740993", 2**53 + 1),
+            ("18446744073709551615", 2**64 - 1),
+            ("1e3", 1000),
+            ("10.0", 10),
+        ],
+    )
+    def test_integers_parse_exactly(self, text, value):
+        seed = parse_config(MINIMAL + f"master_seed = {text}\n").master_seed
+        assert type(seed) is int and seed == value
+
 
 GOLDEN = {
     "desk": ExperimentConfig(
@@ -190,6 +221,10 @@ GOLDEN = {
         estimators=("ls", "wls", "swls"),
     ),
 }
+
+
+def test_every_workload_has_golden_values():
+    assert {path.name for path in WORKLOADS.glob("*.cfg")} <= GOLDEN.keys()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -305,14 +340,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(master_seed=-1)
 
-    # A non-finite solver setting ran ADMM to its cap on every fit (rho = nan),
-    # stopped every fit after one sweep as converged (conv_tol = inf), or left
-    # every Grad-Desc trial non-converged (step = nan).
+    # A non-finite step left every Grad-Desc trial non-converged.
     @pytest.mark.parametrize(
         "settings, field, value",
         [
-            (AdmmParams, "rho", math.nan),
-            (AdmmParams, "conv_tol", math.inf),
             (GradDescParams, "step", math.nan),
         ],
     )
@@ -323,7 +354,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "settings, field",
         [
-            (AdmmParams, "max_iters"),
             (LmdsParams, "n_subsets"),
             (LmdsParams, "subset_size"),
             (GradDescParams, "max_iters"),
@@ -341,7 +371,6 @@ class TestProfilesAndAxis:
         paper = load_config("paper")
         assert desk.trials == 500 and paper.trials == 5000
         assert desk.attack.kind == "uncoordinated"
-        assert desk.admm.max_iters == 5000
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from secloc import (
-    AdmmParams,
     AttackSpec,
     ConfigError,
     ExperimentConfig,
@@ -46,8 +45,9 @@ def quiet_config(**kw):
 
 def chunk_budget(cfg, cap):
     """A ``CHUNK_RSSI_BYTES`` under which a chunk of cfg holds at most
-    ``cap`` trials (each trial's RSSI array holds 8 N P bytes)."""
-    return cap * 8 * cfg.n_anchors * cfg.packets
+    ``cap`` trials (each trial counts 8 N P bytes of RSSI, P at least
+    ``CHUNK_MIN_PACKETS``)."""
+    return cap * 8 * cfg.n_anchors * max(cfg.packets, harness.CHUNK_MIN_PACKETS)
 
 
 def record_chunks(monkeypatch):
@@ -226,7 +226,6 @@ class TestMonteCarlo:
         attack=COORDINATED,
         malicious_fraction=0.28,
         estimators=("wls", "grad_desc", "ln1", "ln1e"),
-        admm=AdmmParams(max_iters=1500),  # some fits stop at the cap
         trials=33,
         master_seed=3,
     )
@@ -276,7 +275,9 @@ class TestMonteCarlo:
         # the last bits differently from a trial's own one-trial calls.  The
         # other batches round as their one-trial calls do, and LMdS draws
         # from its own stream per trial, so each of their fits, trial by
-        # trial, their RMSEs and the bound are exact.
+        # trial, their RMSEs and the bound are exact.  At a cap of 1500 sweeps
+        # some coordinated plane fits stop at the cap.
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 1500)
         if cap is not None:
             monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", chunk_budget(cfg, cap))
         fits = {name: [] for name in ("ls", "wls", "swls", "grad_desc", "ml", "lmds")}
@@ -347,10 +348,16 @@ class TestMonteCarlo:
             (replace(load_config("desk"), estimators=("ls",), trials=113), None, [37, 38, 38]),
             # a budget below one trial's 2320 bytes still runs a trial a chunk
             (replace(load_config("desk"), estimators=("ls",), trials=3), 2000, [1, 1, 1]),
+            # a trial of 1 packet counts as 5, so the cap is 112 trials, not 564
+            (
+                replace(load_config("desk"), estimators=("ls",), packets=1, trials=113),
+                None,
+                [56, 57],
+            ),
         ],
         ids=[
             "desk", "100-packets", "lmds", "divisible", "at-cap", "cap-plus-one",
-            "not-divisible", "budget-below-one-trial",
+            "not-divisible", "budget-below-one-trial", "one-packet",
         ],
     )
     def test_chunk_sizes(self, cfg, budget, sizes, monkeypatch):
@@ -398,7 +405,7 @@ class TestMonteCarlo:
             i for i, t in enumerate(trials) if plain[i]["ln1e"].ok and plain[i]["ln1e"].tp
         )
         system = trials[chosen].system
-        residuals = planefit.point_plane_residual(system, system.memo["fit", cfg.admm])
+        residuals = planefit.point_plane_residual(system, system.memo[("fit",)])
         kmeans = planefit.kmeans_1d
 
         def two_near_rows(values):
@@ -512,7 +519,6 @@ class TestSweepAndCsv:
                 attack=COORDINATED,
                 malicious_fraction=0.28,
                 estimators=("wls", "lmds", "grad_desc", "ln1", "ln1e"),
-                admm=AdmmParams(max_iters=1500),
                 n_anchors=12,
                 trials=33,
                 master_seed=3,
@@ -523,8 +529,9 @@ class TestSweepAndCsv:
     def test_every_row_independent_of_the_others(self, cfg, monkeypatch):
         # batch steps, chunking and per-estimator streams leave each
         # estimator's row as it is when that estimator runs alone, here in
-        # uneven chunks of 6 or 7 trials
+        # uneven chunks of 6 or 7 trials, with some plane fits at the cap
         monkeypatch.setattr(harness, "CHUNK_RSSI_BYTES", chunk_budget(cfg, 8))
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 1500)
         rows = summary_rows("", cfg, run_monte_carlo(cfg))
         for name, row in zip(cfg.estimators, rows):
             alone = replace(cfg, estimators=(name,))

@@ -1,9 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from secloc import (
-    AdmmParams,
     DegenerateGeometryError,
     DomainError,
     Estimate,
@@ -17,6 +18,7 @@ from secloc import (
     point_plane_residual,
     random_topology,
 )
+from secloc import planefit
 
 from helpers import (
     admm_l1_plane_reference,
@@ -27,7 +29,12 @@ from helpers import (
     two_strip_plant,
 )
 
-TIGHT = AdmmParams(rho=0.2, conv_tol=1e-8, max_iters=200_000)
+
+@pytest.fixture()
+def tight(monkeypatch):
+    """A stop rule tight enough to reach the l1 optimum."""
+    monkeypatch.setattr(planefit, "ADMM_CONV_TOL", 1e-8)
+    monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 200_000)
 
 
 def plane_of(fit):
@@ -57,6 +64,7 @@ class TestAdmmPlane:
         np.testing.assert_allclose(plane_of(fit), target, atol=1e-6)
         assert point_plane_residual(system, fit).sum() < 1e-6
 
+    @pytest.mark.usefixtures("tight")
     def test_planted_z_outliers(self):
         # clean majority exactly on u* = (3, 4, 25); 8 of 29 b-entries grossly
         # corrupted.  The l1 fit must return u*; the LP oracle confirms u* is
@@ -71,22 +79,25 @@ class TestAdmmPlane:
         system = LinearSystem(A=A, b=b)
         u_lp, _ = l1_oracle(A, b)
         np.testing.assert_allclose(u_lp, u_star, atol=1e-6)
-        fit = admm_l1_plane(system, TIGHT)
+        fit = admm_l1_plane(system)
         np.testing.assert_allclose(plane_of(fit), u_star, atol=1e-3)
 
+    @pytest.mark.usefixtures("tight")
     def test_objective_matches_lp_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             system, _, _ = gross_outlier_system(rng, fraction=float(rng.uniform(0, 0.4)))
-            fit = admm_l1_plane(system, TIGHT)
+            fit = admm_l1_plane(system)
             objective = point_plane_residual(system, fit).sum()
             _, best = l1_oracle(system.A, system.b)
             assert objective <= best * (1 + 1e-4) + 1e-9
 
-    def test_max_iters_reports_nonconvergence(self):
+    def test_max_iters_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(planefit, "ADMM_CONV_TOL", 1e-14)
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 3)
         rng = np.random.default_rng(5)
         system, _, _ = gross_outlier_system(rng, fraction=0.3)
-        fit = admm_l1_plane(system, AdmmParams(rho=0.2, conv_tol=1e-14, max_iters=3))
+        fit = admm_l1_plane(system)
         assert not fit.converged and fit.iterations == 3
 
     def test_rank_deficient_rejected(self):
@@ -94,26 +105,27 @@ class TestAdmmPlane:
         with pytest.raises(DegenerateGeometryError):
             admm_l1_plane(LinearSystem(A=A, b=np.ones(5)))
 
-    def test_non_finite_plane_rejected(self):
+    def test_non_finite_plane_rejected(self, monkeypatch):
         # a nan in b makes every sweep's z nan, so the fit runs to its cap; the
         # plane is a DomainError, not memoized, and the batch's other fits stand
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 20)
         system, _, _ = gross_outlier_system(np.random.default_rng(21))
         b = system.b.copy()
         b[0] = np.nan
         broken = LinearSystem(A=system.A, b=b)
-        params = AdmmParams(max_iters=20)
-        bad, good = admm_l1_planes([broken, system], params)
+        bad, good = admm_l1_planes([broken, system])
         assert isinstance(bad, DomainError)
         assert str(bad) == "plane coefficients must be finite"
-        assert ("fit", params) not in broken.memo
-        assert good is admm_l1_plane(system, params)
+        assert ("fit",) not in broken.memo
+        assert good is admm_l1_plane(system)
         with pytest.raises(DomainError, match="plane coefficients must be finite"):
-            admm_l1_plane(broken, params)
+            admm_l1_plane(broken)
 
+    @pytest.mark.usefixtures("tight")
     def test_residuals_sum_to_objective(self):
         rng = np.random.default_rng(6)
         system, _, _ = gross_outlier_system(rng, fraction=0.2)
-        fit = admm_l1_plane(system, TIGHT)
+        fit = admm_l1_plane(system)
         res = point_plane_residual(system, fit)
         manual = np.abs(system.b - system.A @ plane_of(fit))
         np.testing.assert_allclose(res, manual, rtol=0, atol=0)
@@ -148,14 +160,17 @@ def admm_population():
 class TestAdmmParity:
     """The factored, memoized fit takes the plain loop's path sweep for sweep."""
 
-    @pytest.mark.parametrize("params", [AdmmParams(), AdmmParams(max_iters=50)])
-    def test_same_iterations_and_plane(self, admm_population, params):
+    # the shipped stop rule, and a cap of 50 sweeps
+    @pytest.mark.parametrize("params", [{}, {"ADMM_MAX_ITERS": 50}])
+    def test_same_iterations_and_plane(self, admm_population, params, monkeypatch):
+        for name, value in params.items():
+            monkeypatch.setattr(planefit, name, value)
         converged = []
         for system in admm_population:
-            fit = admm_l1_plane(_copy(system), params)
-            assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
+            fit = admm_l1_plane(_copy(system))
+            assert_same_fit(fit, admm_l1_plane_reference(system), 1e-9)
             converged.append(fit.converged)
-        if params.max_iters == 50:  # the capped branch is the one compared
+        if params:  # the capped branch is the one compared
             assert not any(converged)
 
 
@@ -176,9 +191,11 @@ def test_admm_matches_reference_loop(n_anchors, coordinated, seed, rho, log_tol,
         system = coordinated_system(rng, n_anchors=n_anchors, sigma=2.0)[0]
     else:
         system = gross_outlier_system(rng, n_anchors=n_anchors)[0]
-    params = AdmmParams(rho=rho, conv_tol=10.0**log_tol, max_iters=max_iters)
-    fit = admm_l1_plane(_copy(system), params)
-    assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
+    with mock.patch.multiple(
+        planefit, ADMM_RHO=rho, ADMM_CONV_TOL=10.0**log_tol, ADMM_MAX_ITERS=max_iters
+    ):
+        fit = admm_l1_plane(_copy(system))
+        assert_same_fit(fit, admm_l1_plane_reference(system), 1e-9)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -207,7 +224,6 @@ def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at,
     stopping sweep and plane, whether the systems share A or are padded to
     the widest, beside a rank-deficient system (which raises only on its own
     call) and an already-memoized one (which is not refit)."""
-    params = AdmmParams(max_iters=max_iters)
     systems = []
     for n_anchors, coordinated, seed in draws:
         rng = np.random.default_rng(seed)
@@ -220,25 +236,26 @@ def test_batch_matches_reference_loop(draws, shared, degenerate_at, memoized_at,
         if shared and systems:
             system = LinearSystem(A=systems[0].A, b=system.b)
         systems.append(system)
-    memoized = gross_outlier_system(np.random.default_rng(memoized_at))[0]
-    memo = admm_l1_plane(memoized, params)
-    alone = {id(system): admm_l1_plane(_copy(system), params) for system in systems}
-    A = np.column_stack([np.arange(5.0), np.arange(5.0), np.ones(5)])
-    degenerate = LinearSystem(A=A, b=np.ones(5))
-    batch = list(systems)
-    batch.insert(degenerate_at % (len(batch) + 1), degenerate)
-    batch.insert(memoized_at % (len(batch) + 1), memoized)
-    results = dict(zip(map(id, batch), admm_l1_planes(batch, params)))
-    assert results[id(memoized)] is memo
-    assert isinstance(results[id(degenerate)], DegenerateGeometryError)
-    with pytest.raises(DegenerateGeometryError):
-        admm_l1_plane(degenerate, params)
-    for system in [*systems, memoized]:
-        fit = admm_l1_plane(system, params)
-        assert fit is results[id(system)]
-        if system is not memoized:
-            assert_same_fit(fit, alone[id(system)], 1e-12)
-        assert_same_fit(fit, admm_l1_plane_reference(system, params), 1e-9)
+    with mock.patch.object(planefit, "ADMM_MAX_ITERS", max_iters):
+        memoized = gross_outlier_system(np.random.default_rng(memoized_at))[0]
+        memo = admm_l1_plane(memoized)
+        alone = {id(system): admm_l1_plane(_copy(system)) for system in systems}
+        A = np.column_stack([np.arange(5.0), np.arange(5.0), np.ones(5)])
+        degenerate = LinearSystem(A=A, b=np.ones(5))
+        batch = list(systems)
+        batch.insert(degenerate_at % (len(batch) + 1), degenerate)
+        batch.insert(memoized_at % (len(batch) + 1), memoized)
+        results = dict(zip(map(id, batch), admm_l1_planes(batch)))
+        assert results[id(memoized)] is memo
+        assert isinstance(results[id(degenerate)], DegenerateGeometryError)
+        with pytest.raises(DegenerateGeometryError):
+            admm_l1_plane(degenerate)
+        for system in [*systems, memoized]:
+            fit = admm_l1_plane(system)
+            assert fit is results[id(system)]
+            if system is not memoized:
+                assert_same_fit(fit, alone[id(system)], 1e-12)
+            assert_same_fit(fit, admm_l1_plane_reference(system), 1e-9)
 
 
 class TestAdmmMemo:
@@ -263,17 +280,27 @@ class TestAdmmMemo:
     def test_repeat_call_returns_memoized_fit(self):
         system, _, _ = coordinated_system(np.random.default_rng(18))
         first = admm_l1_plane(system)
-        assert admm_l1_plane(system, AdmmParams()) is first
+        assert admm_l1_plane(system) is first
 
-    def test_other_params_get_their_own_fit(self):
-        system, _, _ = gross_outlier_system(np.random.default_rng(19))
-        shipped = admm_l1_plane(system)
-        capped = admm_l1_plane(system, AdmmParams(max_iters=50))
-        assert shipped.converged and shipped.iterations > 50
+    def test_fit_and_split_memoized_under_fixed_keys(self, monkeypatch):
+        # the stop rule is constants, so a system holds one fit, under
+        # ("fit",), and LN-1E's one split of it, under ("split",)
+        system, _, _ = coordinated_system(np.random.default_rng(19), sigma=2.0)
+        est = ln1e_estimate(system)
+        assert set(system.memo) == {("fit",), ("split",)}
+        fit, split = system.memo[("fit",)], system.memo[("split",)]
+        assert fit.converged and fit.iterations > 50
+        assert est.eliminated == split.far
+        # a fit reads the constants when it runs: a fresh copy fits at a
+        # patched cap, while the memoized system keeps its fit and split
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 50)
+        capped = admm_l1_plane(_copy(system))
         assert not capped.converged and capped.iterations == 50
-        expected = admm_l1_plane_reference(system, AdmmParams(max_iters=50))
-        assert_same_fit(capped, expected, 1e-9)
-        assert admm_l1_plane(system) is shipped
+        assert_same_fit(capped, admm_l1_plane_reference(system), 1e-9)
+        assert admm_l1_plane(system) is fit
+        again = ln1e_estimate(system)
+        assert (again.iterations, again.eliminated) == (est.iterations, est.eliminated)
+        np.testing.assert_array_equal(again.position, est.position)
 
 
 class TestKmeans1d:
@@ -341,23 +368,26 @@ class TestLn1:
             est = ln1_estimate(system)
             assert np.linalg.norm(est.position - topo.target) < 1e-3
 
+    @pytest.mark.usefixtures("tight")
     def test_matches_lp_argmin_on_noisy_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             system, _, _ = coordinated_system(rng, fraction=0.2, shift=18.0, sigma=2.0)
-            est = ln1_estimate(system, TIGHT)
+            est = ln1_estimate(system)
             u_lp, best = l1_oracle(system.A, system.b)
             objective = np.abs(system.b - system.A @ np.append(est.position, est.auxiliary)).sum()
             assert objective <= best * (1 + 1e-4)
             np.testing.assert_allclose(est.position, u_lp[:2], atol=1e-3)
 
-    def test_error_shrinks_with_tolerance(self):
+    def test_error_shrinks_with_tolerance(self, monkeypatch):
         # breakdown regime check: below half the anchors malicious at zero
         # noise, tightening the stopping tolerance drives the error to zero
         rng = np.random.default_rng(12)
         system, topo, _ = coordinated_system(rng, fraction=0.28, shift=25.0)
-        loose = ln1_estimate(system, AdmmParams(0.2, 1e-6, 200_000))
-        tight = ln1_estimate(system, AdmmParams(0.2, 1e-8, 200_000))
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 200_000)
+        loose = ln1_estimate(_copy(system))
+        monkeypatch.setattr(planefit, "ADMM_CONV_TOL", 1e-8)
+        tight = ln1_estimate(_copy(system))
         err_loose = np.linalg.norm(loose.position - topo.target)
         err_tight = np.linalg.norm(tight.position - topo.target)
         assert err_tight <= err_loose + 1e-12
@@ -382,8 +412,6 @@ class TestLn1e:
             assert np.linalg.norm(est.position - topo.target) < 1e-6
 
     def test_capped_first_fit_returned_without_refit(self, monkeypatch):
-        import secloc.planefit as planefit
-
         fits = []
         fit = planefit.admm_l1_plane
 
@@ -392,8 +420,9 @@ class TestLn1e:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(planefit, "admm_l1_plane", counted)
+        monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 50)
         system, _, _ = coordinated_system(np.random.default_rng(20))
-        est = ln1e_estimate(system, AdmmParams(max_iters=50))
+        est = ln1e_estimate(system)
         assert len(fits) == 1
         assert est.eliminated == frozenset()
         assert est.converged is False

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from secloc import ESTIMATORS, AdmmParams, AttackSpec, ExperimentConfig, run_monte_carlo
+from secloc import ESTIMATORS, AttackSpec, ExperimentConfig, planefit, run_monte_carlo
 
 COORDINATED = AttackSpec("coordinated", t_att=(75.0, 75.0))
 
@@ -38,16 +38,17 @@ def test_one_span_per_trial_and_estimator(tracing):
     assert seen == Counter({(trial, name): 1 for trial in (0, 1) for name in names})
 
 
-def test_l1_estimates_read_their_fits_inside_their_spans(tracing):
+def test_l1_estimates_read_their_fits_inside_their_spans(tracing, monkeypatch):
     # run_monte_carlo fits a chunk's planes before its trials run; LN-1 and
     # LN-1E must still call admm_l1_plane inside their own spans, because the
     # benchmark checks that an LN-1/LN-1E non-convergence is exactly a capped
-    # ADMM fit among the estimator span's children
+    # ADMM fit among the estimator span's children (a cap of 800 sweeps
+    # stops some of them)
+    monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", 800)
     cfg = ExperimentConfig(
         attack=COORDINATED,
         malicious_fraction=0.28,
         estimators=("ln1", "ln1e"),
-        admm=AdmmParams(max_iters=800),
         trials=6,
         master_seed=5,
     )
@@ -98,22 +99,22 @@ def test_grad_desc_reads_its_fit_inside_its_span(tracing):
 
 
 @pytest.mark.parametrize(
-    "attack",
+    "attack, admm_cap",
     [
-        dict(attack=AttackSpec("uncoordinated", sigma_att=8.0)),
+        (AttackSpec("uncoordinated", sigma_att=8.0), planefit.ADMM_MAX_ITERS),
         # a cap low enough that some LN-1/LN-1E fits stop at it
-        dict(attack=COORDINATED, admm=AdmmParams(max_iters=800)),
+        (COORDINATED, 800),
     ],
     ids=["uncoordinated", "coordinated"],
 )
-def test_spans_read_iterations_and_converged(tracing, attack):
+def test_spans_read_iterations_and_converged(tracing, monkeypatch, attack, admm_cap):
     # the tracer reads a result's iterations and converged with getattr and a
     # None default, so a result type without them would trace as None spans
     # instead of failing; every estimator applicable under the attack runs
-    kind = attack["attack"].kind
-    estimators = tuple(name for name, spec in ESTIMATORS.items() if kind in spec.attacks)
+    monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", admm_cap)
+    estimators = tuple(name for name, spec in ESTIMATORS.items() if attack.kind in spec.attacks)
     cfg = ExperimentConfig(
-        **attack, malicious_fraction=0.28, estimators=estimators, trials=4, master_seed=5
+        attack=attack, malicious_fraction=0.28, estimators=estimators, trials=4, master_seed=5
     )
     tracer = tracing.Tracer()
     with tracer.installed():
