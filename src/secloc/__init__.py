@@ -40,9 +40,7 @@ from .attacks import (
 )
 from .estimators import (
     Estimate,
-    GradDescParams,
     LinearSystem,
-    LmdsParams,
     build_linear_system,
     build_linear_systems,
     grad_desc_estimate,

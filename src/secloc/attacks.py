@@ -361,5 +361,9 @@ def parse_topology(text: str) -> Topology:
 
 
 def load_topology(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read topology file {str(path)!r}: {exc}") from exc
+    return parse_topology(text)

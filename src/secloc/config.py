@@ -10,15 +10,18 @@ Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 (5000 trials); ``load_config`` resolves those names as well as paths.
 Each layer's settings are one section of the config, a value of that layer's
 own checked type: ``channel`` (``PathLossParams``: keys ``p0``, ``n``,
-``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys), ``placement``,
-``lmds`` and ``grad_desc``.  The type holds the section's rules; the
-attack-key rules, for one, are ``AttackSpec``'s: ``uncoordinated`` takes
-``attack.sigma_att`` (>= 0) alone, ``coordinated`` exactly one of
-``attack.t_att`` and ``attack.distance``, and ``none`` none of them.  A mix
-fails at load.  ``topology.file`` fixes the layout, so it excludes
-``topology.per_trial``.  ADMM's stop rule is not a setting: the ``admm.rho``,
-``admm.conv_tol`` and ``admm.max_iters`` keys may state only the values of
-``planefit.ADMM_RHO``, ``ADMM_CONV_TOL`` and ``ADMM_MAX_ITERS``, and set
+``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys) and
+``placement``.  The type holds the section's rules; the attack-key rules,
+for one, are ``AttackSpec``'s: ``uncoordinated`` takes ``attack.sigma_att``
+(>= 0) alone, ``coordinated`` exactly one of ``attack.t_att`` and
+``attack.distance``, and ``none`` none of them.  A mix fails at load.
+``topology.file`` fixes the layout, so it excludes ``topology.per_trial``.
+The solvers' settings are constants, not settings: ADMM's stop rule
+(``planefit.ADMM_*``), LMdS's (``estimators.LMDS_*``) and Grad-Desc's
+(``estimators.GRAD_DESC_*``).  The eight keys ``admm.rho``,
+``admm.conv_tol``, ``admm.max_iters``, ``lmds.n_subsets``,
+``lmds.subset_size``, ``grad_desc.step``, ``grad_desc.max_iters`` and
+``grad_desc.keep_fraction`` may state only their constant's value, and set
 nothing.
 """
 
@@ -28,14 +31,14 @@ import decimal
 import importlib.resources
 import math
 import numbers
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import planefit
+from . import estimators, planefit
 from .attacks import AttackSpec, Placement
 from .channel import PathLossParams
-from .estimators import GradDescParams, LmdsParams
 from .exceptions import ConfigError, DomainError
 
 SWEEP_AXES = ("sigma_att", "packets", "malicious_fraction", "attack_distance")
@@ -58,8 +61,6 @@ class ExperimentConfig:
     placement: Placement = Placement()
     estimators: tuple = ("ls", "wls")
     zeta: float = 1.5
-    lmds: LmdsParams = LmdsParams()
-    grad_desc: GradDescParams = GradDescParams()
     topology_file: str | None = None
     topology_per_trial: bool = False
 
@@ -149,9 +150,9 @@ def _parse_text(key: str, text: str) -> str:
 
 # Every accepted key: (section, field, parser).  A row without a section sets
 # that ExperimentConfig field; the rows of a section replace fields of that
-# section's default (channel, attack, placement, lmds, grad_desc), which
-# checks them.  A row of the planefit module names one of its constants,
-# which the key may state but not change.
+# section's default (channel, attack, placement), which checks them.  A row
+# whose section is a module names one of its constants, which the key may
+# state but not change.
 _KEYS = {
     "area": (None, "area", parse_number),
     "p0": ("channel", "p0", parse_number),
@@ -175,11 +176,11 @@ _KEYS = {
     "admm.rho": (planefit, "ADMM_RHO", parse_number),
     "admm.conv_tol": (planefit, "ADMM_CONV_TOL", parse_number),
     "admm.max_iters": (planefit, "ADMM_MAX_ITERS", _parse_int),
-    "lmds.n_subsets": ("lmds", "n_subsets", _parse_int),
-    "lmds.subset_size": ("lmds", "subset_size", _parse_int),
-    "grad_desc.step": ("grad_desc", "step", parse_number),
-    "grad_desc.max_iters": ("grad_desc", "max_iters", _parse_int),
-    "grad_desc.keep_fraction": ("grad_desc", "keep_fraction", parse_number),
+    "lmds.n_subsets": (estimators, "LMDS_SUBSETS", _parse_int),
+    "lmds.subset_size": (estimators, "LMDS_SUBSET_SIZE", _parse_int),
+    "grad_desc.step": (estimators, "GRAD_DESC_STEP", parse_number),
+    "grad_desc.max_iters": (estimators, "GRAD_DESC_MAX_ITERS", _parse_int),
+    "grad_desc.keep_fraction": (estimators, "GRAD_DESC_KEEP_FRACTION", parse_number),
     "topology.file": (None, "topology_file", _parse_text),
     "topology.per_trial": (None, "topology_per_trial", _parse_bool),
 }
@@ -206,12 +207,12 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, (section, name, parse) in _KEYS.items():
         if key in entries:
             value = parse(key, entries[key])
-            if section is not planefit:
+            if not isinstance(section, types.ModuleType):
                 into = fields if section is None else sections.setdefault(section, {})
                 into[name] = value
-            elif value != (fixed := getattr(planefit, name)):
-                text = entries[key]
-                raise ConfigError(f"{key}: fixed at planefit.{name} = {fixed!r}, got {text!r}")
+            elif value != (fixed := getattr(section, name)):
+                where = f"{section.__name__.rpartition('.')[2]}.{name}"
+                raise ConfigError(f"{key}: fixed at {where} = {fixed!r}, got {entries[key]!r}")
     for section, kwargs in sections.items():
         try:
             fields[section] = replace(getattr(ExperimentConfig, section), **kwargs)
@@ -232,9 +233,10 @@ def load_config(source) -> ExperimentConfig:
         return parse_config(resource.read_text(encoding="utf-8"))
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {name!r}: {exc}") from exc
+    return parse_config(text)
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:

@@ -33,10 +33,11 @@ bit-identical to one trial at a time; its key is ``("ml", params, init)``,
 init as a tuple of two floats.  Grad-Desc's, ``grad_desc_fits``, steps
 each trial from its anchors' centroid (anchors on one line fail
 ``rank_deficient`` there too); its key is ``("grad_desc", params,
-GradDescParams(...))``.
-The LMdS and Grad-Desc settings (``LmdsParams``, ``GradDescParams``, the
-config's ``lmds`` and ``grad_desc`` sections) give the estimators their
-keyword defaults and checks.
+max_iters)``.
+The LMdS and Grad-Desc settings are constants, as ML's stop rule is
+(``LMDS_SUBSETS``, ``LMDS_SUBSET_SIZE``, ``GRAD_DESC_STEP``,
+``GRAD_DESC_MAX_ITERS``, ``GRAD_DESC_KEEP_FRACTION``), read when the
+estimators run; only Grad-Desc's iteration budget is also a keyword.
 """
 
 from __future__ import annotations
@@ -67,6 +68,19 @@ COND_LIMIT = 1e12
 # in a median 8 iterations on desk (at most 14 in 200 trials); the cap is a guard.
 ML_GTOL = 1e-8
 ML_MAX_ITERS = 500
+# The LMdS and Grad-Desc baselines' settings, constants for the same reason:
+# every shipped run uses these values.  LMdS keeps the best of LMDS_SUBSETS
+# candidates, each LS-solved on LMDS_SUBSET_SIZE random rows.  Grad-Desc takes
+# GRAD_DESC_STEP-sized steps on the GRAD_DESC_KEEP_FRACTION of anchors with the
+# smallest residuals, at most GRAD_DESC_MAX_ITERS of them.  Above a step of 1
+# the path depends on last-bit rounding: two sums of the same residuals in
+# another order took another path on 1 of 24 seeded trials at step 2 and on 6
+# at step 5, and on none at 0.4 or 1.
+LMDS_SUBSETS = 20
+LMDS_SUBSET_SIZE = 4
+GRAD_DESC_STEP = 0.4
+GRAD_DESC_MAX_ITERS = 200
+GRAD_DESC_KEEP_FRACTION = 0.5
 _NO_MEASUREMENTS = "the system carries no measurements; use build_linear_system"
 _NO_RANGES = "the system carries no ranges; use build_linear_system"
 
@@ -613,42 +627,24 @@ def ml_estimate(system: LinearSystem, params: PathLossParams, init) -> Estimate:
     return _unwrap(ml_fits([system], params, [init]))
 
 
-@dataclass(frozen=True)
-class LmdsParams:
-    """Candidate count and rows per candidate subset of LMdS."""
-
-    n_subsets: int = 20
-    subset_size: int = 4
-
-    def __post_init__(self) -> None:
-        counts = (self.n_subsets, self.subset_size)
-        if not all(isinstance(c, numbers.Integral) for c in counts):
-            raise DomainError(f"n_subsets and subset_size must be integers: {self}")
-        if self.n_subsets < 1 or self.subset_size < 3:
-            raise DomainError(f"need n_subsets >= 1 and subset_size >= 3: {self}")
-
-
-def lmds_estimate(
-    system: LinearSystem,
-    n_subsets: int = LmdsParams.n_subsets,
-    subset_size: int = LmdsParams.subset_size,
-    seed=None,
-) -> Estimate:
+def lmds_estimate(system: LinearSystem, seed=None) -> Estimate:
     """Least-median-of-squares baseline.
 
     LS-solves random row subsets of the system and keeps the candidate
     position whose squared residuals against the system's ranges, over all
     anchors, have the smallest median (the first such candidate on a tie).
-    Subsets are drawn one ``rng.choice`` at a time, as many as candidates are
-    still missing, and solved together by one ``_least_squares`` call; a
-    rank-deficient subset is skipped and costs one of the 20 * n_subsets
-    retries.  Walking each batch in draw order, the candidates kept and the
-    retries spent are those of drawing and solving one subset at a time.
+    There are ``LMDS_SUBSETS`` candidates of ``LMDS_SUBSET_SIZE`` rows each;
+    a system with fewer rows is a ``DomainError``.  Subsets are drawn one
+    ``rng.choice`` at a time, as many as candidates are still missing, and
+    solved together by one ``_least_squares`` call; a rank-deficient subset
+    is skipped and costs one of the 20 * ``LMDS_SUBSETS`` retries.  Walking
+    each batch in draw order, the candidates kept and the retries spent are
+    those of drawing and solving one subset at a time.
     """
-    LmdsParams(n_subsets, subset_size)
+    n_subsets, subset_size = LMDS_SUBSETS, LMDS_SUBSET_SIZE
     n = system.n_rows
     if subset_size > n:
-        raise DomainError("subset_size exceeds the anchor count")
+        raise DomainError(f"LMDS_SUBSET_SIZE = {subset_size} exceeds the anchor count {n}")
     if system.ranges is None:
         raise DomainError(_NO_RANGES)
     rng = np.random.default_rng(seed)
@@ -679,30 +675,7 @@ def lmds_estimate(
     return Estimate(position=best[:2], auxiliary=float(best[2]), iterations=produced)
 
 
-@dataclass(frozen=True)
-class GradDescParams:
-    """Step size, iteration budget and kept share of anchors of Grad-Desc."""
-
-    step: float = 0.4
-    max_iters: int = 200
-    keep_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, numbers.Integral):
-            raise DomainError(f"max_iters must be an integer: {self}")
-        if not 0 < self.step < math.inf or self.max_iters < 1 or not 0 < self.keep_fraction <= 1:
-            raise DomainError(
-                f"need 0 < step < inf, max_iters >= 1, keep_fraction in (0, 1]: {self}"
-            )
-
-
-def grad_desc_fits(
-    systems,
-    params: PathLossParams,
-    step: float = GradDescParams.step,
-    max_iters: int = GradDescParams.max_iters,
-    keep_fraction: float = GradDescParams.keep_fraction,
-) -> list:
+def grad_desc_fits(systems, params: PathLossParams, max_iters: int = GRAD_DESC_MAX_ITERS) -> list:
     """Grad-Desc on T trials' systems in lock step, one row per trial, each
     from its anchors' centroid.  The systems must have one row count.
     Returns one entry per trial: its ``Estimate``, memoized on its system
@@ -710,10 +683,11 @@ def grad_desc_fits(
     a system without measurements, a ``DomainError``, and for anchors on one
     line, a ``DegenerateGeometryError``; an error is not memoized and does
     not stop the others."""
-    settings = GradDescParams(step, max_iters, keep_fraction)
+    if not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise DomainError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     if len({system.n_rows for system in systems}) > 1:
         raise DomainError("the systems of a Grad-Desc batch must have one row count")
-    key = ("grad_desc", params, settings)
+    key = ("grad_desc", params, max_iters)
     out = [
         DomainError(_NO_MEASUREMENTS) if system.measurements is None else system.memo.get(key)
         for system in systems
@@ -731,7 +705,7 @@ def grad_desc_fits(
     for i in rows[on_line]:
         out[i] = DegenerateGeometryError("Grad-Desc needs anchors off one line")
     rows, anchors, t = rows[~on_line], anchors[~on_line], t[~on_line]
-    n_keep = max(3, math.ceil(keep_fraction * n))
+    n_keep = max(3, math.ceil(GRAD_DESC_KEEP_FRACTION * n))
     gain = 2.0 * params.slope / n_keep
     rssi_mean = np.array([systems[i].measurements.mean(axis=1) for i in rows])
     # kept + row_start indexes the kept entries of the flattened (rows, N)
@@ -747,7 +721,7 @@ def grad_desc_fits(
         flat = kept + row_start
         weight = row_mean.take(flat) / d2.take(flat)
         kept_diff = diff.reshape(-1, 2).take(flat, axis=0)
-        t_new = t - step * (gain * np.einsum("tk,tkj->tj", weight, kept_diff))
+        t_new = t - GRAD_DESC_STEP * (gain * np.einsum("tk,tkj->tj", weight, kept_diff))
         # False for an inf or nan iterate too; such a row keeps its last t
         inside = np.hypot(t_new[:, 0], t_new[:, 1]) <= 1e6
         step_len = t_new - t
@@ -772,21 +746,18 @@ def grad_desc_fits(
 
 
 def grad_desc_estimate(
-    system: LinearSystem,
-    params: PathLossParams,
-    step: float = GradDescParams.step,
-    max_iters: int = GradDescParams.max_iters,
-    keep_fraction: float = GradDescParams.keep_fraction,
+    system: LinearSystem, params: PathLossParams, max_iters: int = GRAD_DESC_MAX_ITERS
 ) -> Estimate:
     """Constant-step gradient descent on the RSSI cost of the system's RSSI
     matrix with residual pruning, from the anchors' centroid.
 
-    Each iteration keeps the ceil(keep_fraction * N) anchors with the
-    smallest absolute mean RSSI residual at the current iterate and descends
-    the mean squared residual over that subset.  The model is one value per
-    anchor, so every step works on per-anchor means: anchor i's mean residual
-    is its mean RSSI minus the model, and the gradient of its packets' summed
-    squared residuals is P times that of the mean.
+    Each iteration keeps the ceil(``GRAD_DESC_KEEP_FRACTION`` * N) anchors
+    (at least 3) with the smallest absolute mean RSSI residual at the
+    current iterate and descends the mean squared residual over that subset
+    by ``GRAD_DESC_STEP`` times its gradient.  The model is one value per
+    anchor, so every step works on per-anchor means: anchor i's mean
+    residual is its mean RSSI minus the model, and the gradient of its
+    packets' summed squared residuals is P times that of the mean.
 
     Grad-Desc is a fixed-budget baseline: it stops when a step moves the
     iterate by less than 1e-12 m or after ``max_iters`` steps, and stopping at
@@ -802,8 +773,8 @@ def grad_desc_estimate(
     is a handful of numpy calls on vectors of N entries, so its cost is call
     overhead); this call is a batch of one.  ``grad_desc_fits`` memoizes each
     fit on its trial's system, which fixes both the anchors and the RSSI,
-    under ``("grad_desc", params, GradDescParams(step, max_iters,
-    keep_fraction))``, so this call returns the fit a batch left for the
-    same inputs.  A batch is bit-identical to running each trial alone.
+    under ``("grad_desc", params, max_iters)``, so this call returns the fit
+    a batch left for the same inputs.  A batch is bit-identical to running
+    each trial alone.
     """
-    return _unwrap(grad_desc_fits([system], params, step, max_iters, keep_fraction))
+    return _unwrap(grad_desc_fits([system], params, max_iters))

@@ -71,6 +71,7 @@ from .attacks import (
 from .channel import distance_from_rssi
 from .config import ExperimentConfig, apply_axis
 from .estimators import (
+    GRAD_DESC_MAX_ITERS,
     Estimate,
     LinearSystem,
     build_linear_system,
@@ -304,22 +305,22 @@ ESTIMATORS = {
             [t.system for t in ts], ts[0].config.channel, [t.topology.target for t in ts]
         ),
     ),
-    # The settings' fields are passed as the estimators' keywords, so
-    # secbench/tracing.py reads max_iters= off the Grad-Desc call.  LMdS
-    # draws its subsets from a stream of its own, made only when it runs.
+    # LMdS and Grad-Desc run at the estimators module's LMDS_* and GRAD_DESC_*
+    # constants.  LMdS draws its subsets from a stream of its own, made only
+    # when it runs.
     "lmds": EstimatorSpec(
         _ALL_ATTACKS,
         lambda t: lmds_estimate(
-            t.system,
-            seed=_trial_rng(t.config.master_seed, t.index, _STREAM_LMDS),
-            **vars(t.config.lmds),
+            t.system, seed=_trial_rng(t.config.master_seed, t.index, _STREAM_LMDS)
         ),
     ),
+    # Grad-Desc's budget is passed by keyword only because secbench/tracing.py
+    # reads max_iters= off the call (ROADMAP item 3).
     "grad_desc": EstimatorSpec(
         _ALL_ATTACKS,
-        lambda t: grad_desc_estimate(t.system, t.config.channel, **vars(t.config.grad_desc)),
+        lambda t: grad_desc_estimate(t.system, t.config.channel, max_iters=GRAD_DESC_MAX_ITERS),
         batch=lambda ts: grad_desc_fits(
-            [t.system for t in ts], ts[0].config.channel, **vars(ts[0].config.grad_desc)
+            [t.system for t in ts], ts[0].config.channel, max_iters=GRAD_DESC_MAX_ITERS
         ),
     ),
     "ln1": EstimatorSpec(

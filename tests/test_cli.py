@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import types
 import warnings
 import xml.etree.ElementTree as ET
 from importlib.resources import files
@@ -9,7 +10,7 @@ from importlib.resources import files
 import pytest
 
 import secloc
-from secloc import load_config
+from secloc import config, load_config
 from secloc.cli import main
 
 DESK_SMALL = """
@@ -221,8 +222,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "line",
         [
-            # ADMM's stop rule is planefit's constants; any other value is out
-            # of range, and the error names the constant
+            # the solvers' settings are constants of planefit and estimators;
+            # any other value is out of range, and the error names the constant
             "admm.rho = -1",
             "admm.conv_tol = 0",
             "admm.max_iters = 0",
@@ -243,8 +244,10 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "configuration error:" in err
         key = line.split("=")[0].strip()
-        if key.startswith("admm."):
-            assert f"{key}: fixed at planefit.ADMM_{key[5:].upper()} = " in err
+        module, constant = config._KEYS[key][:2]
+        if isinstance(module, types.ModuleType):
+            where = module.__name__.rpartition(".")[2]
+            assert f"{key}: fixed at {where}.{constant} = " in err
 
     @pytest.mark.parametrize(
         "attack, detector",
@@ -416,6 +419,25 @@ class TestErrorPaths:
         path = tmp_path / "bad.cfg"
         path.write_text("attack.kind = coordinated\nestimators = swls\n")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    # A config or layout file that cannot be read as UTF-8 text, or a missing
+    # layout file, is the config's fault: exit 2 from every subcommand.
+    @pytest.mark.parametrize("case", ["config-not-utf8", "topology-not-utf8", "topology-missing"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "crlb", "detect"])
+    def test_unreadable_input_file(self, tmp_path, capsys, command, case):
+        cfg, topo = tmp_path / "exp.cfg", tmp_path / "topo.txt"
+        if case == "config-not-utf8":
+            cfg.write_bytes(b"\xff\xfe" + DESK_SMALL.encode())
+            expected = f"cannot read config {str(cfg)!r}: "
+        else:
+            if case == "topology-not-utf8":
+                topo.write_bytes(b"\xff\xfe5 5\n95 5\n5 95\ntarget 40 60\n")
+            cfg.write_text(DESK_SMALL + f"topology.file = {topo}\n")
+            expected = f"cannot read topology file {str(topo)!r}: "
+        sweep = ["--axis", "packets", "--values", "10", "--out", str(tmp_path / "s.csv")]
+        extra = sweep if command == "sweep" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: " + expected)
 
     def test_unwritable_output_is_runtime_error(self, cfg_file, tmp_path):
         out = tmp_path / "no_dir" / "results.csv"

@@ -11,17 +11,28 @@ from secloc import (
     ConfigError,
     DomainError,
     ExperimentConfig,
-    GradDescParams,
-    LmdsParams,
     PathLossParams,
     Placement,
     apply_axis,
     load_config,
     parse_config,
-    planefit,
 )
+from secloc import config
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
+
+# Every key that may only state a solver constant, with that constant: ADMM's,
+# then the LMdS and Grad-Desc baselines'.
+FIXED_KEYS = [
+    ("admm.rho", "ADMM_RHO"),
+    ("admm.conv_tol", "ADMM_CONV_TOL"),
+    ("admm.max_iters", "ADMM_MAX_ITERS"),
+    ("lmds.n_subsets", "LMDS_SUBSETS"),
+    ("lmds.subset_size", "LMDS_SUBSET_SIZE"),
+    ("grad_desc.step", "GRAD_DESC_STEP"),
+    ("grad_desc.max_iters", "GRAD_DESC_MAX_ITERS"),
+    ("grad_desc.keep_fraction", "GRAD_DESC_KEEP_FRACTION"),
+]
 
 MINIMAL = """
 attack.kind = uncoordinated
@@ -38,13 +49,10 @@ class TestParse:
         assert cfg.area == 100.0 and cfg.n_anchors == 29
         assert cfg.channel == PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
         assert cfg.packets == 10 and cfg.zeta == 1.5
-        assert cfg.lmds.n_subsets == 20 and cfg.lmds.subset_size == 4
-        assert cfg.grad_desc.step == 0.4 and cfg.grad_desc.max_iters == 200
-        assert cfg.grad_desc.keep_fraction == 0.5
         assert cfg.estimators == ("ls", "wls", "swls")
 
     def test_full_file_round_trip(self):
-        # every accepted key set, each to a non-default value but the admm.*
+        # every accepted key set, each to a non-default value but the fixed
         # keys, which may state only their constants; the three attack
         # variants between them cover the four attack.* keys
         for attack_lines, attack in (
@@ -84,11 +92,11 @@ class TestParse:
         admm.rho = 0.2
         admm.conv_tol = 1e-6
         admm.max_iters = 5000
-        lmds.n_subsets = 12
-        lmds.subset_size = 5
-        grad_desc.step = 0.2
-        grad_desc.max_iters = 150
-        grad_desc.keep_fraction = 0.75
+        lmds.n_subsets = 20
+        lmds.subset_size = 4
+        grad_desc.step = 0.4
+        grad_desc.max_iters = 200
+        grad_desc.keep_fraction = 0.5
         topology.file = anchors.txt
         """
         expected = ExperimentConfig(
@@ -103,8 +111,6 @@ class TestParse:
             placement=Placement(kind="within_radius", radius=32.0, center=(20.0, 30.0)),
             estimators=("wls", "lmds", "ln1"),
             zeta=2.5,
-            lmds=LmdsParams(n_subsets=12, subset_size=5),
-            grad_desc=GradDescParams(step=0.2, max_iters=150, keep_fraction=0.75),
             topology_file="anchors.txt",
             attack=attack,
         )
@@ -156,23 +162,27 @@ class TestParse:
             parse_config(line + "\n")
         assert str(info.value) == message
 
-    # ADMM's stop rule is planefit's constants: a config may state them, as
-    # the coord-fixed workload does, and no other value.
-    @pytest.mark.parametrize(
-        "key, constant",
-        [
-            ("admm.rho", "ADMM_RHO"),
-            ("admm.conv_tol", "ADMM_CONV_TOL"),
-            ("admm.max_iters", "ADMM_MAX_ITERS"),
-        ],
-    )
+    # The solvers' settings are constants of planefit (ADMM) and estimators
+    # (LMdS, Grad-Desc): a config may state them, as the coord-fixed
+    # workload does, and no other value.
+    @pytest.mark.parametrize("key, constant", FIXED_KEYS[:3])
     def test_admm_keys_state_only_their_constants(self, key, constant):
-        value = getattr(planefit, constant)
+        self.check_fixed_key(key, constant)
+
+    @pytest.mark.parametrize("key, constant", FIXED_KEYS[3:])
+    def test_baseline_keys_state_only_their_constants(self, key, constant):
+        self.check_fixed_key(key, constant)
+
+    @staticmethod
+    def check_fixed_key(key, constant):
+        module = config._KEYS[key][0]
+        value = getattr(module, constant)
         assert parse_config(MINIMAL + f"{key} = {value!r}\n") == parse_config(MINIMAL)
         other = repr(value * 2)
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL + f"{key} = {other}\n")
-        assert str(info.value) == f"{key}: fixed at planefit.{constant} = {value!r}, got {other!r}"
+        where = module.__name__.rpartition(".")[2]
+        assert str(info.value) == f"{key}: fixed at {where}.{constant} = {value!r}, got {other!r}"
 
     # Integers were parsed through float, so seeds past 2**53 collapsed:
     # two different master seeds ran the same trials.
@@ -225,6 +235,16 @@ GOLDEN = {
 
 def test_every_workload_has_golden_values():
     assert {path.name for path in WORKLOADS.glob("*.cfg")} <= GOLDEN.keys()
+
+
+def test_coord_fixed_states_only_the_fixed_keys():
+    # the workload states every fixed key; dropping those lines changes nothing
+    text = (WORKLOADS / "coord-fixed.cfg").read_text(encoding="utf-8")
+    fixed = {key for key, _ in FIXED_KEYS}
+    lines = text.splitlines()
+    kept = [line for line in lines if line.split("=")[0].strip() not in fixed]
+    assert len(lines) - len(kept) == len(fixed)
+    assert parse_config(text) == parse_config("\n".join(kept))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -339,30 +359,6 @@ class TestValidation:
     def test_master_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(master_seed=-1)
-
-    # A non-finite step left every Grad-Desc trial non-converged.
-    @pytest.mark.parametrize(
-        "settings, field, value",
-        [
-            (GradDescParams, "step", math.nan),
-        ],
-    )
-    def test_non_finite_solver_settings_rejected(self, settings, field, value):
-        with pytest.raises(DomainError, match=field):
-            settings(**{field: value})
-
-    @pytest.mark.parametrize(
-        "settings, field",
-        [
-            (LmdsParams, "n_subsets"),
-            (LmdsParams, "subset_size"),
-            (GradDescParams, "max_iters"),
-        ],
-    )
-    def test_solver_counts_must_be_integers(self, settings, field):
-        with pytest.raises(DomainError):
-            settings(**{field: 4.5})
-        assert getattr(settings(**{field: np.int64(4)}), field) == 4
 
 
 class TestProfilesAndAxis:

@@ -490,10 +490,10 @@ class TestLmds:
         topo = random_topology(9, 100.0, seed=18)
         meas = exact_measurements(topo, P0, packets=3)
         system = mean_system(topo.anchors, meas, P0)
-        est = lmds_estimate(system, n_subsets=20, subset_size=4, seed=19)
+        est = lmds_estimate(system, seed=19)
         assert np.linalg.norm(est.position - topo.target) < 1e-9
 
-    def test_clean_subset_wins_planted_instance(self):
+    def test_clean_subset_wins_planted_instance(self, monkeypatch):
         # 7 anchors, 3 grossly corrupted: enumerate all 4-subsets and verify
         # the corruption-free one has the strictly smallest median residual,
         # then verify the estimator (seeing enough subsets) lands on truth.
@@ -518,18 +518,16 @@ class TestLmds:
         rssi = P0.p0 - 10 * P0.n * np.log10(d)
         meas = np.tile(rssi[:, None], (1, 2))
         system = mean_system(anchors, meas, P0)
-        est = lmds_estimate(system, n_subsets=60, subset_size=4, seed=20)
+        monkeypatch.setattr(estimators, "LMDS_SUBSETS", 60)
+        est = lmds_estimate(system, seed=20)
         assert np.linalg.norm(est.position - target) < 1e-6
 
     def test_validation(self):
-        topo, meas, params = noisy_setup(seed=21, n_anchors=5)
+        # a 3-anchor system is valid input, but too small for 4-row subsets
+        topo, meas, params = noisy_setup(seed=21, n_anchors=3)
         system = mean_system(topo.anchors, meas, params)
-        with pytest.raises(DomainError):
-            lmds_estimate(system, subset_size=2)
-        with pytest.raises(DomainError):
-            lmds_estimate(system, n_subsets=0)
-        with pytest.raises(DomainError):
-            lmds_estimate(system, subset_size=9)
+        with pytest.raises(DomainError, match="LMDS_SUBSET_SIZE = 4 exceeds the anchor count 3"):
+            lmds_estimate(system)
 
 
 class TestGradDesc:
@@ -574,21 +572,25 @@ class TestGradDesc:
         assert est.converged
         assert np.linalg.norm(est.position - topo.target) < 1e-4
 
-    def test_divergence_flagged(self):
+    def test_divergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(estimators, "GRAD_DESC_STEP", 1e12)
         topo = random_topology(8, 100.0, seed=27)
         meas = exact_measurements(topo, P)
-        est = grad_desc_estimate(mean_system(topo.anchors, meas, P), P, step=1e12)
+        est = grad_desc_estimate(mean_system(topo.anchors, meas, P), P)
         assert not est.converged
 
     def test_validation(self):
         topo, meas, params = noisy_setup(seed=28, n_anchors=6)
         system = mean_system(topo.anchors, meas, params)
-        with pytest.raises(DomainError):
-            grad_desc_estimate(system, params, step=0.0)
-        with pytest.raises(DomainError):
-            grad_desc_estimate(system, params, keep_fraction=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 1"):
             grad_desc_estimate(system, params, max_iters=0)
+
+    def test_max_iters_must_be_integer(self):
+        topo, meas, params = noisy_setup(seed=28, n_anchors=6)
+        system = mean_system(topo.anchors, meas, params)
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 1"):
+            grad_desc_estimate(system, params, max_iters=4.5)
+        assert grad_desc_estimate(system, params, max_iters=np.int64(4)).iterations <= 4
 
     def test_batch_needs_one_row_count(self):
         topo, meas, params = noisy_setup(seed=28, n_anchors=6)
@@ -780,11 +782,12 @@ class TestGradDescParity:
             assert est.eliminated == expected.eliminated
             np.testing.assert_allclose(est.position, expected.position, rtol=1e-9, atol=0)
 
-    def test_divergence_same_as_reference(self):
+    def test_divergence_same_as_reference(self, monkeypatch):
+        monkeypatch.setattr(estimators, "GRAD_DESC_STEP", 1e12)
         params, trials = _attacked_trials("uncoordinated", seed=41, count=3)
         for meas, anchors, system in trials:
             expected = grad_desc_reference(meas, anchors, params, step=1e12)
-            est = grad_desc_estimate(system, params, step=1e12)
+            est = grad_desc_estimate(system, params)
             assert not expected.converged and not est.converged
             assert est.iterations == expected.iterations
             assert est.eliminated == expected.eliminated
@@ -799,7 +802,7 @@ class TestGradDescParity:
         ],
         ids=["default", "all-leave-box", "one-step", "small-step"],
     )
-    def test_batch_same_paths_as_reference(self, settings, stops):
+    def test_batch_same_paths_as_reference(self, settings, stops, monkeypatch):
         # one lock-step batch of trials that stop at different steps: on a
         # move below 1e-12 m ("move"), at max_iters ("cap"), or by leaving
         # the 1e6 m box ("box"; at the default step, rows 1e8 dB too loud
@@ -814,8 +817,9 @@ class TestGradDescParity:
             meas = meas + 1e8
             loud.append((meas, anchors, replace(system, measurements=meas)))
         trials[3:3] = loud
-        fits = grad_desc_fits([system for *_, system in trials], params, **settings)
         max_iters = settings.get("max_iters", 200)
+        monkeypatch.setattr(estimators, "GRAD_DESC_STEP", settings.get("step", 0.4))
+        fits = grad_desc_fits([system for *_, system in trials], params, max_iters=max_iters)
         seen = set()
         for (meas, anchors, _), est in zip(trials, fits):
             expected = grad_desc_reference(meas, anchors, params, **settings)
@@ -830,7 +834,7 @@ class TestGradDescParity:
         assert seen == stops
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
-    def test_callback_same_kept_sets_and_costs(self, kind):
+    def test_callback_same_kept_sets_and_costs(self, kind, monkeypatch):
         # the library has no per-step hook, so its state after step k is read
         # by stopping it there (max_iters=k): the anchors it keeps at step k
         # and its cost at step k, the mean squared residual over those
@@ -848,10 +852,8 @@ class TestGradDescParity:
                 ),
             )
             logs.append(log)
-        stopped = [
-            grad_desc_fits(systems, params, step=0.05, max_iters=k)
-            for k in range(1, 81)
-        ]
+        monkeypatch.setattr(estimators, "GRAD_DESC_STEP", 0.05)
+        stopped = [grad_desc_fits(systems, params, max_iters=k) for k in range(1, 81)]
         for row, ((meas, anchors, _), log) in enumerate(zip(trials, logs)):
             n, packets = meas.shape
             steps = []
@@ -1084,8 +1086,11 @@ def _collinear_anchors(on_line, off_line, seed):
     return np.vstack([line, rng.uniform(0.0, 100.0, (off_line, 2))])
 
 
-def _lmds_pair(system, anchors, **kwargs):
-    return lmds_reference(system, anchors, **kwargs), lmds_estimate(system, **kwargs)
+def _lmds_pair(system, anchors, seed):
+    """The reference loop at the library's LMdS constants, and the library."""
+    settings = dict(n_subsets=estimators.LMDS_SUBSETS, subset_size=estimators.LMDS_SUBSET_SIZE)
+    expected = lmds_reference(system, anchors, seed=seed, **settings)
+    return expected, lmds_estimate(system, seed=seed)
 
 
 def _assert_same_lmds(expected, est):
@@ -1104,16 +1109,17 @@ class TestLmdsParity:
             for seed in (i, 100 + i):
                 _assert_same_lmds(*_lmds_pair(system, anchors, seed=seed))
 
-    def test_degenerate_subsets_retried_in_draw_order(self):
+    def test_degenerate_subsets_retried_in_draw_order(self, monkeypatch):
         # 6 of 9 anchors collinear: about a quarter of the 3-subsets are rank
         # deficient, so the first 20 draws include some, and a further batch
         # of draws replaces them.
         anchors = _collinear_anchors(6, 3, seed=44)
         target = np.array([47.0, 52.0])
         system = build_linear_system(anchors, np.linalg.norm(anchors - target, axis=1) * 1.02)
+        monkeypatch.setattr(estimators, "LMDS_SUBSET_SIZE", 3)
         retried = 0
         for seed in range(8):
-            expected, est = _lmds_pair(system, anchors, subset_size=3, seed=seed)
+            expected, est = _lmds_pair(system, anchors, seed=seed)
             _assert_same_lmds(expected, est)
             assert est.iterations == 20
             draws = np.random.default_rng(seed)
@@ -1121,33 +1127,35 @@ class TestLmdsParity:
             retried += sum(np.linalg.matrix_rank(system.A[idx], tol=1e-9) < 3 for idx in first)
         assert retried > 0
 
-    def test_retries_exhausted_same_as_reference(self):
+    def test_retries_exhausted_same_as_reference(self, monkeypatch):
         # 120 collinear anchors and one off the line: a 3-subset has full
         # rank with probability 3/121, so the 20 * n_subsets retries run out,
         # often in the middle of a batch of draws.
         anchors = _collinear_anchors(120, 1, seed=45)
         system = build_linear_system(anchors, np.linalg.norm(anchors - 50.0, axis=1))
+        monkeypatch.setattr(estimators, "LMDS_SUBSET_SIZE", 3)
         short = 0
         for n_subsets in (5, 20):
+            monkeypatch.setattr(estimators, "LMDS_SUBSETS", n_subsets)
             for seed in range(12):
-                kwargs = dict(n_subsets=n_subsets, subset_size=3, seed=seed)
                 try:
-                    expected = lmds_reference(system, anchors, **kwargs)
+                    expected, est = _lmds_pair(system, anchors, seed)
                 except DegenerateGeometryError:  # no candidate before the retries ran out
                     with pytest.raises(DegenerateGeometryError):
-                        lmds_estimate(system, **kwargs)
+                        lmds_estimate(system, seed=seed)
                     continue
-                est = lmds_estimate(system, **kwargs)
                 _assert_same_lmds(expected, est)
                 short += est.iterations < n_subsets
         assert short > 0
 
-    def test_all_subsets_degenerate(self):
+    def test_all_subsets_degenerate(self, monkeypatch):
+        monkeypatch.setattr(estimators, "LMDS_SUBSETS", 3)
+        monkeypatch.setattr(estimators, "LMDS_SUBSET_SIZE", 3)
         anchors = _collinear_anchors(8, 0, seed=46)
         system = build_linear_system(anchors, np.linalg.norm(anchors - 50.0, axis=1))
         for call in (
             lambda: lmds_reference(system, anchors, n_subsets=3, subset_size=3, seed=0),
-            lambda: lmds_estimate(system, n_subsets=3, subset_size=3, seed=0),
+            lambda: lmds_estimate(system, seed=0),
         ):
             with pytest.raises(DegenerateGeometryError):
                 call()

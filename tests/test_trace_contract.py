@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from secloc import ESTIMATORS, AttackSpec, ExperimentConfig, planefit, run_monte_carlo
+from secloc import ESTIMATORS, AttackSpec, ExperimentConfig, run_monte_carlo
+from secloc import estimators, planefit
 
 COORDINATED = AttackSpec("coordinated", t_att=(75.0, 75.0))
 
@@ -95,7 +96,7 @@ def test_grad_desc_reads_its_fit_inside_its_span(tracing):
         assert trial.name == "harness.trial" and trial.trial == span.trial
         assert trial.start <= span.start <= span.end <= trial.end
         assert type(span.iterations) is int and type(span.converged) is bool
-        assert span.max_iters == cfg.grad_desc.max_iters
+        assert span.max_iters == estimators.GRAD_DESC_MAX_ITERS
 
 
 @pytest.mark.parametrize(
@@ -112,14 +113,14 @@ def test_spans_read_iterations_and_converged(tracing, monkeypatch, attack, admm_
     # None default, so a result type without them would trace as None spans
     # instead of failing; every estimator applicable under the attack runs
     monkeypatch.setattr(planefit, "ADMM_MAX_ITERS", admm_cap)
-    estimators = tuple(name for name, spec in ESTIMATORS.items() if attack.kind in spec.attacks)
+    names = tuple(name for name, spec in ESTIMATORS.items() if attack.kind in spec.attacks)
     cfg = ExperimentConfig(
-        attack=attack, malicious_fraction=0.28, estimators=estimators, trials=4, master_seed=5
+        attack=attack, malicious_fraction=0.28, estimators=names, trials=4, master_seed=5
     )
     tracer = tracing.Tracer()
     with tracer.installed():
         run_monte_carlo(cfg)
-    checked = {tracing.ESTIMATOR_SPANS[name] for name in estimators} | {"planefit.admm"}
+    checked = {tracing.ESTIMATOR_SPANS[name] for name in names} | {"planefit.admm"}
     seen = Counter()
     for span in tracer.spans:
         if span.name in checked and span.failure is None:
