@@ -4,8 +4,9 @@ Anchors broadcast packets at a fixed power; a target collects P packets per
 anchor.  Honest anchors follow the path-loss channel.  Malicious anchors
 either randomize their transmit power independently per packet
 (uncoordinated) or jointly rescale it so their apparent ranges intersect at a
-chosen decoy position (coordinated).  All randomness is seeded and
-reproducible.
+chosen decoy position (coordinated).  Which anchors may be malicious is a
+``Placement``: any, or those within or beyond a radius of the target they
+attack.  All randomness is seeded and reproducible.
 """
 
 from __future__ import annotations
@@ -237,11 +238,12 @@ def simulate_measurements(
 
 @dataclass(frozen=True)
 class Placement:
-    """Spatial constraint on which anchors may be selected as malicious."""
+    """Which anchors of a trial may be made malicious: any (``anywhere``), or
+    those within, or beyond, ``radius`` of the trial's target, the node the
+    malicious anchors attack."""
 
     kind: str = "anywhere"
     radius: float = 0.0
-    center: tuple | None = None  # None: use the topology target
 
     def __post_init__(self) -> None:
         if self.kind not in PLACEMENT_KINDS:
@@ -250,19 +252,12 @@ class Placement:
             raise ConfigError(f"placement radius must be finite, got {self.radius!r}")
         if self.kind != "anywhere" and self.radius <= 0:
             raise ConfigError("radius-constrained placement needs radius > 0")
-        center = self.center
-        if center is not None and (np.shape(center) != (2,) or not np.all(np.isfinite(center))):
-            raise ConfigError(f"placement center must be two finite coordinates, got {center!r}")
 
-    def eligible(self, anchors: np.ndarray, default_center) -> np.ndarray:
-        """Indices of anchors satisfying the constraint."""
+    def eligible(self, topology: Topology) -> np.ndarray:
+        """Indices of the topology's anchors the constraint admits."""
         if self.kind == "anywhere":
-            return np.arange(anchors.shape[0])
-        center = np.asarray(
-            self.center if self.center is not None else default_center, dtype=float
-        ).reshape(2)
-        with np.errstate(over="ignore"):  # an overflow is inf: beyond any radius
-            dist = np.linalg.norm(anchors - center, axis=1)
+            return np.arange(topology.n_anchors)
+        dist = topology.distances()
         if self.kind == "within_radius":
             return np.flatnonzero(dist <= self.radius)
         return np.flatnonzero(dist > self.radius)

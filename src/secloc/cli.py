@@ -100,17 +100,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crlb(args) -> int:
     config = _load(args)
-    base = base_topology(config)
-    bounds = []
-    for trial in range(config.trials):
-        bound = trial_crlb(config, trial_topologies(config, [trial], base)[0])
-        if bound is not None:
-            bounds.append(bound)
+    topologies = trial_topologies(config, range(config.trials), base_topology(config))
+    bounds = [b for b in (trial_crlb(config, t) for t in topologies) if b is not None]
     if not bounds:
         print("crlb: n/a (singular or overflowing information)")
         return 3
-    mean = sum(bounds) / len(bounds)
-    print(f"crlb_mean_m: {mean:.6f}")
+    print(f"crlb_mean_m: {sum(bounds) / len(bounds):.6f}")
     print(f"crlb_min_m: {min(bounds):.6f}")
     print(f"crlb_max_m: {max(bounds):.6f}")
     return 0

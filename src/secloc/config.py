@@ -11,11 +11,15 @@ Two profiles ship with the package: ``desk`` (500 trials) and ``paper``
 Each layer's settings are one section of the config, a value of that layer's
 own checked type: ``channel`` (``PathLossParams``: keys ``p0``, ``n``,
 ``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys) and
-``placement``.  The type holds the section's rules; the attack-key rules,
-for one, are ``AttackSpec``'s: ``uncoordinated`` takes ``attack.sigma_att``
-(>= 0) alone, ``coordinated`` exactly one of ``attack.t_att`` and
+``placement`` (``Placement``: ``malicious.placement`` and
+``malicious.radius``, a radius measured from each trial's target).  The
+type holds the section's rules; the attack-key rules, for one, are
+``AttackSpec``'s: ``uncoordinated`` takes ``attack.sigma_att`` (>= 0)
+alone, ``coordinated`` exactly one of ``attack.t_att`` and
 ``attack.distance``, and ``none`` none of them.  A mix fails at load.
-``topology.file`` fixes the layout, so it excludes ``topology.per_trial``.
+``topology.file`` fixes the layout, so it excludes ``topology.per_trial``
+and the keys of a drawn layout (``n_anchors``, ``area``, ``target``); a
+relative path names a file beside the config (see ``load_config``).
 The solvers' settings are constants, not settings: ADMM's stop rule
 (``planefit.ADMM_*``), LMdS's (``estimators.LMDS_*``) and Grad-Desc's
 (``estimators.GRAD_DESC_*``).  The eight keys ``admm.rho``,
@@ -31,6 +35,7 @@ import decimal
 import importlib.resources
 import math
 import numbers
+import os
 import types
 from dataclasses import dataclass, replace
 
@@ -171,7 +176,6 @@ _KEYS = {
     "attack.distance": ("attack", "distance", parse_number),
     "malicious.placement": ("placement", "kind", _parse_text),
     "malicious.radius": ("placement", "radius", parse_number),
-    "malicious.center": ("placement", "center", _parse_vector),
     "estimators": (None, "estimators", _parse_names),
     "admm.rho": (planefit, "ADMM_RHO", parse_number),
     "admm.conv_tol": (planefit, "ADMM_CONV_TOL", parse_number),
@@ -221,12 +225,17 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = sorted(entries.keys() - _KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    layout = [key for key in ("n_anchors", "area", "target") if key in entries]
+    if layout and "topology.file" in entries:  # the keys of a drawn layout
+        raise ConfigError(f"topology.file fixes the layout, so it excludes {', '.join(layout)}")
     return ExperimentConfig(**fields)
 
 
 def load_config(source) -> ExperimentConfig:
     """Load a config from a file path, or a built-in profile name
-    ('desk', 'paper')."""
+    ('desk', 'paper').  A relative ``topology.file`` names a file relative
+    to the config file's directory, so a config and its layout move
+    together."""
     name = str(source)
     if name in ("desk", "paper"):
         resource = importlib.resources.files("secloc").joinpath(f"profiles/{name}.cfg")
@@ -236,7 +245,11 @@ def load_config(source) -> ExperimentConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {name!r}: {exc}") from exc
-    return parse_config(text)
+    config = parse_config(text)
+    if config.topology_file is None:
+        return config
+    # an absolute path is kept as it is: os.path.join drops what precedes it
+    return replace(config, topology_file=os.path.join(os.path.dirname(name), config.topology_file))
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:

@@ -72,6 +72,7 @@ from .channel import distance_from_rssi
 from .config import ExperimentConfig, apply_axis
 from .estimators import (
     GRAD_DESC_MAX_ITERS,
+    LMDS_SUBSET_SIZE,
     Estimate,
     LinearSystem,
     build_linear_system,
@@ -88,7 +89,7 @@ from .estimators import (
     wls_estimate,
     wls_fits,
 )
-from .exceptions import SecLocError
+from .exceptions import ConfigError, SecLocError
 from .planefit import admm_l1_planes, ln1_estimate, ln1e_estimate, prefit_planes
 
 CSV_HEADER = (
@@ -178,12 +179,20 @@ def base_topology(config: ExperimentConfig) -> Topology:
     """The topology shared by all trials (ignoring per-trial regeneration).
     Every subcommand starts here, so here its channel is checked
     (``PathLossParams.check_resolution``): a channel under which ranges
-    invert to 0 m fails the bound as it fails the simulation."""
+    invert to 0 m fails the bound as it fails the simulation.  Here too,
+    with the anchor count of a drawn or a file layout known, ``lmds`` on
+    fewer anchors than it samples is a ``ConfigError``, not a failure on
+    every trial."""
     config.channel.check_resolution()
     if config.topology_file is not None:
-        return load_topology(config.topology_file)
-    seed = np.random.SeedSequence(config.master_seed, spawn_key=(1,))
-    return random_topology(config.n_anchors, config.area, target=config.target, seed=seed)
+        topology = load_topology(config.topology_file)
+    else:
+        seed = np.random.SeedSequence(config.master_seed, spawn_key=(1,))
+        topology = random_topology(config.n_anchors, config.area, target=config.target, seed=seed)
+    if "lmds" in config.estimators and topology.n_anchors < LMDS_SUBSET_SIZE:
+        need = f"estimators.LMDS_SUBSET_SIZE = {LMDS_SUBSET_SIZE}"
+        raise ConfigError(f"lmds needs at least {need} anchors, got {topology.n_anchors}")
+    return topology
 
 
 def trial_topologies(config: ExperimentConfig, indices, base: Topology) -> list:
@@ -206,7 +215,7 @@ def trial_topologies(config: ExperimentConfig, indices, base: Topology) -> list:
                     topology.n_anchors,
                     config.malicious_fraction,
                     seed=_trial_rng(config.master_seed, i, _STREAM_MALICIOUS),
-                    eligible=config.placement.eligible(topology.anchors, topology.target),
+                    eligible=config.placement.eligible(topology),
                 )
             )
             for i, topology in zip(indices, topologies)

@@ -372,8 +372,7 @@ def prepare_reference(config, index, base):
     n = len(anchors)
     if config.topology_file is None or config.malicious_fraction != 0.0:
         placement = config.placement
-        center = target if placement.center is None else np.asarray(placement.center)
-        dist = np.linalg.norm(anchors - center, axis=1)
+        dist = np.linalg.norm(anchors - target, axis=1)  # from the attacked node
         pool = {
             "anywhere": np.arange(n),
             "within_radius": np.flatnonzero(dist <= placement.radius),

@@ -10,7 +10,7 @@ from importlib.resources import files
 import pytest
 
 import secloc
-from secloc import config, load_config
+from secloc import config, harness, load_config
 from secloc.cli import main
 
 DESK_SMALL = """
@@ -169,6 +169,26 @@ class TestCrlbAndDetect:
         value = float(printed.split("crlb_mean_m:")[1].splitlines()[0])
         assert 0.0 < value < 10.0
 
+    def test_crlb_prints_bounds_of_trial_by_trial_labels(self, tmp_path, capsys):
+        # per-trial layouts under a coordinated attack: crlb labels all
+        # trials in one call, and prints the mean, min and max of trial_crlb
+        # over the labels drawn one trial at a time
+        path = tmp_path / "coord.cfg"
+        path.write_text(COORD_SMALL + "topology.per_trial = true\n")
+        cfg = load_config(path)
+        base = harness.base_topology(cfg)
+        bounds = [
+            harness.trial_crlb(cfg, harness.trial_topologies(cfg, [i], base)[0])
+            for i in range(cfg.trials)
+        ]
+        assert None not in bounds and len(set(bounds)) == cfg.trials
+        assert main(["crlb", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"crlb_mean_m: {sum(bounds) / len(bounds):.6f}\n"
+            f"crlb_min_m: {min(bounds):.6f}\n"
+            f"crlb_max_m: {max(bounds):.6f}\n"
+        )
+
     def test_detect_reports_rates(self, cfg_file, capsys):
         assert main(["detect", "--config", cfg_file]) == 0
         printed = capsys.readouterr().out
@@ -198,7 +218,6 @@ class TestErrorPaths:
             "sigma = -inf",
             "packets = nan",
             "admm.rho = inf",
-            "malicious.center = 1 nan",
         ],
     )
     def test_non_finite_config_number(self, tmp_path, capsys, line):
@@ -207,6 +226,35 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(path)]) == 2
         key = line.split("=")[0].strip()
         assert f"configuration error: {key}: expected a finite number" in capsys.readouterr().err
+
+    def test_placement_center_is_an_unknown_key(self, tmp_path, capsys):
+        # placement radii are measured from each trial's target, the node
+        # the malicious anchors attack; no other center can be set
+        path = tmp_path / "center.cfg"
+        path.write_text(DESK_SMALL + "malicious.center = 1 1\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: unknown config keys: malicious.center\n"
+
+    @pytest.mark.parametrize("layout", ["drawn", "file"])
+    @pytest.mark.parametrize("command", ["simulate", "crlb"])
+    def test_lmds_needs_its_subset_of_anchors(self, tmp_path, capsys, command, layout):
+        # LMdS solves subsets of LMDS_SUBSET_SIZE (4) anchors, so 3 anchors
+        # fail it on every trial: a configuration error, not a failure count
+        path = tmp_path / "lmds.cfg"
+        text = "trials = 5\nestimators = ls, lmds\n"
+        if layout == "drawn":
+            path.write_text(text + "n_anchors = 3\n")
+        else:
+            (tmp_path / "three.txt").write_text("5 5\n95 5\n5 95\ntarget 40 60\n")
+            path.write_text(text + f"topology.file = {tmp_path / 'three.txt'}\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: lmds needs at least "
+            "estimators.LMDS_SUBSET_SIZE = 4 anchors, got 3\n"
+        )
+        path.write_text(path.read_text().replace("ls, lmds", "ls"))
+        assert main([command, "--config", str(path)]) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1,-inf", "2,nan"])
     def test_non_finite_sweep_value(self, cfg_file, tmp_path, capsys, value):
@@ -463,6 +511,35 @@ class TestErrorPaths:
         )
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert "swls" in capsys.readouterr().out
+
+    def test_relative_topology_file_beside_its_config(self, tmp_path, monkeypatch):
+        # a relative topology.file names the file next to the config, from
+        # whatever working directory the command runs
+        rel, other = tmp_path / "rel", tmp_path / "other"
+        rel.mkdir()
+        other.mkdir()
+        (rel / "anchors.txt").write_text("5 5\n95 5 m\n5 95\n95 95\n50 8\ntarget 40 60\n")
+        (rel / "rel.cfg").write_text(DESK_SMALL + "topology.file = anchors.txt\n")
+        runs = [(tmp_path, "rel/rel.cfg"), (rel, "rel.cfg"), (other, str(rel / "rel.cfg"))]
+        for cwd, config in runs:
+            monkeypatch.chdir(cwd)
+            out = tmp_path / "out.csv"
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            assert csv_rows(out)["ls"]["trials_ok"] == "40"
+
+    def test_topology_file_excludes_layout_keys(self, tmp_path, capsys):
+        # the file's 5 anchors and target would silently replace these
+        topo = tmp_path / "topo.txt"
+        topo.write_text("5 5\n95 5 m\n5 95\n95 95\n50 8\ntarget 40 60\n")
+        cfg = tmp_path / "filecfg.cfg"
+        cfg.write_text(
+            DESK_SMALL + f"topology.file = {topo}\nn_anchors = 12\narea = 7\ntarget = 1 1\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: topology.file fixes the layout, "
+            "so it excludes n_anchors, area, target\n"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "detect", "crlb"])
     def test_topology_file_excludes_per_trial(self, tmp_path, capsys, command):

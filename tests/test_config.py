@@ -54,7 +54,16 @@ class TestParse:
     def test_full_file_round_trip(self):
         # every accepted key set, each to a non-default value but the fixed
         # keys, which may state only their constants; the three attack
-        # variants between them cover the four attack.* keys
+        # variants between them cover the four attack.* keys, and the two
+        # layouts cover a drawn layout's keys and topology.file, which fixes
+        # the layout and so excludes them
+        layouts = (
+            (
+                "area = 80\nn_anchors = 17\ntarget = 10, 60\ntopology.per_trial = true\n",
+                dict(area=80.0, n_anchors=17, target=(10.0, 60.0), topology_per_trial=True),
+            ),
+            ("topology.file = anchors.txt\n", dict(topology_file="anchors.txt")),
+        )
         for attack_lines, attack in (
             (
                 "attack.kind = coordinated\nattack.t_att = 70 65\n",
@@ -69,14 +78,12 @@ class TestParse:
                 AttackSpec("uncoordinated", sigma_att=6.0),
             ),
         ):
-            self.check_full_file(attack_lines, attack)
+            for layout_lines, layout in layouts:
+                self.check_full_file(attack_lines + layout_lines, dict(layout, attack=attack))
 
     @staticmethod
-    def check_full_file(attack_lines, attack):
-        text = attack_lines + """
-        area = 80
-        n_anchors = 17
-        target = 10, 60
+    def check_full_file(lines, fields):
+        text = lines + """
         p0 = -12.5
         n = 3.5
         sigma = 1.5
@@ -86,7 +93,6 @@ class TestParse:
         malicious.fraction = 0.4
         malicious.placement = within_radius
         malicious.radius = 32
-        malicious.center = 20 30
         estimators = wls, lmds, ln1
         zeta = 2.5
         admm.rho = 0.2
@@ -97,22 +103,17 @@ class TestParse:
         grad_desc.step = 0.4
         grad_desc.max_iters = 200
         grad_desc.keep_fraction = 0.5
-        topology.file = anchors.txt
         """
         expected = ExperimentConfig(
-            area=80.0,
-            n_anchors=17,
-            target=(10.0, 60.0),
             channel=PathLossParams(p0=-12.5, n=3.5, sigma=1.5),
             packets=4,
             trials=33,
             master_seed=77,
             malicious_fraction=0.4,
-            placement=Placement(kind="within_radius", radius=32.0, center=(20.0, 30.0)),
+            placement=Placement(kind="within_radius", radius=32.0),
             estimators=("wls", "lmds", "ln1"),
             zeta=2.5,
-            topology_file="anchors.txt",
-            attack=attack,
+            **fields,
         )
         assert parse_config(text) == expected
         assert repr(parse_config(text)) == repr(expected)
@@ -333,7 +334,6 @@ class TestValidation:
             ("area", lambda v: ExperimentConfig(area=v)),
             ("target", lambda v: ExperimentConfig(target=(v, 0.0))),
             ("radius", lambda v: Placement("within_radius", radius=v)),
-            ("center", lambda v: Placement("within_radius", radius=5.0, center=(0.0, v))),
         ],
     )
     def test_non_finite_numbers_rejected(self, field, build, value):
@@ -371,6 +371,38 @@ class TestProfilesAndAxis:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
+
+    def test_topology_file_is_relative_to_its_config(self, tmp_path, monkeypatch):
+        # load_config resolves a relative topology.file against the config
+        # file's directory; an absolute one, and parse_config, keep the text
+        (tmp_path / "rel").mkdir()
+        path = tmp_path / "rel" / "rel.cfg"
+        path.write_text(MINIMAL + "topology.file = anchors.txt\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_config("rel/rel.cfg").topology_file == str(Path("rel") / "anchors.txt")
+        assert load_config(path).topology_file == str(tmp_path / "rel" / "anchors.txt")
+        assert parse_config(path.read_text()).topology_file == "anchors.txt"
+        absolute = str(tmp_path / "elsewhere" / "anchors.txt")
+        path.write_text(MINIMAL + f"topology.file = {absolute}\n")
+        assert load_config(path).topology_file == absolute
+        (tmp_path / "plain.cfg").write_text(MINIMAL + "topology.file = anchors.txt\n")
+        assert load_config("plain.cfg").topology_file == "anchors.txt"
+
+    @pytest.mark.parametrize(
+        "lines, stated",
+        [
+            ("n_anchors = 12\n", "n_anchors"),
+            ("area = 7\n", "area"),
+            ("target = 1 1\n", "target"),
+        ],
+        ids=["n_anchors", "area", "target"],
+    )
+    def test_topology_file_excludes_layout_keys(self, lines, stated):
+        # the file fixes the anchors and the target, so a drawn layout's keys
+        # beside it would be ignored
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + "topology.file = anchors.txt\n" + lines)
+        assert str(info.value) == f"topology.file fixes the layout, so it excludes {stated}"
 
     def test_apply_axis(self):
         cfg = parse_config(MINIMAL)
