@@ -240,7 +240,8 @@ def simulate_measurements(
 class Placement:
     """Which anchors of a trial may be made malicious: any (``anywhere``), or
     those within, or beyond, ``radius`` of the trial's target, the node the
-    malicious anchors attack."""
+    malicious anchors attack.  Only ``within_radius`` and ``beyond_radius``
+    take a radius, which must be > 0; ``anywhere`` takes none (radius 0)."""
 
     kind: str = "anywhere"
     radius: float = 0.0
@@ -252,6 +253,8 @@ class Placement:
             raise ConfigError(f"placement radius must be finite, got {self.radius!r}")
         if self.kind != "anywhere" and self.radius <= 0:
             raise ConfigError("radius-constrained placement needs radius > 0")
+        if self.kind == "anywhere" and self.radius != 0:
+            raise ConfigError(f"placement anywhere takes no radius, got {self.radius!r}")
 
     def eligible(self, topology: Topology) -> np.ndarray:
         """Indices of the topology's anchors the constraint admits."""

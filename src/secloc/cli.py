@@ -2,7 +2,8 @@
 
 Subcommands: simulate (one Monte-Carlo run), sweep (one run per axis value),
 crlb (bound only), detect (elimination true/false positive rates).  Exit
-codes: 0 success, 2 configuration error, 3 runtime failure.
+codes: 0 success, 2 configuration error, 3 runtime failure (an allocation
+that fails, such as the RSSI array of an absurd packet count, among them).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .exceptions import ConfigError, SecLocError
 from .harness import (
     ESTIMATORS,
     base_topology,
+    chunk_ranges,
     emit_csv,
     run_monte_carlo,
     summary_rows,
@@ -100,8 +102,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crlb(args) -> int:
     config = _load(args)
-    topologies = trial_topologies(config, range(config.trials), base_topology(config))
-    bounds = [b for b in (trial_crlb(config, t) for t in topologies) if b is not None]
+    base = base_topology(config)
+    # one chunk's topologies at a time, as simulate holds them; every bound is
+    # kept and summed once, since Python 3.12's sum compensates and a running
+    # total would not
+    bounds = []
+    for indices in chunk_ranges(config, base):
+        chunk = (trial_crlb(config, t) for t in trial_topologies(config, indices, base))
+        bounds += [b for b in chunk if b is not None]
     if not bounds:
         print("crlb: n/a (singular or overflowing information)")
         return 3
@@ -168,7 +176,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SecLocError as exc:
+    except (SecLocError, MemoryError) as exc:  # MemoryError: an allocation numpy cannot make
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -12,21 +12,22 @@ Each layer's settings are one section of the config, a value of that layer's
 own checked type: ``channel`` (``PathLossParams``: keys ``p0``, ``n``,
 ``sigma``), ``attack`` (``AttackSpec``: the ``attack.*`` keys) and
 ``placement`` (``Placement``: ``malicious.placement`` and
-``malicious.radius``, a radius measured from each trial's target).  The
-type holds the section's rules; the attack-key rules, for one, are
-``AttackSpec``'s: ``uncoordinated`` takes ``attack.sigma_att`` (>= 0)
-alone, ``coordinated`` exactly one of ``attack.t_att`` and
-``attack.distance``, and ``none`` none of them.  A mix fails at load.
+``malicious.radius``, a radius measured from each trial's target, which
+only ``within_radius`` and ``beyond_radius`` take).  The type holds the
+section's rules; the attack-key rules, for one, are ``AttackSpec``'s:
+``uncoordinated`` takes ``attack.sigma_att`` (>= 0) alone, ``coordinated``
+exactly one of ``attack.t_att`` and ``attack.distance``, and ``none`` none
+of them.  A mix fails at load.
 ``topology.file`` fixes the layout, so it excludes ``topology.per_trial``
 and the keys of a drawn layout (``n_anchors``, ``area``, ``target``); a
 relative path names a file beside the config (see ``load_config``).
-The solvers' settings are constants, not settings: ADMM's stop rule
-(``planefit.ADMM_*``), LMdS's (``estimators.LMDS_*``) and Grad-Desc's
-(``estimators.GRAD_DESC_*``).  The eight keys ``admm.rho``,
-``admm.conv_tol``, ``admm.max_iters``, ``lmds.n_subsets``,
-``lmds.subset_size``, ``grad_desc.step``, ``grad_desc.max_iters`` and
-``grad_desc.keep_fraction`` may state only their constant's value, and set
-nothing.
+The solvers' settings are constants, not settings: SWLS's threshold
+(``estimators.SWLS_ZETA``), ADMM's stop rule (``planefit.ADMM_*``), LMdS's
+(``estimators.LMDS_*``) and Grad-Desc's (``estimators.GRAD_DESC_*``).  The
+nine keys ``zeta``, ``admm.rho``, ``admm.conv_tol``, ``admm.max_iters``,
+``lmds.n_subsets``, ``lmds.subset_size``, ``grad_desc.step``,
+``grad_desc.max_iters`` and ``grad_desc.keep_fraction`` may state only their
+constant's value, and set nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class ExperimentConfig:
     malicious_fraction: float = 0.0
     placement: Placement = Placement()
     estimators: tuple = ("ls", "wls")
-    zeta: float = 1.5
     topology_file: str | None = None
     topology_per_trial: bool = False
 
@@ -85,8 +85,6 @@ class ExperimentConfig:
             raise ConfigError("packets must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not 0.0 < self.zeta < math.inf:
-            raise ConfigError(f"zeta must be positive and finite, got {self.zeta!r}")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ConfigError("malicious fraction must be in [0, 1]")
         if self.topology_file is not None and self.topology_per_trial:
@@ -163,7 +161,7 @@ _KEYS = {
     "p0": ("channel", "p0", parse_number),
     "n": ("channel", "n", parse_number),
     "sigma": ("channel", "sigma", parse_number),
-    "zeta": (None, "zeta", parse_number),
+    "zeta": (estimators, "SWLS_ZETA", parse_number),
     "malicious.fraction": (None, "malicious_fraction", parse_number),
     "n_anchors": (None, "n_anchors", _parse_int),
     "packets": (None, "packets", _parse_int),

@@ -27,17 +27,18 @@ raise (as it does for ``planefit.admm_l1_plane``).  ``ls_fits``,
 variance test by RSSI shape, its kept rows by kept count), bit-identical to
 one system at a time; where the variance law or the distance inversion
 raises for a whole stack, each system is fitted alone.  Their memo keys are
-``("ls",)``, ``("wls", params)`` and ``("swls", params, zeta)``.  ML's
+``("ls",)``, ``("wls", params)`` and ``("swls", params)``.  ML's
 loop, ``ml_fits``, runs BFGS from the given start in lock step, also
 bit-identical to one trial at a time; its key is ``("ml", params, init)``,
 init as a tuple of two floats.  Grad-Desc's, ``grad_desc_fits``, steps
 each trial from its anchors' centroid (anchors on one line fail
 ``rank_deficient`` there too); its key is ``("grad_desc", params,
 max_iters)``.
-The LMdS and Grad-Desc settings are constants, as ML's stop rule is
-(``LMDS_SUBSETS``, ``LMDS_SUBSET_SIZE``, ``GRAD_DESC_STEP``,
-``GRAD_DESC_MAX_ITERS``, ``GRAD_DESC_KEEP_FRACTION``), read when the
-estimators run; only Grad-Desc's iteration budget is also a keyword.
+SWLS's elimination threshold, LMdS's and Grad-Desc's settings are
+constants, as ML's stop rule is (``SWLS_ZETA``, ``LMDS_SUBSETS``,
+``LMDS_SUBSET_SIZE``, ``GRAD_DESC_STEP``, ``GRAD_DESC_MAX_ITERS``,
+``GRAD_DESC_KEEP_FRACTION``), read when the estimators run; only
+Grad-Desc's iteration budget is also a keyword.
 """
 
 from __future__ import annotations
@@ -68,14 +69,17 @@ COND_LIMIT = 1e12
 # in a median 8 iterations on desk (at most 14 in 200 trials); the cap is a guard.
 ML_GTOL = 1e-8
 ML_MAX_ITERS = 500
-# The LMdS and Grad-Desc baselines' settings, constants for the same reason:
-# every shipped run uses these values.  LMdS keeps the best of LMDS_SUBSETS
-# candidates, each LS-solved on LMDS_SUBSET_SIZE random rows.  Grad-Desc takes
-# GRAD_DESC_STEP-sized steps on the GRAD_DESC_KEEP_FRACTION of anchors with the
-# smallest residuals, at most GRAD_DESC_MAX_ITERS of them.  Above a step of 1
-# the path depends on last-bit rounding: two sums of the same residuals in
-# another order took another path on 1 of 24 seeded trials at step 2 and on 6
-# at step 5, and on none at 0.4 or 1.
+# SWLS's threshold and the LMdS and Grad-Desc baselines' settings, constants
+# for the same reason: every shipped run uses these values.  SWLS drops an
+# anchor whose estimated noise level reaches SWLS_ZETA * sigma.  LMdS keeps
+# the best of LMDS_SUBSETS candidates, each LS-solved on LMDS_SUBSET_SIZE
+# random rows.  Grad-Desc takes GRAD_DESC_STEP-sized steps on the
+# GRAD_DESC_KEEP_FRACTION of anchors with the smallest residuals, at most
+# GRAD_DESC_MAX_ITERS of them.  Above a step of 1 the path depends on
+# last-bit rounding: two sums of the same residuals in another order took
+# another path on 1 of 24 seeded trials at step 2 and on 6 at step 5, and on
+# none at 0.4 or 1.
+SWLS_ZETA = 1.5
 LMDS_SUBSETS = 20
 LMDS_SUBSET_SIZE = 4
 GRAD_DESC_STEP = 0.4
@@ -374,11 +378,6 @@ def wls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     return _unwrap(wls_fits([system], params))
 
 
-def _check_zeta(zeta: float) -> None:
-    if not 0.0 < zeta < math.inf:
-        raise DomainError(f"zeta must be positive and finite, got {zeta!r}")
-
-
 def _swls_check(system) -> DomainError | None:
     if system.measurements is None:
         return DomainError(_NO_MEASUREMENTS)
@@ -387,14 +386,14 @@ def _swls_check(system) -> DomainError | None:
     return _ranges_check(system)
 
 
-def _swls_stack(params, zeta, rssi, ranges, A, b) -> list:
+def _swls_stack(params, rssi, ranges, A, b) -> list:
     """SWLS on a stack of systems' (T, N, P) RSSI arrays, (T, N) ranges and
     (T, N, 3), (T, N) rows: the variance test, then WLS on each system's
     kept rows, stacked by kept count.
 
     Each anchor's per-packet range samples give a sample variance, which the
     inverted range-variance law at its (mean-RSSI) range turns into a noise
-    level; it is kept below zeta * sigma."""
+    level; it is kept below ``SWLS_ZETA`` * sigma."""
     # np.var(ranges_k, axis=-1, ddof=1) step for step, bit for bit, but in
     # ranges_k's own array, where np.var would allocate a second (T, N, P) one
     ranges_k = distance_from_rssi(params, rssi)
@@ -402,7 +401,7 @@ def _swls_stack(params, zeta, rssi, ranges, A, b) -> list:
     ranges_k -= ranges_k.sum(axis=-1, keepdims=True) / packets
     sample_var = np.square(ranges_k, out=ranges_k).sum(axis=-1) / (packets - 1)
     sigma_est = estimate_noise_sigma(params, sample_var, ranges)
-    threshold = zeta * params.sigma
+    threshold = SWLS_ZETA * params.sigma
     # at a noiseless channel any measured variance marks an attack
     kept = sigma_est == 0.0 if threshold == 0.0 else sigma_est < threshold
     counts = kept.sum(axis=1)
@@ -425,37 +424,35 @@ def _swls_stack(params, zeta, rssi, ranges, A, b) -> list:
     return out
 
 
-def swls_fits(systems, params: PathLossParams, zeta: float = 1.5) -> list:
+def swls_fits(systems, params: PathLossParams) -> list:
     """SWLS on many systems at once: the variance test on the stacked
     (T, N, P) RSSI arrays of each group of one RSSI shape, then WLS on the
     kept rows, stacked by kept count.  Returns one entry per system: its
-    ``Estimate``, memoized on it under ``("swls", params, zeta)``, or the
+    ``Estimate``, memoized on it under ``("swls", params)``, or the
     ``SecLocError`` it raises (no measurements or ranges, one packet, an
     overflowing range or variance, fewer than 3 survivors, rank-deficient
-    geometry), which is not memoized.  A zeta that is not positive and
-    finite raises ``DomainError`` for the whole batch."""
-    _check_zeta(zeta)
+    geometry), which is not memoized."""
     return _closed_form(
         systems,
-        ("swls", params, zeta),
+        ("swls", params),
         _swls_check,
         lambda system: system.measurements.shape,
-        lambda *stacks: _swls_stack(params, zeta, *stacks),
+        lambda *stacks: _swls_stack(params, *stacks),
         "measurements", "ranges", "A", "b",
     )
 
 
-def swls_estimate(system: LinearSystem, params: PathLossParams, zeta: float = 1.5) -> Estimate:
+def swls_estimate(system: LinearSystem, params: PathLossParams) -> Estimate:
     """WLS preceded by malicious-anchor elimination; a batch of one of
     ``swls_fits``.
 
     Each anchor's per-packet range samples (from the system's RSSI matrix)
     give a sample variance; inverting the range-variance law at the system's
     (mean-RSSI) range turns it into a noise-level estimate, and anchors whose
-    estimate reaches zeta * sigma are dropped before the WLS solve on the
-    remaining rows.
+    estimate reaches ``SWLS_ZETA`` * sigma are dropped before the WLS solve
+    on the remaining rows.
     """
-    return _unwrap(swls_fits([system], params, zeta))
+    return _unwrap(swls_fits([system], params))
 
 
 def _rssi_model(t, anchors, params):

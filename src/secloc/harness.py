@@ -8,11 +8,13 @@ of them reads the malicious labels, which only score the outcomes.
 Estimator failures (eliminations leaving too few anchors, non-convergence)
 are counted per estimator and never abort a trial.
 
-``run_monte_carlo`` runs the trials in chunks.  Per chunk it prepares every
-trial at once (``prepare_trials``: labels, measurements, range inversion,
-linear systems).  The draws stay per trial: each trial draws its layout (when
-topologies are drawn per trial), its malicious anchors and its packet noise
-from its own streams, in the order it draws them alone.  The checks and the
+``run_monte_carlo`` runs the trials in the chunks ``chunk_ranges`` cuts
+(``secloc crlb`` labels its trials by the same chunks).  Per chunk it
+prepares every trial at once (``prepare_trials``: labels, measurements,
+range inversion, linear systems).  The draws stay per trial: each trial
+draws its layout (when topologies are drawn per trial), its malicious
+anchors and its packet noise from its own streams, in the order it draws
+them alone.  The checks and the
 arithmetic run per chunk, on the trials' stacked arrays: the layouts'
 geometry checks, the path-loss and decoy means, the finite-RSSI check, one
 mean-RSSI inversion and the (A, b) build, each element for element as for a
@@ -299,11 +301,9 @@ ESTIMATORS = {
     # SWLS keys on per-packet power variance, absent in a coordinated attack.
     "swls": EstimatorSpec(
         _NOT_COORDINATED,
-        lambda t: swls_estimate(t.system, t.config.channel, zeta=t.config.zeta),
+        lambda t: swls_estimate(t.system, t.config.channel),
         detector=True,
-        batch=lambda ts: swls_fits(
-            [t.system for t in ts], ts[0].config.channel, ts[0].config.zeta
-        ),
+        batch=lambda ts: swls_fits([t.system for t in ts], ts[0].config.channel),
     ),
     # ML is initialized at the truth; only compared under the uncoordinated
     # attack.
@@ -413,17 +413,23 @@ def run_trial(
     )
 
 
+def chunk_ranges(config: ExperimentConfig, base: Topology):
+    """Yield the trial indices of each chunk of a run on ``base``, in order:
+    the fewest chunks under the ``CHUNK_RSSI_BYTES`` cap, with sizes that
+    differ by at most one (see the module docstring)."""
+    cap = max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * max(config.packets, CHUNK_MIN_PACKETS)))
+    count = -(-config.trials // cap)
+    for k in range(count):
+        yield range(k * config.trials // count, (k + 1) * config.trials // count)
+
+
 def run_monte_carlo(config: ExperimentConfig) -> MonteCarloSummary:
     """Run config.trials independent trials, a chunk at a time (see the
     module docstring), and aggregate by trial index."""
     base = base_topology(config)
     batches = [ESTIMATORS[n].batch for n in config.estimators if ESTIMATORS[n].batch]
-    # the fewest chunks under the cap, with sizes that differ by at most one
-    cap = max(1, CHUNK_RSSI_BYTES // (8 * base.n_anchors * max(config.packets, CHUNK_MIN_PACKETS)))
-    count = -(-config.trials // cap)
     results = []
-    for k in range(count):
-        indices = range(k * config.trials // count, (k + 1) * config.trials // count)
+    for indices in chunk_ranges(config, base):
         results += _run_chunk(config, indices, base, batches)
     return summarize(config, results)
 

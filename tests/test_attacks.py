@@ -407,8 +407,9 @@ def test_attack_fields_rejected_or_kept(kind, sigma_att, t_att, distance):
         ),
         (lambda: Topology(anchors=SQUARE, target=[math.inf, 50]), "positions must be finite"),
         (lambda: Placement(kind="nowhere"), "unknown placement kind 'nowhere'"),
+        (lambda: Placement(radius=5.0), "placement anywhere takes no radius, got 5.0"),
     ],
-    ids=["anchor-columns", "nan-anchor", "inf-target", "placement-kind"],
+    ids=["anchor-columns", "nan-anchor", "inf-target", "placement-kind", "anywhere-radius"],
 )
 def test_bad_input_is_config_error(build, message):
     with pytest.raises(ConfigError, match=message):

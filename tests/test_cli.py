@@ -189,6 +189,33 @@ class TestCrlbAndDetect:
             f"crlb_max_m: {max(bounds):.6f}\n"
         )
 
+    def test_crlb_labels_one_chunk_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # 100 packets of 29 anchors cap a chunk at 5 trials: crlb labels its
+        # 15 per-trial layouts in three calls and prints the bounds of the
+        # labels one call for all 15 trials draws
+        path = tmp_path / "coord.cfg"
+        path.write_text(COORD_SMALL + "topology.per_trial = true\npackets = 100\n")
+        cfg = load_config(path)
+        base = harness.base_topology(cfg)
+        topologies = harness.trial_topologies(cfg, range(cfg.trials), base)
+        bounds = [harness.trial_crlb(cfg, t) for t in topologies]
+        assert None not in bounds
+        labelled = harness.trial_topologies
+        sizes = []
+
+        def recording(config, indices, base):
+            sizes.append(len(indices))
+            return labelled(config, indices, base)
+
+        monkeypatch.setattr(secloc.cli, "trial_topologies", recording)
+        assert main(["crlb", "--config", str(path)]) == 0
+        assert sizes == [5, 5, 5]
+        assert capsys.readouterr().out == (
+            f"crlb_mean_m: {sum(bounds) / len(bounds):.6f}\n"
+            f"crlb_min_m: {min(bounds):.6f}\n"
+            f"crlb_max_m: {max(bounds):.6f}\n"
+        )
+
     def test_detect_reports_rates(self, cfg_file, capsys):
         assert main(["detect", "--config", cfg_file]) == 0
         printed = capsys.readouterr().out
@@ -227,6 +254,17 @@ class TestErrorPaths:
         key = line.split("=")[0].strip()
         assert f"configuration error: {key}: expected a finite number" in capsys.readouterr().err
 
+    def test_failed_allocation_is_runtime_error(self, cfg_file, capsys, monkeypatch):
+        # packets = 1e15 asks numpy for a 206 PiB RSSI array, which it
+        # refuses with a MemoryError; the refusal is raised here instead, as
+        # a machine that overcommits memory might grant a smaller request
+        def refused(config):
+            raise MemoryError("Unable to allocate 206. PiB for an array")
+
+        monkeypatch.setattr(secloc.cli, "run_monte_carlo", refused)
+        assert main(["simulate", "--config", cfg_file]) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 206. PiB for an array\n"
+
     def test_placement_center_is_an_unknown_key(self, tmp_path, capsys):
         # placement radii are measured from each trial's target, the node
         # the malicious anchors attack; no other center can be set
@@ -235,6 +273,17 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "configuration error: unknown config keys: malicious.center\n"
+
+    def test_radius_needs_a_radius_placement(self, tmp_path, capsys):
+        # the default placement, anywhere, admits every anchor; a radius
+        # beside it used to load and change nothing
+        path = tmp_path / "radius.cfg"
+        path.write_text(DESK_SMALL + "malicious.radius = 5\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: placement anywhere takes no radius, got 5.0\n"
+        path.write_text(DESK_SMALL + "malicious.radius = 5\nmalicious.placement = beyond_radius\n")
+        assert main(["simulate", "--config", str(path)]) == 0
 
     @pytest.mark.parametrize("layout", ["drawn", "file"])
     @pytest.mark.parametrize("command", ["simulate", "crlb"])
@@ -283,6 +332,7 @@ class TestErrorPaths:
             "grad_desc.step = 0",
             "grad_desc.max_iters = 0",
             "grad_desc.keep_fraction = 1.5",
+            "zeta = 0",
         ],
     )
     def test_out_of_range_value(self, tmp_path, capsys, line):

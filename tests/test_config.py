@@ -17,12 +17,12 @@ from secloc import (
     load_config,
     parse_config,
 )
-from secloc import config
+from secloc import config, estimators
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "secbench" / "workloads"
 
 # Every key that may only state a solver constant, with that constant: ADMM's,
-# then the LMdS and Grad-Desc baselines'.
+# then the LMdS and Grad-Desc baselines', then SWLS's threshold.
 FIXED_KEYS = [
     ("admm.rho", "ADMM_RHO"),
     ("admm.conv_tol", "ADMM_CONV_TOL"),
@@ -32,6 +32,7 @@ FIXED_KEYS = [
     ("grad_desc.step", "GRAD_DESC_STEP"),
     ("grad_desc.max_iters", "GRAD_DESC_MAX_ITERS"),
     ("grad_desc.keep_fraction", "GRAD_DESC_KEEP_FRACTION"),
+    ("zeta", "SWLS_ZETA"),
 ]
 
 MINIMAL = """
@@ -48,7 +49,7 @@ class TestParse:
         cfg = parse_config(MINIMAL)
         assert cfg.area == 100.0 and cfg.n_anchors == 29
         assert cfg.channel == PathLossParams(p0=-10.0, n=4.0, sigma=2.0)
-        assert cfg.packets == 10 and cfg.zeta == 1.5
+        assert cfg.packets == 10 and estimators.SWLS_ZETA == 1.5
         assert cfg.estimators == ("ls", "wls", "swls")
 
     def test_full_file_round_trip(self):
@@ -94,7 +95,7 @@ class TestParse:
         malicious.placement = within_radius
         malicious.radius = 32
         estimators = wls, lmds, ln1
-        zeta = 2.5
+        zeta = 1.5
         admm.rho = 0.2
         admm.conv_tol = 1e-6
         admm.max_iters = 5000
@@ -112,15 +113,14 @@ class TestParse:
             malicious_fraction=0.4,
             placement=Placement(kind="within_radius", radius=32.0),
             estimators=("wls", "lmds", "ln1"),
-            zeta=2.5,
             **fields,
         )
         assert parse_config(text) == expected
         assert repr(parse_config(text)) == repr(expected)
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config("# c\n\n" + MINIMAL + "\nzeta = 2.0  # inline\n")
-        assert cfg.zeta == 2.0
+        cfg = parse_config("# c\n\n" + MINIMAL + "\npackets = 7  # inline\n")
+        assert cfg.packets == 7
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -164,7 +164,7 @@ class TestParse:
         assert str(info.value) == message
 
     # The solvers' settings are constants of planefit (ADMM) and estimators
-    # (LMdS, Grad-Desc): a config may state them, as the coord-fixed
+    # (LMdS, Grad-Desc, SWLS): a config may state them, as the coord-fixed
     # workload does, and no other value.
     @pytest.mark.parametrize("key, constant", FIXED_KEYS[:3])
     def test_admm_keys_state_only_their_constants(self, key, constant):
@@ -330,7 +330,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, build",
         [
-            ("zeta", lambda v: ExperimentConfig(zeta=v)),
             ("area", lambda v: ExperimentConfig(area=v)),
             ("target", lambda v: ExperimentConfig(target=(v, 0.0))),
             ("radius", lambda v: Placement("within_radius", radius=v)),

@@ -318,13 +318,19 @@ class TestSwls:
         with pytest.raises(InsufficientSurvivorsError):
             swls_estimate(mean_system(topo.anchors, meas, P), P)
 
-    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.nan, math.inf])
-    def test_zeta_must_be_positive_and_finite(self, zeta):
-        # A nan threshold would eliminate every anchor and report it as too
-        # few survivors, not as the bad setting it is.
-        topo, meas, params = noisy_setup(seed=13)
-        with pytest.raises(DomainError, match="zeta"):
-            swls_estimate(mean_system(topo.anchors, meas, params), params, zeta=zeta)
+    def test_reads_its_threshold_when_called(self, monkeypatch):
+        # SWLS_ZETA is read at each call; each call gets a fresh system,
+        # since a system's memo keeps the fit made at the threshold before
+        topo = random_topology(29, 100.0, seed=8).with_malicious(select_malicious(29, 0.28, seed=9))
+        meas = simulate_measurements(
+            topo, P, AttackSpec("uncoordinated", sigma_att=8.0), 10_000, seed=10
+        )
+        assert swls_estimate(mean_system(topo.anchors, meas, P), P).eliminated == topo.malicious
+        monkeypatch.setattr(estimators, "SWLS_ZETA", 1e6)
+        assert swls_estimate(mean_system(topo.anchors, meas, P), P).eliminated == frozenset()
+        monkeypatch.setattr(estimators, "SWLS_ZETA", 1e-6)
+        with pytest.raises(InsufficientSurvivorsError, match="left 0 anchors"):
+            swls_estimate(mean_system(topo.anchors, meas, P), P)
 
     def test_needs_two_packets(self):
         topo = random_topology(5, 100.0, seed=14)
@@ -368,7 +374,7 @@ def _closed_form_mix():
     # the same at 10 packets, so that it overflows the others' stacked ranges
     deep10 = ordinary[4].measurements.copy()
     deep10[1, 3] = -2e4
-    # two anchors with no packet noise, the others far noisier than zeta * sigma
+    # two anchors with no packet noise, the others far noisier than SWLS_ZETA * sigma
     quiet = np.repeat(mean_rssi(params, ranges)[:, None], 10, axis=1)
     quiet[2:] += np.random.default_rng(63).normal(0.0, 40.0, (10, 10))
     # anchors within 1e-79 m and ranges of 1e-80-3e-80 m: every squared-range
@@ -415,8 +421,8 @@ class TestClosedFormFits:
             "ls": (ls_fits, ("ls",), ls_estimate),
             "wls": (lambda s: wls_fits(s, params), ("wls", params),
                     lambda s: wls_estimate(s, params)),
-            "swls": (lambda s: swls_fits(s, params, 1.5), ("swls", params, 1.5),
-                     lambda s: swls_estimate(s, params, 1.5)),
+            "swls": (lambda s: swls_fits(s, params), ("swls", params),
+                     lambda s: swls_estimate(s, params)),
         }[name]
         column = ("ls", "wls", "swls").index(name) + 1
         systems = [case[0] for case in mix]
@@ -437,16 +443,6 @@ class TestClosedFormFits:
         # a batch returns what an earlier one memoized, and fits nothing again
         for fit, again in zip(results, fits(systems[::-1])[::-1]):
             assert again is fit if isinstance(fit, Estimate) else type(again) is type(fit)
-
-    @pytest.mark.parametrize("zeta", [0.0, math.inf])
-    def test_swls_zeta_is_checked(self, zeta):
-        params, mix = _closed_form_mix()
-        systems = [case[0] for case in mix]
-        for call in (lambda: swls_fits(systems, params, zeta),
-                     lambda: swls_estimate(systems[0], params, zeta)):
-            with pytest.raises(DomainError, match="zeta"):
-                call()
-        assert not any(system.memo for system in systems)
 
 
 class TestMl:
